@@ -59,23 +59,30 @@ std::string suite_results_csv(const SuiteResults& results) {
          "bias_slope,bias_intercept,bias_slope_distance,grib_decimal_scale,"
          "codec_error,fallback_codec,error_message\n";
   out.precision(10);
+  const auto row = [&](const VariableResult& var, const std::string& variant,
+                       const VariableVerdict& verdict) {
+    out << csv_field(var.variable) << ',' << (var.is_3d ? 1 : 0) << ','
+        << csv_field(variant) << ',';
+    append_metrics(out, verdict);
+    out << ',' << verdict.rho_pass << ',' << verdict.rmsz_pass << ','
+        << verdict.enmax_pass << ',' << verdict.bias_pass << ',' << verdict.all_pass()
+        << ',' << verdict.bias.fit.slope << ',' << verdict.bias.fit.intercept << ','
+        << verdict.bias.slope_distance << ',' << var.grib_decimal_scale << ','
+        << verdict.codec_error << ',' << csv_field(verdict.fallback_codec) << ','
+        << csv_field(verdict.error_message) << '\n';
+  };
   for (const VariableResult& var : results.variables) {
-    // A variable whose processing failed outright recorded no verdicts;
-    // its verdict rows cannot be synthesized, so it is absent from the
-    // table (failed_variable_count() says how many are missing).
-    if (var.processing_failed) continue;
+    if (var.processing_failed) {
+      // No verdicts were recorded, but the variable must not vanish from
+      // the table: one row with an empty variant, every pass flag 0 and
+      // the error that stopped it.
+      VariableVerdict failed;
+      failed.error_message = var.error_message;
+      row(var, "", failed);
+      continue;
+    }
     for (std::size_t vi = 0; vi < results.variant_names.size(); ++vi) {
-      const VariableVerdict& verdict = var.verdicts[vi];
-      out << csv_field(var.variable) << ',' << (var.is_3d ? 1 : 0) << ','
-          << csv_field(results.variant_names[vi]) << ',';
-      append_metrics(out, verdict);
-      out << ',' << verdict.rho_pass << ',' << verdict.rmsz_pass << ','
-          << verdict.enmax_pass << ',' << verdict.bias_pass << ','
-          << verdict.all_pass() << ',' << verdict.bias.fit.slope << ','
-          << verdict.bias.fit.intercept << ',' << verdict.bias.slope_distance << ','
-          << var.grib_decimal_scale << ',' << verdict.codec_error << ','
-          << csv_field(verdict.fallback_codec) << ','
-          << csv_field(verdict.error_message) << '\n';
+      row(var, results.variant_names[vi], var.verdicts[vi]);
     }
   }
   return out.str();

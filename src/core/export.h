@@ -18,7 +18,8 @@ namespace cesm::core {
 std::string csv_field(const std::string& value);
 
 /// One CSV row per (variable, variant): test outcomes, CR and error
-/// metrics. Columns:
+/// metrics; a processing_failed variable gets one row with an empty
+/// variant, all pass flags 0 and its error_message. Columns:
 ///   variable,is_3d,variant,cr,pearson,nrmse,e_nmax,rmsz_diff,
 ///   rho_pass,rmsz_pass,enmax_pass,bias_pass,all_pass,
 ///   bias_slope,bias_intercept,bias_slope_distance,grib_decimal_scale,

@@ -5,63 +5,28 @@
 #include "compress/grib2/grib2.h"
 #include "core/suite.h"
 #include "util/error.h"
-#include "util/scheduler.h"
 #include "util/trace.h"
 
 namespace cesm::core {
 
-GribTuning rmsz_guided_decimal_scale(const EnsembleStats& stats,
-                                     std::optional<float> fill,
-                                     std::span<const std::size_t> test_members,
-                                     const PvtThresholds& thresholds,
-                                     int significant_digits,
-                                     int max_extra_digits,
-                                     std::size_t chunk_elems,
-                                     comp::PlanStore* plans) {
+GribTuning tune_decimal_scale(const PvtVerifier& verifier, std::optional<float> fill,
+                              std::span<const std::size_t> test_members,
+                              int significant_digits, int max_extra_digits) {
   CESM_REQUIRE(!test_members.empty());
   trace::Span span("grib.tune");
-  PvtVerifier verifier(stats, thresholds);
-  verifier.set_plan_store(plans);
-
   // Magnitude-based starting point from the probe member's range.
-  const climate::Field& probe = stats.member(test_members.front());
-  const std::vector<std::uint8_t> mask = probe.valid_mask();
-  const stats::Summary summary = stats::summarize(std::span<const float>(probe.data), mask);
+  const stats::Summary& summary = verifier.stats().member_summary(test_members.front());
   const int d0 = comp::choose_decimal_scale(summary.min, summary.max, significant_digits);
 
   GribTuning tuning;
   tuning.decimal_scale = d0;
   for (int extra = 0; extra <= max_extra_digits; ++extra) {
     const int d = std::min(30, d0 + extra);
-    const comp::CodecPtr codec_ptr =
-        with_chunking(std::make_shared<comp::Grib2Codec>(d, fill), chunk_elems);
-    const comp::Codec& codec = *codec_ptr;
+    const comp::CodecPtr codec = with_chunking(std::make_shared<comp::Grib2Codec>(d, fill),
+                                               verifier.source().chunk_elems());
     ++tuning.attempts;
     trace::counter_add("grib.tune_attempts", 1);
-    bool all_pass = true;
-    if (Scheduler::global().thread_count() <= 1) {
-      // Serial: keep the early break — a failed member skips the rest.
-      for (std::size_t m : test_members) {
-        const MemberEvaluation eval = verifier.evaluate_member(codec, m);
-        if (!(eval.rho_pass && eval.rmsz_pass && eval.enmax_pass)) {
-          all_pass = false;
-          break;
-        }
-      }
-    } else {
-      // Parallel: evaluate every member (each is an independent
-      // compress + score) and AND the flags. The early break only skips
-      // work, never changes the verdict, so both paths agree exactly.
-      std::vector<std::uint8_t> pass(test_members.size(), 0);
-      parallel_for(0, test_members.size(), [&](std::size_t i) {
-        const MemberEvaluation eval =
-            verifier.evaluate_member(codec, test_members[i]);
-        pass[i] = (eval.rho_pass && eval.rmsz_pass && eval.enmax_pass) ? 1 : 0;
-      });
-      all_pass = std::all_of(pass.begin(), pass.end(),
-                             [](std::uint8_t p) { return p != 0; });
-    }
-    if (all_pass) {
+    if (verifier.members_pass(*codec, test_members)) {
       tuning.decimal_scale = d;
       tuning.passed = true;
       return tuning;
@@ -73,6 +38,20 @@ GribTuning rmsz_guided_decimal_scale(const EnsembleStats& stats,
   tuning.decimal_scale = std::min(30, d0 + max_extra_digits);
   tuning.passed = false;
   return tuning;
+}
+
+GribTuning rmsz_guided_decimal_scale(const EnsembleStats& stats,
+                                     std::optional<float> fill,
+                                     std::span<const std::size_t> test_members,
+                                     const PvtThresholds& thresholds,
+                                     int significant_digits,
+                                     int max_extra_digits,
+                                     std::size_t chunk_elems,
+                                     comp::PlanStore* plans) {
+  PvtVerifier verifier(ChunkSource(stats, chunk_elems), thresholds);
+  verifier.set_plan_store(plans);
+  return tune_decimal_scale(verifier, fill, test_members, significant_digits,
+                            max_extra_digits);
 }
 
 }  // namespace cesm::core

@@ -20,16 +20,20 @@ struct GribTuning {
   int attempts = 0;        ///< D values tried
 };
 
+/// The §5.4 ladder on `verifier`'s ensemble: start from the magnitude
+/// heuristic on the first test member's summary and raise D until every
+/// member of `test_members` passes tests 1–3 (the bias sweep stays with
+/// the caller). Attempts encode through the verifier's plan store, so the
+/// winning scale's wavelet lift stays cached for the GRIB2 verify.
+GribTuning tune_decimal_scale(const PvtVerifier& verifier, std::optional<float> fill,
+                              std::span<const std::size_t> test_members,
+                              int significant_digits, int max_extra_digits);
+
 /// Tune D for the variable held by `stats`. `fill` is forwarded to the
-/// codec's native bitmap support. The probe uses the first entry of
-/// `test_members` (tests 1–3 only; the bias sweep stays with the caller).
-/// Nonzero `chunk_elems` measures every attempt through a ChunkedCodec
-/// with that partition (see SuiteConfig::chunk_elems). `plans`, when
-/// non-null, shares each member's bitmap/min-max scan across the whole
-/// candidate ladder and leaves the winning scale's wavelet lift cached
-/// for the suite's GRIB2 variant verify (see prep.h); only usable with
-/// chunk_elems == 0 — the chunked wrapper is unplannable and plans are
-/// keyed per whole member here.
+/// codec's native bitmap support. Nonzero `chunk_elems` measures every
+/// attempt through a ChunkedCodec with that partition (see
+/// SuiteConfig::chunk_elems). `plans`, when non-null, is the plan store
+/// the attempts encode through (see tune_decimal_scale).
 GribTuning rmsz_guided_decimal_scale(const EnsembleStats& stats,
                                      std::optional<float> fill,
                                      std::span<const std::size_t> test_members,

@@ -11,19 +11,10 @@
 namespace cesm::core {
 
 Characterization characterize(const climate::Field& field) {
-  return characterize(field, comp::DeflateCodec());
-}
-
-Characterization characterize(const climate::Field& field, const comp::Codec& lossless,
-                              std::optional<stats::Summary> summary) {
   Characterization c;
-  if (summary) {
-    c.summary = *summary;
-  } else {
-    const std::vector<std::uint8_t> mask = field.valid_mask();
-    c.summary = stats::summarize(std::span<const float>(field.data), mask);
-  }
-  const Bytes stream = lossless.encode(field.data, field.shape);
+  const std::vector<std::uint8_t> mask = field.valid_mask();
+  c.summary = stats::summarize(std::span<const float>(field.data), mask);
+  const Bytes stream = comp::DeflateCodec().encode(field.data, field.shape);
   c.lossless_cr = comp::compression_ratio(stream.size(), field.data.size());
   return c;
 }

@@ -22,13 +22,6 @@ struct Characterization {
 /// the lossless CR is measured with the NetCDF-4-style deflate codec.
 Characterization characterize(const climate::Field& field);
 
-/// Characterization with an explicit lossless codec (e.g. the chunked
-/// deflate the out-of-core pipeline measures chunk-by-chunk) and an
-/// optional precomputed summary — both legs of a full-grid run must
-/// measure the same stream to report the same CR.
-Characterization characterize(const climate::Field& field, const comp::Codec& lossless,
-                              std::optional<stats::Summary> summary = std::nullopt);
-
 /// §4.2 error measures between original and reconstructed data. Fill
 /// values are excluded ("we are careful not to include any special
 /// values when calculating our metrics").
@@ -55,7 +48,7 @@ ErrorMetrics compare_fields(const climate::Field& original,
 /// The exact finalization compare_fields() applies to an error-norm
 /// accumulation: `range`/`peak` come from the original data's summary
 /// (range = max - min, peak = max(|min|, |max|)), `pearson` from eq. (5).
-/// Shared with the streaming path, which builds the accumulation
+/// Shared with the chunk-walking verifier, which builds the accumulation
 /// chunk-by-chunk (stats::ErrorNormStream / CoMomentStream).
 ErrorMetrics error_metrics_from(const stats::kernels::ErrorAccum& err, double range,
                                 double peak, double pearson);

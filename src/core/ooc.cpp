@@ -5,26 +5,16 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <limits>
 #include <memory>
 #include <random>
 #include <thread>
 #include <utility>
 
-#include "compress/chunked.h"
-#include "compress/deflate/deflate.h"
-#include "compress/fpz/fpz.h"
-#include "compress/grib2/grib2.h"
-#include "compress/variants.h"
-#include "core/bias.h"
 #include "core/ensemble_cache.h"
-#include "stats/correlation.h"
 #include "util/cache.h"
 #include "util/error.h"
-#include "util/failpoint.h"
 #include "util/rng.h"
 #include "util/scheduler.h"
 #include "util/trace.h"
@@ -38,243 +28,6 @@ using Clock = std::chrono::steady_clock;
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
-
-std::size_t max_chunk_elems(std::span<const std::size_t> offsets) {
-  std::size_t worst = 0;
-  for (std::size_t c = 0; c + 1 < offsets.size(); ++c) {
-    worst = std::max(worst, offsets[c + 1] - offsets[c]);
-  }
-  return worst;
-}
-
-/// Concurrent buffer "lanes": tasks of a parallel loop execute on the
-/// worker threads plus the caller (parallel_for helps). Budget allowances
-/// for per-task buffers are charged for this many simultaneous tasks.
-std::size_t buffer_lanes() { return Scheduler::global().thread_count() + 1; }
-
-/// One prefetched chunk read running on the scheduler.
-struct ReadTask final : Task {
-  const ncio::ChunkStoreReader* store = nullptr;
-  std::uint32_t member = 0;
-  std::size_t chunk = 0;
-  std::span<float> out;
-
-  static void run(Task* task) {
-    auto* self = static_cast<ReadTask*>(task);
-    self->store->read_chunk(self->member, self->chunk, self->out);
-  }
-};
-
-/// Walk every chunk of one member in store order, calling
-/// `process(chunk_index, data)` with the chunk resident in one of the two
-/// buffers. With workers available the next chunk's read is in flight on
-/// the scheduler while the current chunk is processed (double buffering);
-/// single-threaded schedulers read synchronously — spawning there would
-/// only add a steal point where a helping wait() could stack a sibling
-/// member task's buffers onto this thread.
-template <typename Process>
-void walk_member_chunks(const ncio::ChunkStoreReader& store, std::uint32_t member,
-                        std::span<float> buf0, std::span<float> buf1,
-                        Process&& process) {
-  const std::size_t chunks = store.chunk_count();
-  if (chunks == 0) return;
-  const bool overlap = Scheduler::global().thread_count() > 1;
-  std::span<float> bufs[2] = {buf0, buf1};
-
-  ReadTask read;
-  read.invoke = &ReadTask::run;
-  read.store = &store;
-  read.member = member;
-  TaskGroup group;
-
-  store.read_chunk(member, 0, bufs[0].first(store.chunk_elems(0)));
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const bool pending = overlap && c + 1 < chunks;
-    if (pending) {
-      read.chunk = c + 1;
-      read.out = bufs[(c + 1) % 2].first(store.chunk_elems(c + 1));
-      group.spawn(read);
-    }
-    try {
-      process(c, std::span<const float>(bufs[c % 2].first(store.chunk_elems(c))));
-    } catch (...) {
-      if (pending) {
-        // The read task aliases this frame's buffers: it must finish
-        // before unwinding. The processing error wins over a read error.
-        try {
-          group.wait();
-        } catch (...) {
-        }
-      }
-      throw;
-    }
-    if (pending) {
-      group.wait();
-    } else if (c + 1 < chunks) {
-      store.read_chunk(member, c + 1, bufs[(c + 1) % 2].first(store.chunk_elems(c + 1)));
-    }
-  }
-}
-
-}  // namespace
-
-StreamingStats::StreamingStats(const ncio::ChunkStoreReader& store,
-                               util::MemoryBudget& budget) {
-  trace::Span span("ooc.stats");
-  member_count_ = store.member_count();
-  CESM_REQUIRE(member_count_ >= 3);
-  n_ = store.total_elems();
-  const std::vector<std::size_t>& offsets = store.chunk_offsets();
-  const std::size_t chunks = store.chunk_count();
-  const std::size_t max_chunk = max_chunk_elems(offsets);
-  const bool has_fill = store.fill().has_value();
-  constexpr float kInf = std::numeric_limits<float>::infinity();
-
-  // Resident per-point arrays: sum + sum_sq (2 x 8) + the four extreme
-  // planes (4 x 4) + the two arg planes (2 x 4) = 40 bytes per point,
-  // plus the mask byte while it exists.
-  budget.charge("ooc.point_stats",
-                static_cast<std::uint64_t>(n_) * (40 + (has_fill ? 1 : 0)));
-  sum_.assign(n_, 0.0);
-  sum_sq_.assign(n_, 0.0);
-  max1_.assign(n_, -kInf);
-  max2_.assign(n_, -kInf);
-  min1_.assign(n_, kInf);
-  min2_.assign(n_, kInf);
-  argmax_.assign(n_, 0);
-  argmin_.assign(n_, 0);
-  if (has_fill) mask_.assign(n_, 1);
-
-  // Pass 1 — parallel over chunks: each task owns one chunk buffer and a
-  // disjoint point slice, and walks the members in order within it (the
-  // member-major-per-point order EnsembleStats::build uses, so the float
-  // adds and the argmax tie-breaks are bit-identical). Member 0 derives
-  // the validity mask slice; later members must agree on it, exactly as
-  // EnsembleStats requires of resident fields.
-  const std::uint64_t pass1_bytes =
-      static_cast<std::uint64_t>(buffer_lanes()) * max_chunk * sizeof(float);
-  budget.charge("ooc.pass1_buffers", pass1_bytes);
-  const float fill = store.fill().value_or(0.0f);
-  parallel_for(0, chunks, [&](std::size_t c) {
-    const std::size_t lo = offsets[c];
-    const std::size_t len = store.chunk_elems(c);
-    std::vector<float> buf(len);
-    const std::span<std::uint8_t> mask_slice =
-        has_fill ? std::span<std::uint8_t>(mask_).subspan(lo, len)
-                 : std::span<std::uint8_t>{};
-    for (std::size_t m = 0; m < member_count_; ++m) {
-      store.read_chunk(static_cast<std::uint32_t>(m), c, buf);
-      if (has_fill) {
-        if (m == 0) {
-          for (std::size_t i = 0; i < len; ++i) {
-            mask_slice[i] = buf[i] == fill ? std::uint8_t{0} : std::uint8_t{1};
-          }
-        } else {
-          for (std::size_t i = 0; i < len; ++i) {
-            // Every member must share one fill pattern or sum_/sum_sq_
-            // would silently absorb fill values (same contract as
-            // EnsembleStats' effective_mask check).
-            CESM_REQUIRE((buf[i] == fill) == (mask_slice[i] == 0));
-          }
-        }
-      }
-      stats::kernels::accumulate_sum_sq(buf, mask_slice,
-                                        std::span<double>(sum_).subspan(lo, len),
-                                        std::span<double>(sum_sq_).subspan(lo, len));
-      stats::kernels::update_extremes(
-          buf, mask_slice, static_cast<std::uint32_t>(m),
-          std::span<float>(max1_).subspan(lo, len),
-          std::span<float>(max2_).subspan(lo, len),
-          std::span<std::uint32_t>(argmax_).subspan(lo, len),
-          std::span<float>(min1_).subspan(lo, len),
-          std::span<float>(min2_).subspan(lo, len),
-          std::span<std::uint32_t>(argmin_).subspan(lo, len));
-    }
-  });
-  budget.release(pass1_bytes);
-
-  // Normalize: a fill pattern that never fires is the same as no fill at
-  // all (EnsembleStats' effective_mask), so downstream kernels take the
-  // dense path and verdicts match fill-free variables bit for bit.
-  if (has_fill) {
-    valid_points_ = stats::kernels::count_valid(mask_, n_);
-    if (valid_points_ == n_) {
-      mask_.clear();
-      mask_.shrink_to_fit();
-      budget.release(n_);
-    }
-  } else {
-    valid_points_ = n_;
-  }
-  CESM_REQUIRE(valid_points_ > 0);
-
-  // Pass 2 — parallel over members: each member streams its chunks once
-  // more through the block-realigning moment/z-score streams (bit-equal
-  // to the one-shot kernels on the whole array) and folds its
-  // leave-one-out max distance. Reads are double-buffered per member.
-  member_summary_.resize(member_count_);
-  ranges_.resize(member_count_);
-  global_means_.resize(member_count_);
-  rmsz_dist_.resize(member_count_);
-  enmax_dist_.resize(member_count_);
-  budget.charge("ooc.member_stats",
-                static_cast<std::uint64_t>(member_count_) *
-                    (sizeof(stats::Summary) + 4 * sizeof(double)));
-  const std::uint64_t pass2_bytes =
-      static_cast<std::uint64_t>(buffer_lanes()) * 2 * max_chunk * sizeof(float);
-  budget.charge("ooc.pass2_buffers", pass2_bytes);
-  const bool masked = !mask_.empty();
-  const std::span<const std::uint8_t> mask(mask_);
-  parallel_for(0, member_count_, [&](std::size_t m) {
-    std::vector<float> b0(max_chunk);
-    std::vector<float> b1(max_chunk);
-    stats::kernels::MomentStream mom(masked);
-    stats::kernels::ZScoreStream zs(static_cast<double>(member_count_),
-                                    kDegenerateSpreadRelTol, masked);
-    double worst = 0.0;
-    walk_member_chunks(
-        store, static_cast<std::uint32_t>(m), b0, b1,
-        [&](std::size_t c, std::span<const float> x) {
-          const std::size_t lo = offsets[c];
-          const std::size_t len = x.size();
-          const std::span<const std::uint8_t> mask_slice =
-              masked ? mask.subspan(lo, len) : mask;
-          mom.feed(x, mask_slice);
-          zs.feed(x, x, std::span<const double>(sum_).subspan(lo, len),
-                  std::span<const double>(sum_sq_).subspan(lo, len), mask_slice);
-          // E_nmax fold (eq. 10): pointwise leave-one-out distance, max
-          // over valid points — order-invariant, so the chunk partition
-          // cannot change it.
-          for (std::size_t i = 0; i < len; ++i) {
-            if (masked && mask_[lo + i] == 0) continue;
-            const float hi_v = (argmax_[lo + i] == m) ? max2_[lo + i] : max1_[lo + i];
-            const float lo_v = (argmin_[lo + i] == m) ? min2_[lo + i] : min1_[lo + i];
-            const double d =
-                std::max(static_cast<double>(hi_v) - static_cast<double>(x[i]),
-                         static_cast<double>(x[i]) - static_cast<double>(lo_v));
-            worst = std::max(worst, d);
-          }
-        });
-    const stats::kernels::MomentAccum a = mom.finish();
-    member_summary_[m] = stats::summary_from(a);
-    ranges_[m] = a.max - a.min;
-    global_means_[m] = a.mean;
-    rmsz_dist_[m] = rmsz_from_accum(zs.finish());
-    enmax_dist_[m] = ranges_[m] > 0.0 ? worst / ranges_[m] : worst;
-  });
-  budget.release(pass2_bytes);
-
-  const auto [lo_it, hi_it] = std::minmax_element(rmsz_dist_.begin(), rmsz_dist_.end());
-  rmsz_min_ = *lo_it;
-  rmsz_max_ = *hi_it;
-}
-
-double StreamingStats::enmax_range() const {
-  const auto [lo, hi] = std::minmax_element(enmax_dist_.begin(), enmax_dist_.end());
-  return *hi - *lo;
-}
-
-namespace {
 
 /// The chunk partition of one variable's spill: the ChunkedCodec partition
 /// every downstream phase (stats, round-trips, packed_stream_bytes) reuses.
@@ -290,11 +43,32 @@ SpillLayout spill_layout(const climate::EnsembleGenerator& ensemble,
   const std::size_t ncol = ensemble.grid().columns();
   const std::size_t nlev = spec.is_3d ? ensemble.grid().levels() : 1;
   layout.shape = spec.is_3d ? comp::Shape::d2(nlev, ncol) : comp::Shape::d1(ncol);
-  layout.offsets =
-      comp::ChunkedCodec(std::make_shared<comp::DeflateCodec>(), chunk_elems)
-          .chunk_offsets(layout.shape);
+  layout.offsets = chunk_partition(layout.shape, chunk_elems);
   layout.max_chunk = max_chunk_elems(layout.offsets);
   return layout;
+}
+
+/// Deletes a reused spill file when the scope unwinds with an exception:
+/// bytes that failed a run are never trusted by the next one. (POSIX
+/// semantics keep the already-open reader fd valid after the unlink.)
+struct ReusedSpillInvalidator {
+  const std::string& path;
+  bool reused;
+  int base = std::uncaught_exceptions();
+  ~ReusedSpillInvalidator() {
+    if (reused && std::uncaught_exceptions() > base) {
+      std::error_code ec;
+      std::filesystem::remove(path, ec);
+      trace::counter_add("ooc.spill_invalidated", 1);
+    }
+  }
+};
+
+/// Per-chunk working set of one member round-trip: the two walk buffers,
+/// the reconstruction slab, and a transient-encode allowance of one more
+/// chunk (codec streams of roughly chunk size).
+std::uint64_t roundtrip_bytes_per_lane(std::size_t max_chunk) {
+  return static_cast<std::uint64_t>(4) * max_chunk * sizeof(float);
 }
 
 }  // namespace
@@ -395,310 +169,6 @@ SpillSession::~SpillSession() {
   }
 }
 
-namespace {
-
-/// Everything one member round-trip needs; the streaming analogue of the
-/// (PvtVerifier, codec) pair the in-core leg passes around.
-struct StreamContext {
-  const ncio::ChunkStoreReader& store;
-  const StreamingStats& stats;
-  const comp::ChunkedCodec& chunked;
-  std::size_t max_chunk;
-  const PvtThresholds& thresholds;
-  /// Shared encode-prep plan store (prep.h); null = direct encodes. Plans
-  /// are keyed per (member, chunk) so every variant of a family reuses the
-  /// chunk's variant-invariant stage. Streams stay byte-identical.
-  comp::PlanStore* plans = nullptr;
-
-  /// Encode one chunk of one member through the wrapped variant's inner
-  /// codec, plan-driven when a store is attached.
-  [[nodiscard]] Bytes encode_chunk(const comp::Codec& inner, std::span<const float> x,
-                                   const comp::Shape& cs, std::size_t member,
-                                   std::size_t c) const {
-    if (plans == nullptr) return inner.encode(x, cs);
-    return plans->encode(inner, x, cs,
-                         static_cast<std::uint64_t>(member) * store.chunk_count() + c);
-  }
-};
-
-/// Tests 1–3 for one member, chunk-at-a-time: encode + decode each chunk
-/// through the wrapped variant's inner codec, feed the §4.2 error streams
-/// and the z-score stream, then finalize through the exact helpers the
-/// in-core evaluate_member uses. The CR is sized via packed_stream_bytes,
-/// which reproduces the in-core chunked container byte count exactly.
-MemberEvaluation evaluate_member_streaming(const StreamContext& ctx,
-                                           std::size_t member) {
-  CESM_REQUIRE(member < ctx.stats.member_count());
-  const comp::Shape& shape = ctx.store.shape();
-  const std::vector<std::size_t>& offsets = ctx.store.chunk_offsets();
-  const bool masked = !ctx.stats.mask().empty();
-  const comp::Codec& inner = *ctx.chunked.inner();
-
-  std::vector<float> b0(ctx.max_chunk);
-  std::vector<float> b1(ctx.max_chunk);
-  std::vector<float> recon(ctx.max_chunk);
-  std::vector<std::size_t> sizes(ctx.store.chunk_count());
-
-  stats::kernels::ErrorNormStream err(masked);
-  stats::kernels::CoMomentStream co(masked);
-  stats::kernels::ZScoreStream zs(static_cast<double>(ctx.stats.member_count()),
-                                  kDegenerateSpreadRelTol, masked);
-  walk_member_chunks(
-      ctx.store, static_cast<std::uint32_t>(member), b0, b1,
-      [&](std::size_t c, std::span<const float> x) {
-        const comp::Shape cs = ctx.chunked.chunk_shape(shape, offsets[c], offsets[c + 1]);
-        const Bytes stream = ctx.encode_chunk(inner, x, cs, member, c);
-        sizes[c] = stream.size();
-        const std::span<float> out(recon.data(), x.size());
-        inner.decode_into(stream, out);
-        const std::span<const std::uint8_t> mask_slice =
-            masked ? ctx.stats.mask().subspan(offsets[c], x.size())
-                   : std::span<const std::uint8_t>{};
-        err.feed(x, out, mask_slice);
-        co.feed(x, out, mask_slice);
-        zs.feed(out, x, ctx.stats.sum().subspan(offsets[c], x.size()),
-                ctx.stats.sum_sq().subspan(offsets[c], x.size()), mask_slice);
-      });
-  trace::counter_add("pvt.member_roundtrips", 1);
-
-  const double cr = comp::compression_ratio(
-      ctx.chunked.packed_stream_bytes(shape, sizes), ctx.store.total_elems());
-  const stats::Summary& s = ctx.stats.member_summary(member);
-  const double range = s.range();
-  const double peak = std::max(std::fabs(s.min), std::fabs(s.max));
-  const ErrorMetrics metrics = error_metrics_from(
-      err.finish(), range, peak, stats::pearson_from_accum(co.finish()));
-  return finish_member_evaluation(member, cr, metrics, ctx.stats.rmsz(member),
-                                  rmsz_from_accum(zs.finish()), ctx.stats.rmsz_range(),
-                                  ctx.stats.enmax_range(), ctx.thresholds);
-}
-
-/// The bias sweep's per-member score: the same walk minus the error
-/// metrics (only the reconstructed RMSZ is needed).
-double reconstructed_rmsz_streaming(const StreamContext& ctx, std::size_t member) {
-  const comp::Shape& shape = ctx.store.shape();
-  const std::vector<std::size_t>& offsets = ctx.store.chunk_offsets();
-  const bool masked = !ctx.stats.mask().empty();
-  const comp::Codec& inner = *ctx.chunked.inner();
-
-  std::vector<float> b0(ctx.max_chunk);
-  std::vector<float> b1(ctx.max_chunk);
-  std::vector<float> recon(ctx.max_chunk);
-  stats::kernels::ZScoreStream zs(static_cast<double>(ctx.stats.member_count()),
-                                  kDegenerateSpreadRelTol, masked);
-  walk_member_chunks(
-      ctx.store, static_cast<std::uint32_t>(member), b0, b1,
-      [&](std::size_t c, std::span<const float> x) {
-        const comp::Shape cs = ctx.chunked.chunk_shape(shape, offsets[c], offsets[c + 1]);
-        const Bytes stream = ctx.encode_chunk(inner, x, cs, member, c);
-        const std::span<float> out(recon.data(), x.size());
-        inner.decode_into(stream, out);
-        const std::span<const std::uint8_t> mask_slice =
-            masked ? ctx.stats.mask().subspan(offsets[c], x.size())
-                   : std::span<const std::uint8_t>{};
-        zs.feed(out, x, ctx.stats.sum().subspan(offsets[c], x.size()),
-                ctx.stats.sum_sq().subspan(offsets[c], x.size()), mask_slice);
-      });
-  trace::counter_add("pvt.member_roundtrips", 1);
-  return rmsz_from_accum(zs.finish());
-}
-
-/// Streaming verify(): tests 1–3 on the test members (parallel, one slot
-/// each), fold, then the bias sweep over all members — seeding the test
-/// members' already-computed scores exactly as the in-core sweep does.
-VariableVerdict verify_streaming(const StreamContext& ctx,
-                                 std::span<const std::size_t> test_members,
-                                 bool run_bias, double bias_confidence) {
-  CESM_REQUIRE(!test_members.empty());
-  trace::Span span("ooc.verify_variant");
-  VariableVerdict verdict;
-  verdict.variable = ctx.store.variable();
-  verdict.codec = ctx.chunked.name();
-
-  verdict.members.resize(test_members.size());
-  parallel_for(0, test_members.size(), [&](std::size_t i) {
-    verdict.members[i] = evaluate_member_streaming(ctx, test_members[i]);
-  });
-  fold_member_flags(verdict);
-
-  if (run_bias) {
-    const std::size_t m_count = ctx.stats.member_count();
-    std::vector<double> scores(m_count);
-    std::vector<std::uint8_t> seeded(m_count, 0);
-    std::uint64_t reused = 0;
-    for (const MemberEvaluation& eval : verdict.members) {
-      if (eval.member < m_count && seeded[eval.member] == 0) {
-        scores[eval.member] = eval.rmsz_reconstructed;
-        seeded[eval.member] = 1;
-        ++reused;
-      }
-    }
-    trace::counter_add("pvt.bias_reused", reused);
-    std::vector<std::size_t> pending;
-    pending.reserve(m_count);
-    for (std::size_t m = 0; m < m_count; ++m) {
-      if (seeded[m] == 0) pending.push_back(m);
-    }
-    parallel_for(0, pending.size(), [&](std::size_t i) {
-      scores[pending[i]] = reconstructed_rmsz_streaming(ctx, pending[i]);
-    });
-    verdict.bias = bias_test(ctx.stats.rmsz_distribution(), scores, bias_confidence);
-    verdict.bias_pass = verdict.bias.pass;
-    verdict.bias_evaluated = true;
-  } else {
-    verdict.bias_pass = true;  // not evaluated: do not veto
-  }
-  return verdict;
-}
-
-/// Record a codec-error verdict for a streaming variant whose verify
-/// threw `message`, re-scored under the same lossless stand-in as the
-/// in-core leg when the fallback policy is on.
-VariableVerdict codec_error_verdict_streaming(const ncio::ChunkStoreReader& store,
-                                              const StreamingStats& stats,
-                                              const comp::ChunkedCodec& chunked,
-                                              std::size_t max_chunk,
-                                              std::span<const std::size_t> test_members,
-                                              const OocConfig& config,
-                                              comp::PlanStore* plans,
-                                              const std::string& message) {
-  const SuiteConfig& suite = config.suite;
-  trace::counter_add("suite.codec_errors", 1);
-  VariableVerdict verdict;
-  verdict.variable = store.variable();
-  verdict.codec = chunked.name();
-  verdict.codec_error = true;
-  verdict.error_message = message;
-  if (suite.lossless_fallback) {
-    const comp::CodecPtr stand_in =
-        lossless_stand_in(chunked.name(), store.fill(), config.chunk_elems);
-    const auto* stand_in_chunked =
-        dynamic_cast<const comp::ChunkedCodec*>(stand_in.get());
-    CESM_REQUIRE(stand_in_chunked != nullptr);
-    const StreamContext fallback_ctx{store,     stats,             *stand_in_chunked,
-                                     max_chunk, suite.thresholds, plans};
-    try {
-      VariableVerdict lossless =
-          verify_streaming(fallback_ctx, test_members, suite.run_bias,
-                           suite.thresholds.bias_confidence);
-      // Informational only: the variant's pass flags stay false — what
-      // we are certifying is the lossy method (see suite.cpp).
-      verdict.members = std::move(lossless.members);
-      verdict.mean_cr = lossless.mean_cr;
-      verdict.bias = lossless.bias;
-      verdict.bias_evaluated = lossless.bias_evaluated;
-      verdict.fallback_codec = stand_in->name();
-      trace::counter_add("suite.lossless_fallbacks", 1);
-    } catch (const Error&) {
-      // The stand-in failed too: keep the bare codec-error verdict.
-    }
-  }
-  return verdict;
-}
-
-/// Mirror of the in-core verify_with_fallback: a thrown cesm::Error
-/// becomes a codec-error verdict (never a pass). Non-null `injected` is an
-/// error raised by the caller's catalog-order failpoint pre-pass (see
-/// suite.cpp): the verify is skipped and the codec-error path runs.
-VariableVerdict verify_with_fallback_streaming(const ncio::ChunkStoreReader& store,
-                                               const StreamingStats& stats,
-                                               const comp::ChunkedCodec& chunked,
-                                               std::size_t max_chunk,
-                                               std::span<const std::size_t> test_members,
-                                               const OocConfig& config,
-                                               comp::PlanStore* plans,
-                                               const std::string* injected = nullptr) {
-  const SuiteConfig& suite = config.suite;
-  if (injected != nullptr) {
-    return codec_error_verdict_streaming(store, stats, chunked, max_chunk, test_members,
-                                         config, plans, *injected);
-  }
-  const StreamContext ctx{store, stats, chunked, max_chunk, suite.thresholds, plans};
-  try {
-    return verify_streaming(ctx, test_members, suite.run_bias,
-                            suite.thresholds.bias_confidence);
-  } catch (const InvalidArgument&) {
-    throw;  // caller bug, not a codec failure: keep the old contract
-  } catch (const Error& e) {
-    return codec_error_verdict_streaming(store, stats, chunked, max_chunk, test_members,
-                                         config, plans, e.what());
-  }
-}
-
-/// Streaming twin of rmsz_guided_decimal_scale: same d0 heuristic, same
-/// ladder, same early-break semantics (serial per attempt — an attempt is
-/// already parallel across its test members' chunk walks).
-GribTuning tune_decimal_scale_streaming(const ncio::ChunkStoreReader& store,
-                                        const StreamingStats& stats,
-                                        std::size_t max_chunk,
-                                        std::span<const std::size_t> test_members,
-                                        const OocConfig& config,
-                                        comp::PlanStore* plans) {
-  CESM_REQUIRE(!test_members.empty());
-  trace::Span span("grib.tune");
-  const SuiteConfig& suite = config.suite;
-  const stats::Summary& summary = stats.member_summary(test_members.front());
-  const int d0 = comp::choose_decimal_scale(summary.min, summary.max,
-                                            suite.grib_significant_digits);
-
-  GribTuning tuning;
-  tuning.decimal_scale = d0;
-  for (int extra = 0; extra <= suite.grib_max_extra_digits; ++extra) {
-    const int d = std::min(30, d0 + extra);
-    const comp::CodecPtr codec = with_chunking(
-        std::make_shared<comp::Grib2Codec>(d, store.fill()), config.chunk_elems);
-    const auto* chunked = dynamic_cast<const comp::ChunkedCodec*>(codec.get());
-    CESM_REQUIRE(chunked != nullptr);
-    const StreamContext ctx{store, stats, *chunked, max_chunk, suite.thresholds, plans};
-    ++tuning.attempts;
-    trace::counter_add("grib.tune_attempts", 1);
-    // Serial with early break: the break only skips work, never changes
-    // the verdict, so this agrees exactly with the in-core parallel path.
-    bool all_pass = true;
-    for (const std::size_t m : test_members) {
-      const MemberEvaluation eval = evaluate_member_streaming(ctx, m);
-      if (!(eval.rho_pass && eval.rmsz_pass && eval.enmax_pass)) {
-        all_pass = false;
-        break;
-      }
-    }
-    if (all_pass) {
-      tuning.decimal_scale = d;
-      tuning.passed = true;
-      return tuning;
-    }
-    if (d == 30) break;
-  }
-  tuning.decimal_scale = std::min(30, d0 + suite.grib_max_extra_digits);
-  tuning.passed = false;
-  return tuning;
-}
-
-/// Deletes a reused spill file when the scope unwinds with an exception:
-/// bytes that failed a run are never trusted by the next one. (POSIX
-/// semantics keep the already-open reader fd valid after the unlink.)
-struct ReusedSpillInvalidator {
-  const std::string& path;
-  bool reused;
-  int base = std::uncaught_exceptions();
-  ~ReusedSpillInvalidator() {
-    if (reused && std::uncaught_exceptions() > base) {
-      std::error_code ec;
-      std::filesystem::remove(path, ec);
-      trace::counter_add("ooc.spill_invalidated", 1);
-    }
-  }
-};
-
-/// Per-chunk working set of one member round-trip: the two walk buffers,
-/// the reconstruction slab, and a transient-encode allowance of one more
-/// chunk (codec streams of roughly chunk size).
-std::uint64_t roundtrip_bytes_per_lane(std::size_t max_chunk) {
-  return static_cast<std::uint64_t>(4) * max_chunk * sizeof(float);
-}
-
-}  // namespace
-
 std::uint64_t ooc_working_set_bytes(const climate::EnsembleGenerator& ensemble,
                                     const climate::VariableSpec& spec,
                                     std::size_t chunk_elems) {
@@ -711,7 +181,7 @@ std::uint64_t ooc_working_set_bytes(const climate::EnsembleGenerator& ensemble,
   const std::uint64_t point_stats = n * (40 + (spec.has_fill ? 1 : 0));
   const std::uint64_t member_stats =
       static_cast<std::uint64_t>(ensemble.members()) *
-      (sizeof(stats::Summary) + 4 * sizeof(double));
+      (sizeof(stats::Summary) + 2 * sizeof(double));
   const std::uint64_t lane_buffers =
       static_cast<std::uint64_t>(buffer_lanes()) *
       roundtrip_bytes_per_lane(layout.max_chunk);
@@ -723,19 +193,13 @@ VariableResult run_variable_streaming(const climate::EnsembleGenerator& ensemble
                                       const OocConfig& config, OocPhaseStats* phases,
                                       util::MemoryBudget* shared) {
   trace::Span span("ooc.variable");
-  trace::counter_add("suite.variables", 1);
-  const SuiteConfig& suite = config.suite;
-  if (suite.test_member_count == 0) {
-    throw InvalidArgument("SuiteConfig::test_member_count must be >= 1 (variable " +
-                          spec.name + ")");
-  }
-  CESM_FAILPOINT("suite.variable");
+  begin_variable(spec, config.suite);
 
   // Admission: against a shared suite budget the variable acquires its
   // whole working set as one all-or-nothing reservation (parking under
   // contention, never holding a partial grant), then runs its fine-
   // grained charges against a private sub-budget capped at exactly that
-  // reservation. Standalone runs keep the PR 8 fail-fast budget.
+  // reservation. Standalone runs keep the fail-fast budget.
   std::optional<util::MemoryReservation> admission;
   if (shared != nullptr) {
     admission.emplace(*shared, "ooc.variable_working_set",
@@ -744,11 +208,6 @@ VariableResult run_variable_streaming(const climate::EnsembleGenerator& ensemble
   util::MemoryBudget budget(shared != nullptr
                                 ? (shared->cap_bytes() != 0 ? admission->bytes() : 0)
                                 : config.memory_budget_bytes);
-
-  VariableResult result;
-  result.variable = spec.name;
-  result.is_3d = spec.is_3d;
-  if (spec.has_fill) result.fill = climate::kFillValue;
 
   // Phase 1: synthesis -> CNK1 spill store, or content-addressed reuse of
   // a previous run's spill. A reuse candidate is only trusted after its
@@ -800,101 +259,24 @@ VariableResult run_variable_streaming(const climate::EnsembleGenerator& ensemble
   // re-trusting the bytes.
   const ReusedSpillInvalidator invalidator{path, reused};
 
-  // Phase 2: the EnsembleStats sufficient statistics in two read passes.
+  // Phase 2: the ensemble view in two read passes.
   const Clock::time_point t_stats = Clock::now();
   const StreamingStats stats(store, budget);
   const double stats_seconds = seconds_since(t_stats);
 
-  // Phase 3: tuning + verdicts, chunk-at-a-time round-trips throughout.
+  // Phase 3: tuning + verdicts through the one verifier, walking the
+  // store chunk by chunk; a member task's buffers live while it runs.
   const Clock::time_point t_verify = Clock::now();
-  const std::size_t max_chunk = max_chunk_elems(store.chunk_offsets());
   const std::uint64_t verify_bytes =
-      static_cast<std::uint64_t>(buffer_lanes()) * roundtrip_bytes_per_lane(max_chunk);
+      static_cast<std::uint64_t>(buffer_lanes()) *
+      roundtrip_bytes_per_lane(max_chunk_elems(store.chunk_offsets()));
   budget.charge("ooc.verify_buffers", verify_bytes);
-
-  result.test_members =
-      PvtVerifier::pick_members(suite.test_member_count, stats.member_count(),
-                                hash_combine(suite.member_seed, spec.stream));
-  const std::size_t probe = result.test_members.front();
-
-  // Shared encode-prep plans for the verify phase, keyed per (member,
-  // chunk). Cached plans charge the variable's own budget; one that does
-  // not fit is silently not cached, so the CESM_MEM_MB cap is never at
-  // risk. Declared after `budget` so its charges release first.
+  // Cached encode-prep plans charge the variable's own budget; one that
+  // does not fit is silently not cached, so the CESM_MEM_MB cap is never
+  // at risk. Declared after `budget` so its charges release first.
   comp::PlanStore plans(config.plan_cache_bytes, &budget);
-
-  // Characterization + lossless baselines: summaries come from the pass-2
-  // member moments; the CRs from chunk-at-a-time encodes sized through
-  // packed_stream_bytes — byte-identical to the in-core chunked streams.
-  const auto streamed_cr = [&](const comp::CodecPtr& codec) {
-    const auto* chunked = dynamic_cast<const comp::ChunkedCodec*>(codec.get());
-    CESM_REQUIRE(chunked != nullptr);
-    const comp::Codec& inner = *chunked->inner();
-    std::vector<float> b0(max_chunk);
-    std::vector<float> b1(max_chunk);
-    std::vector<std::size_t> sizes(store.chunk_count());
-    const std::vector<std::size_t>& offsets = store.chunk_offsets();
-    walk_member_chunks(
-        store, static_cast<std::uint32_t>(probe), b0, b1,
-        [&](std::size_t c, std::span<const float> x) {
-          const comp::Shape cs =
-              chunked->chunk_shape(store.shape(), offsets[c], offsets[c + 1]);
-          sizes[c] = plans
-                         .encode(inner, x, cs,
-                                 static_cast<std::uint64_t>(probe) * store.chunk_count() + c)
-                         .size();
-        });
-    return comp::compression_ratio(chunked->packed_stream_bytes(store.shape(), sizes),
-                                   store.total_elems());
-  };
-  result.character.summary = stats.member_summary(probe);
-  result.character.lossless_cr = streamed_cr(
-      with_chunking(std::make_shared<comp::DeflateCodec>(), config.chunk_elems));
-  result.netcdf4_cr = result.character.lossless_cr;
-  result.fpzip32_cr = streamed_cr(
-      with_chunking(std::make_shared<comp::FpzCodec>(32), config.chunk_elems));
-
-  const GribTuning tuning = tune_decimal_scale_streaming(
-      store, stats, max_chunk, result.test_members, config, &plans);
-  result.grib_decimal_scale = tuning.decimal_scale;
-  result.grib_tuning_passed = tuning.passed;
-
-  const std::vector<comp::CodecPtr> variants =
-      comp::paper_variants(result.grib_decimal_scale, result.fill);
-
-  // Failpoint pre-pass in catalog order — same rationale as run_variable
-  // (suite.cpp): injected-fault attribution is independent of
-  // variant_jobs and worker count.
-  std::vector<std::string> injected(variants.size());
-  std::vector<std::uint8_t> has_injection(variants.size(), 0);
-  for (std::size_t v = 0; v < variants.size(); ++v) {
-    try {
-      CESM_FAILPOINT("suite.verify_variant");
-    } catch (const Error& e) {
-      has_injection[v] = 1;
-      injected[v] = e.what();
-    }
-  }
-
-  result.verdicts.resize(variants.size());
-  const auto verify_one = [&](std::size_t v) {
-    trace::counter_add("sweep.variant_tasks", 1);
-    const comp::CodecPtr wrapped = with_chunking(variants[v], config.chunk_elems);
-    const auto* chunked = dynamic_cast<const comp::ChunkedCodec*>(wrapped.get());
-    CESM_REQUIRE(chunked != nullptr);
-    result.verdicts[v] = verify_with_fallback_streaming(
-        store, stats, *chunked, max_chunk, result.test_members, config, &plans,
-        has_injection[v] != 0 ? &injected[v] : nullptr);
-  };
-  const std::size_t grain = variant_grain(suite.variant_jobs, variants.size());
-  if (grain >= variants.size()) {
-    for (std::size_t v = 0; v < variants.size(); ++v) verify_one(v);
-  } else {
-    // Verdict slots are fixed, so the CSV is byte-identical to the serial
-    // sweep; each chunk walk allocates its own lane buffers, already
-    // covered by the buffer_lanes()-wide verify_bytes charge above.
-    parallel_for(0, variants.size(), verify_one, grain);
-  }
+  VariableResult result = verify_variable(
+      spec, ChunkSource(store, stats, config.chunk_elems), config.suite, plans, nullptr);
   budget.release(verify_bytes);
 
   // Keep the reusable store within its byte budget: oldest spills go
@@ -922,39 +304,6 @@ VariableResult run_variable_streaming(const climate::EnsembleGenerator& ensemble
   return result;
 }
 
-namespace {
-
-/// Streaming twin of run_variable_guarded: retry one-shot faults, then
-/// contain the failure as a processing_failed marker.
-VariableResult run_variable_streaming_guarded(const climate::EnsembleGenerator& ensemble,
-                                              const climate::VariableSpec& spec,
-                                              const OocConfig& config,
-                                              util::MemoryBudget* shared = nullptr) {
-  std::size_t failures = 0;
-  for (;;) {
-    try {
-      return run_variable_streaming(ensemble, spec, config, nullptr, shared);
-    } catch (const InvalidArgument&) {
-      throw;  // caller bug: retrying cannot help and hiding it would lie
-    } catch (const Error& e) {
-      if (failures++ < config.suite.variable_retry_limit) {
-        trace::counter_add("suite.variable_retries", 1);
-        continue;
-      }
-      if (!config.suite.continue_on_variable_error) throw;
-      trace::counter_add("suite.variable_failures", 1);
-      VariableResult failed;
-      failed.variable = spec.name;
-      failed.is_3d = spec.is_3d;
-      failed.processing_failed = true;
-      failed.error_message = e.what();
-      return failed;
-    }
-  }
-}
-
-}  // namespace
-
 SuiteResults run_suite_streaming(const climate::EnsembleGenerator& ensemble,
                                  const OocConfig& config,
                                  std::vector<std::string> variables) {
@@ -980,11 +329,13 @@ SuiteResults run_suite_streaming(const climate::EnsembleGenerator& ensemble,
   // the atomic cursor only decides who computes what, never where it
   // lands or what it contains.
   results.variables.resize(specs.size());
+  const auto run_one = [&](std::size_t i) {
+    results.variables[i] = run_guarded(*specs[i], config.suite, [&] {
+      return run_variable_streaming(ensemble, *specs[i], config, nullptr, &shared);
+    });
+  };
   if (jobs == 1) {
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      results.variables[i] =
-          run_variable_streaming_guarded(ensemble, *specs[i], config, &shared);
-    }
+    for (std::size_t i = 0; i < specs.size(); ++i) run_one(i);
   } else {
     // Variable jobs live on dedicated admission threads, NOT on scheduler
     // workers: a parked reservation must never occupy a worker the
@@ -1004,8 +355,7 @@ SuiteResults run_suite_streaming(const climate::EnsembleGenerator& ensemble,
           const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
           if (i >= specs.size()) return;
           try {
-            results.variables[i] =
-                run_variable_streaming_guarded(ensemble, *specs[i], config, &shared);
+            run_one(i);
           } catch (...) {
             {
               std::lock_guard<std::mutex> lock(error_mu);

@@ -1,56 +1,31 @@
 #pragma once
-// Out-of-core full-grid verification (the streaming leg).
+// Out-of-core full-grid verification: the chunk-store leg of the one
+// verification pipeline (docs/ooc.md).
 //
-// A paper-scale variable (101 members of a full CAM grid) does not fit
-// in memory next to its derived statistics, so this module runs the §4
-// methodology without ever materializing a full ensemble:
+// A paper-scale variable (101 members of a full CAM grid) does not fit in
+// memory next to its derived statistics. run_variable_streaming stages it
+// chunk by chunk into a CNK1 spill (ncio/chunkstore.h), builds its
+// StreamingStats (core/rmsz.h) in two read passes, and hands the store to
+// the same verify_variable (core/suite.h) the in-core leg runs on resident
+// members. Both legs therefore produce bit-identical results for the same
+// chunk partition (SuiteConfig::chunk_elems == OocConfig::chunk_elems).
 //
-//   1. stage_variable — synthesis writes every member chunk-by-chunk into
-//      a CNK1 spill store (ncio/chunkstore.h), members in parallel on the
-//      work-stealing scheduler;
-//   2. StreamingStats — two read passes over the store build the same
-//      sufficient statistics EnsembleStats holds (per-point sum/sum², the
-//      leave-one-out extremes, the RMSZ and E_nmax distributions), minus
-//      the resident member fields;
-//   3. run_variable_streaming — codec verification round-trips each chunk
-//      through the wrapped variant's inner codec and feeds the stats
-//      streaming kernels (stats/kernels.h), with the next chunk read
-//      prefetched on the scheduler while the current one is processed.
+// Memory honesty: every slab the leg allocates (chunk buffers, per-point
+// arrays, codec scratch allowances) is charged to a util::MemoryBudget;
+// with CESM_MEM_MB set, exceeding the cap is an error, not a slowdown.
 //
-// Bitwise parity is by construction, not by tolerance: the streaming
-// kernels re-align chunk feeds to the one-shot kernels' block grid, the
-// chunk partition is the same ChunkedCodec partition an in-core run with
-// SuiteConfig::chunk_elems uses, and every finalization (Pearson, RMSZ,
-// error metrics, pass flags) goes through the same shared helpers. An
-// in-core run_variable with config.chunk_elems == OocConfig::chunk_elems
-// therefore produces a bit-identical VariableResult — the property the
-// full-grid bench gate asserts.
+// Multi-variable concurrency: run_suite_streaming runs variables as
+// concurrent jobs under ONE shared budget. Each variable acquires its
+// whole working set (ooc_working_set_bytes) as a single all-or-nothing
+// reservation and parks in FIFO order when it does not fit, so the cap
+// holds under contention, no variable starves and none deadlocks.
 //
-// Memory honesty: every slab the pipeline allocates (chunk buffers,
-// per-point arrays, codec scratch allowances) is charged to a
-// util::MemoryBudget; with CESM_MEM_MB set, exceeding the cap is an
-// error, not a slowdown.
-//
-// Multi-variable concurrency: run_suite_streaming pipelines variables as
-// concurrent jobs (OocConfig::parallel_variables), all charging ONE shared
-// MemoryBudget. Each variable computes its full working-set bound up front
-// (ooc_working_set_bytes) and acquires it as a single all-or-nothing
-// reservation — a variable that does not fit *parks* behind the budget's
-// FIFO admission queue instead of throwing, so CESM_MEM_MB stays a hard
-// cap under contention, admission order cannot starve a large variable,
-// and (because no admitted variable ever waits for more memory) the
-// schedule cannot deadlock. Results are written to fixed slots, so the
-// suite CSV is byte-identical to the serial run at any job count.
-//
-// Spill reuse: with OocConfig::reuse_spill, spill files are
-// content-addressed on the same (EnsembleSpec, VariableSpec) key schema as
-// EnsembleCache (plus the chunk partition and spill format version), so a
-// later suite run finds its staged members on disk, validates the CNK1 v2
-// checksums, and skips synthesis entirely. A spill that fails validation —
-// or fails mid-run after being reused — is deleted, counted, and restaged
-// by the guarded retry, never trusted. Non-reusable runs stage into a
-// unique per-run subdirectory (SpillSession) so concurrent processes
-// sharing one spill_dir cannot collide on per-variable filenames.
+// Spill reuse: with OocConfig::reuse_spill, spills are content-addressed
+// on the EnsembleCache key schema plus the chunk partition and format
+// version; a later run validates the CNK1 checksums and skips synthesis.
+// A spill that fails validation, or fails mid-run after being reused, is
+// deleted and restaged by the guarded retry. Non-reusable runs stage into
+// a private SpillSession directory.
 
 #include <cstdint>
 #include <optional>
@@ -61,7 +36,6 @@
 #include "climate/ensemble.h"
 #include "core/suite.h"
 #include "ncio/chunkstore.h"
-#include "stats/descriptive.h"
 #include "util/memory.h"
 
 namespace cesm::core {
@@ -158,58 +132,6 @@ struct OocPhaseStats {
   std::uint64_t budget_cap_bytes = 0;     ///< the cap charged against (0 = none)
 };
 
-/// The EnsembleStats sufficient statistics, built from a chunk store in
-/// two bounded-memory read passes instead of from resident members.
-/// Accessors mirror EnsembleStats so the shared finalization helpers
-/// (finish_member_evaluation, rmsz_from_accum, ...) see identical inputs.
-class StreamingStats {
- public:
-  /// Builds from `store`. Pass 1 (parallel over chunks) derives the
-  /// shared validity mask and accumulates per-point sum/sum² and the
-  /// leave-one-out extremes, member-major per point. Pass 2 (parallel
-  /// over members) streams each member once more for its moments, RMSZ
-  /// and E_nmax. `budget` is charged for every resident array.
-  StreamingStats(const ncio::ChunkStoreReader& store, util::MemoryBudget& budget);
-
-  [[nodiscard]] std::size_t member_count() const { return member_count_; }
-  [[nodiscard]] std::size_t point_count() const { return valid_points_; }
-  [[nodiscard]] std::span<const std::uint8_t> mask() const { return mask_; }
-  [[nodiscard]] std::span<const double> sum() const { return sum_; }
-  [[nodiscard]] std::span<const double> sum_sq() const { return sum_sq_; }
-
-  [[nodiscard]] double rmsz(std::size_t m) const { return rmsz_dist_[m]; }
-  [[nodiscard]] const std::vector<double>& rmsz_distribution() const { return rmsz_dist_; }
-  [[nodiscard]] std::pair<double, double> rmsz_range() const {
-    return {rmsz_min_, rmsz_max_};
-  }
-  [[nodiscard]] double enmax(std::size_t m) const { return enmax_dist_[m]; }
-  [[nodiscard]] const std::vector<double>& enmax_distribution() const { return enmax_dist_; }
-  [[nodiscard]] double enmax_range() const;
-
-  [[nodiscard]] double member_range(std::size_t m) const { return ranges_[m]; }
-  [[nodiscard]] double global_mean(std::size_t m) const { return global_means_[m]; }
-  [[nodiscard]] const std::vector<double>& global_means() const { return global_means_; }
-
-  /// The §4.1 summary of member m over valid points — bit-identical to
-  /// summarize(member.data, mask) on the in-core leg.
-  [[nodiscard]] const stats::Summary& member_summary(std::size_t m) const {
-    return member_summary_[m];
-  }
-
- private:
-  std::size_t member_count_ = 0;
-  std::size_t n_ = 0;
-  std::vector<std::uint8_t> mask_;  // normalized: empty when all valid
-  std::size_t valid_points_ = 0;
-  std::vector<double> sum_, sum_sq_;
-  std::vector<float> max1_, max2_, min1_, min2_;
-  std::vector<std::uint32_t> argmax_, argmin_;
-  std::vector<stats::Summary> member_summary_;
-  std::vector<double> rmsz_dist_, enmax_dist_, ranges_, global_means_;
-  double rmsz_min_ = 0.0;
-  double rmsz_max_ = 0.0;
-};
-
 /// Synthesize one variable's full ensemble into a CNK1 store at `path`
 /// (members in parallel, chunk-granular writes; never more than one chunk
 /// of one member resident per worker). The chunk partition is the
@@ -226,10 +148,12 @@ std::string stage_variable(const climate::EnsembleGenerator& ensemble,
                            const climate::VariableSpec& spec, const std::string& dir,
                            std::size_t chunk_elems, util::MemoryBudget& budget);
 
-/// The streaming twin of run_variable: same seeds, same thresholds, same
-/// codecs (chunk-wrapped), bit-identical VariableResult to an in-core
-/// run with SuiteConfig::chunk_elems == config.chunk_elems — under a
-/// working set of chunks instead of members. `phases`, when non-null,
+/// run_variable over a CNK1 spill instead of resident members: stage (or
+/// reuse) the spill, build StreamingStats, and run the same verify_variable
+/// (suite.h) on the store's chunk source — same seeds, same thresholds,
+/// same codecs (chunk-wrapped), bit-identical VariableResult to an
+/// in-core run with SuiteConfig::chunk_elems == config.chunk_elems, under
+/// a working set of chunks instead of members. `phases`, when non-null,
 /// receives the phase breakdown.
 ///
 /// `shared`, when non-null, is a suite-level admission budget: the
@@ -237,15 +161,15 @@ std::string stage_variable(const climate::EnsembleGenerator& ensemble,
 /// contention) and runs its fine-grained charges against a private
 /// sub-budget capped at that reservation, so the shared cap stays a hard
 /// bound no matter how many variables are in flight. When null the
-/// variable budgets directly against config.memory_budget_bytes with the
-/// PR 8 fail-fast semantics.
+/// variable budgets directly against config.memory_budget_bytes with
+/// fail-fast semantics.
 VariableResult run_variable_streaming(const climate::EnsembleGenerator& ensemble,
                                       const climate::VariableSpec& spec,
                                       const OocConfig& config,
                                       OocPhaseStats* phases = nullptr,
                                       util::MemoryBudget* shared = nullptr);
 
-/// Streaming twin of run_suite: variables stream as concurrent jobs
+/// run_suite over CNK1 spills: variables stream as concurrent jobs
 /// (config.parallel_variables) under one shared admission budget, with
 /// the same guarded retry/containment policy as run_suite. Results land
 /// in catalog order regardless of job count — the CSV is byte-identical

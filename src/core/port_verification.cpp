@@ -1,6 +1,7 @@
 #include "core/port_verification.h"
 
 #include <algorithm>
+#include <tuple>
 
 #include "stats/descriptive.h"
 #include "util/error.h"
@@ -14,10 +15,7 @@ PortVerdict verify_port_variable(const EnsembleStats& trusted,
   PortVerdict verdict;
   verdict.variable = trusted.member(0).name;
 
-  const auto& dist = trusted.rmsz_distribution();
-  const auto [lo_it, hi_it] = std::minmax_element(dist.begin(), dist.end());
-  verdict.rmsz_lo = *lo_it;
-  verdict.rmsz_hi = *hi_it;
+  std::tie(verdict.rmsz_lo, verdict.rmsz_hi) = trusted.rmsz_range();
   const double slack = options.rmsz_range_slack * (verdict.rmsz_hi - verdict.rmsz_lo);
 
   const auto& gmeans = trusted.global_means();

@@ -11,6 +11,12 @@
 //   4. bias test     — eq. (9) over all members (see core/bias.h).
 // Tests 1–3 run on a small set of randomly chosen members (the paper uses
 // three); the bias test compresses the whole ensemble.
+//
+// One verifier serves the in-core and out-of-core legs: it walks each
+// member chunk by chunk on a ChunkSource (resident EnsembleStats fields or
+// a CNK1 store, core/ooc.h), round-trips every chunk through the codec and
+// feeds the streaming kernels (stats/kernels.h), which land on the
+// one-shot kernels' block grid — so the source cannot change a verdict.
 
 #include <span>
 #include <string>
@@ -21,7 +27,9 @@
 #include "core/bias.h"
 #include "core/metrics.h"
 #include "core/rmsz.h"
+#include "ncio/chunkstore.h"
 #include "util/arena.h"
+#include "util/scheduler.h"
 
 namespace cesm::core {
 
@@ -53,15 +61,6 @@ struct MemberEvaluation {
   bool enmax_pass = false;
 };
 
-/// The scalar tail of a member evaluation, shared by the in-core and
-/// streaming legs: given the raw measurements (CR, §4.2 metrics, original
-/// and reconstructed RMSZ) and the ensemble's precomputed distribution
-/// extremes, derive the eq. (8)/(11) windows and the per-test pass flags.
-[[nodiscard]] MemberEvaluation finish_member_evaluation(
-    std::size_t member, double cr, const ErrorMetrics& metrics, double rmsz_original,
-    double rmsz_reconstructed, std::pair<double, double> rmsz_range,
-    double enmax_range, const PvtThresholds& thresholds);
-
 /// Verdict for one (variable, codec) pair — one cell of Table 6.
 struct VariableVerdict {
   std::string variable;
@@ -87,16 +86,142 @@ struct VariableVerdict {
   }
 };
 
-/// Fold `verdict.members` into the verdict's per-test pass flags and mean
-/// CR (serial, member order) — shared by the in-core and streaming verify
-/// paths so both aggregate identically.
-void fold_member_flags(VariableVerdict& verdict);
+/// Concurrent buffer "lanes": tasks of a parallel loop execute on the
+/// worker threads plus the caller (parallel_for helps). Per-task buffers
+/// of the out-of-core leg are budgeted for this many simultaneous tasks.
+inline std::size_t buffer_lanes() { return Scheduler::global().thread_count() + 1; }
+
+/// Walk every chunk of one stored member in store order, calling
+/// `process(chunk_index, data)` with the chunk resident in one of the two
+/// buffers. With workers available the next chunk's read is in flight on
+/// the scheduler while the current chunk is processed (double buffering);
+/// single-threaded schedulers read synchronously — spawning there would
+/// only add a steal point where a helping wait() could stack a sibling
+/// member task's buffers onto this thread.
+template <typename Process>
+void walk_store_chunks(const ncio::ChunkStoreReader& store, std::size_t member,
+                       std::span<float> buf0, std::span<float> buf1, Process&& process) {
+  struct ReadTask final : Task {
+    const ncio::ChunkStoreReader* store = nullptr;
+    std::uint32_t member = 0;
+    std::size_t chunk = 0;
+    std::span<float> out;
+    static void run(Task* task) {
+      auto* self = static_cast<ReadTask*>(task);
+      self->store->read_chunk(self->member, self->chunk, self->out);
+    }
+  };
+  const std::size_t chunks = store.chunk_count();
+  if (chunks == 0) return;
+  const bool overlap = Scheduler::global().thread_count() > 1;
+  const std::span<float> bufs[2] = {buf0, buf1};
+  const auto m = static_cast<std::uint32_t>(member);
+  ReadTask read;
+  read.invoke = &ReadTask::run;
+  read.store = &store;
+  read.member = m;
+  TaskGroup group;
+
+  store.read_chunk(m, 0, bufs[0].first(store.chunk_elems(0)));
+  for (std::size_t c = 0; c < chunks; ++c) {
+    const bool pending = overlap && c + 1 < chunks;
+    if (pending) {
+      read.chunk = c + 1;
+      read.out = bufs[(c + 1) % 2].first(store.chunk_elems(c + 1));
+      group.spawn(read);
+    }
+    try {
+      process(c, std::span<const float>(bufs[c % 2].first(store.chunk_elems(c))));
+    } catch (...) {
+      if (pending) {
+        // The read task aliases this frame's buffers: it must finish
+        // before unwinding. The processing error wins over a read error.
+        try {
+          group.wait();
+        } catch (...) {
+        }
+      }
+      throw;
+    }
+    if (pending) {
+      group.wait();
+    } else if (c + 1 < chunks) {
+      store.read_chunk(m, c + 1, bufs[(c + 1) % 2].first(store.chunk_elems(c + 1)));
+    }
+  }
+}
+
+/// The element offsets of the ChunkedCodec partition of `shape` for
+/// `chunk_elems` ({0, n} — one chunk — when chunk_elems is 0).
+std::vector<std::size_t> chunk_partition(const comp::Shape& shape, std::size_t chunk_elems);
+
+/// Element count of the widest chunk of a partition.
+std::size_t max_chunk_elems(std::span<const std::size_t> offsets);
+
+/// Where the verifier reads members from, cut on one chunk partition.
+///
+/// Resident: the EnsembleStats member fields, cut on the ChunkedCodec
+/// partition for chunk_elems without copying; chunk_elems == 0 yields one
+/// container-less chunk per member. Store: the members of a CNK1 spill,
+/// walked with walk_store_chunks (double-buffered prefetch).
+class ChunkSource {
+ public:
+  explicit ChunkSource(const EnsembleStats& stats, std::size_t chunk_elems = 0);
+  /// `stats` is the StreamingStats built from the same store; chunk_elems
+  /// is the partition the store was staged with.
+  ChunkSource(const ncio::ChunkStoreReader& store, const EnsembleView& stats,
+              std::size_t chunk_elems);
+
+  [[nodiscard]] const EnsembleView& stats() const { return *stats_; }
+  [[nodiscard]] const std::string& variable() const;
+  [[nodiscard]] const comp::Shape& shape() const { return shape_; }
+  [[nodiscard]] std::span<const std::size_t> offsets() const { return offsets_; }
+  [[nodiscard]] std::size_t chunk_count() const { return offsets_.size() - 1; }
+  [[nodiscard]] std::size_t chunk_elems() const { return chunk_elems_; }
+  [[nodiscard]] std::size_t max_chunk() const { return max_chunk_; }
+  [[nodiscard]] std::size_t total_elems() const { return offsets_.back(); }
+
+  /// Read-buffer floats one walk needs: two chunks for the store's double
+  /// buffering, none for resident members.
+  [[nodiscard]] std::size_t walk_elems() const {
+    return store_ != nullptr ? 2 * max_chunk_ : 0;
+  }
+
+  /// Call `process(chunk_index, data)` for every chunk of member `m`, in
+  /// order. `buffers` holds walk_elems() floats.
+  template <typename Process>
+  void walk(std::size_t m, std::span<float> buffers, Process&& process) const {
+    if (store_ != nullptr) {
+      walk_store_chunks(*store_, m, buffers.first(max_chunk_),
+                        buffers.subspan(max_chunk_, max_chunk_), process);
+      return;
+    }
+    const std::span<const float> data(resident_->member(m).data);
+    for (std::size_t c = 0; c + 1 < offsets_.size(); ++c) {
+      process(c, data.subspan(offsets_[c], offsets_[c + 1] - offsets_[c]));
+    }
+  }
+
+ private:
+  const EnsembleView* stats_ = nullptr;
+  const EnsembleStats* resident_ = nullptr;
+  const ncio::ChunkStoreReader* store_ = nullptr;
+  comp::Shape shape_;
+  std::vector<std::size_t> offsets_;
+  std::size_t chunk_elems_ = 0;
+  std::size_t max_chunk_ = 0;
+};
 
 class PvtVerifier {
  public:
+  /// Verifies straight from the resident members of `stats`, one whole
+  /// member per chunk.
   explicit PvtVerifier(const EnsembleStats& stats, PvtThresholds thresholds = {});
+  /// Verifies from `source`. On a chunked source every codec must be a
+  /// ChunkedCodec on the source's partition (with_chunking(), suite.h).
+  PvtVerifier(ChunkSource source, PvtThresholds thresholds);
 
-  /// Tests 1–3 for one member.
+  /// Tests 1–3 for one member. Safe to call concurrently.
   [[nodiscard]] MemberEvaluation evaluate_member(const comp::Codec& codec,
                                                  std::size_t member) const;
 
@@ -104,55 +229,86 @@ class PvtVerifier {
   /// when `run_bias` (compresses the whole ensemble; parallelized).
   ///
   /// The steady-state loop (same verifier, successive codecs) reuses a
-  /// scratch arena: after the first call it performs zero verify-layer
-  /// heap allocations (asserted via the "arena.grow" trace counter).
-  /// Consequently verify() must not run concurrently on one verifier;
-  /// distinct verifiers remain independent.
+  /// scratch arena: on a resident source it never grows after the first
+  /// call (asserted via the "arena.grow" trace counter). Consequently
+  /// verify() must not run concurrently on one verifier; distinct
+  /// verifiers remain independent.
   [[nodiscard]] VariableVerdict verify(const comp::Codec& codec,
                                        std::span<const std::size_t> test_members,
                                        bool run_bias = true) const;
+
+  /// Whether every member of `members` passes tests 1–3 — the GRIB2
+  /// tuning probe. Members run in parallel; once one fails, members not
+  /// yet started are skipped, so one worker keeps the serial early break.
+  [[nodiscard]] bool members_pass(const comp::Codec& codec,
+                                  std::span<const std::size_t> members) const;
+
+  /// Compression ratio of member m's stream (encode only) — the lossless
+  /// baselines of the characterization.
+  [[nodiscard]] double compression_ratio(const comp::Codec& codec, std::size_t member) const;
 
   /// Reconstructed-ensemble RMSZ scores (one per member) — Figure 4's
   /// y-axis data and the bias test input.
   [[nodiscard]] std::vector<double> reconstructed_rmsz(const comp::Codec& codec) const;
 
-  /// Fixed bias-sweep batch width: the sweep round-trips at most this many
-  /// members at a time into one resident arena buffer, bounding recon
-  /// memory at kBiasBatch fields instead of the whole ensemble. Never
-  /// derived from the worker count, so the decomposition (and the
-  /// results) are identical at any thread count.
+  /// Member batch width on resident sources: at most this many members
+  /// round-trip at a time, into arena lanes that stay warm across members
+  /// and codecs. Never derived from the worker count, so the arena warms
+  /// to the same size at any thread count. (A store source gives each
+  /// member task its own buffers for as long as it runs, so the buffers
+  /// in flight stay within the working set the out-of-core leg charges.)
   static constexpr std::size_t kBiasBatch = 16;
 
   /// The paper's "choose three members at random".
   static std::vector<std::size_t> pick_members(std::size_t count, std::size_t member_count,
                                                std::uint64_t seed);
 
-  /// Attach a shared encode-prep plan store (see prep.h): every encode
-  /// this verifier performs is then plan-driven, keyed by member index.
-  /// The store may be shared across verifiers (it is thread-safe); plans
-  /// never change the produced streams, so verdicts are bit-identical
-  /// with or without one. Null detaches.
+  /// Attach a shared encode-prep plan store (see prep.h): every chunk
+  /// encode this verifier performs is then plan-driven, keyed per
+  /// (member, chunk). The store may be shared across verifiers (it is
+  /// thread-safe); plans never change the produced streams, so verdicts
+  /// are bit-identical with or without one. Null detaches.
   void set_plan_store(comp::PlanStore* plans) { plans_ = plans; }
 
-  [[nodiscard]] const EnsembleStats& stats() const { return stats_; }
+  [[nodiscard]] const EnsembleView& stats() const { return source_.stats(); }
+  [[nodiscard]] const ChunkSource& source() const { return source_; }
   [[nodiscard]] const PvtThresholds& thresholds() const { return thresholds_; }
 
  private:
-  /// Fill `scores` (one slot per member) with the reconstructed-ensemble
-  /// RMSZ; the allocation-free core of reconstructed_rmsz(). Members
-  /// already scored by `known` evaluations (the verify() test members)
-  /// are seeded from eval.rmsz_reconstructed instead of being compressed
-  /// again — codecs are deterministic, so the reused score is bit-exact.
-  /// The rest round-trip in kBiasBatch batches through an arena-backed
-  /// decode_into buffer.
-  void reconstructed_rmsz_into(const comp::Codec& codec, std::span<double> scores,
-                               std::span<const MemberEvaluation> known) const;
+  /// Scratch of one member in flight: the reconstruction chunk, the
+  /// source's walk buffers and the per-chunk stream sizes.
+  struct Lane {
+    std::span<float> recon;
+    std::span<float> walk;
+    std::span<std::size_t> sizes;
+  };
 
-  const EnsembleStats& stats_;
+  /// One member's stream bytes and reconstructed RMSZ (eq. 7).
+  struct Trip {
+    std::size_t bytes = 0;
+    double rmsz = 0.0;
+  };
+
+  template <typename Body>
+  void for_each_member(std::size_t count, const Body& body) const;
+  template <typename Sink>
+  Trip round_trip(const comp::Codec& codec, std::size_t member, const Lane& lane,
+                  const Sink& sink) const;
+  [[nodiscard]] MemberEvaluation evaluate(const comp::Codec& codec, std::size_t member,
+                                          const Lane& lane) const;
+  /// Fill `scores` (one slot per member) with the reconstructed-ensemble
+  /// RMSZ. Members already scored by `known` evaluations (the verify()
+  /// test members) are seeded from eval.rmsz_reconstructed instead of
+  /// being compressed again — codecs are deterministic, so the reused
+  /// score is bit-exact.
+  void bias_scores(const comp::Codec& codec, std::span<double> scores,
+                   std::span<const MemberEvaluation> known) const;
+
+  ChunkSource source_;
   PvtThresholds thresholds_;
   comp::PlanStore* plans_ = nullptr;
-  /// Reusable verify-loop scratch (bias-sweep score buffer). Mutable so
-  /// the logically-const verify() can recycle capacity across calls.
+  /// Reusable verify-loop scratch (member lanes, bias-sweep scores).
+  /// Mutable so the logically-const verify() can recycle capacity.
   mutable util::ScratchArena scratch_;
 };
 

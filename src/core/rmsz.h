@@ -1,25 +1,29 @@
 #pragma once
 // CESM-PVT ensemble machinery (§4.3, eqs. 6–7 and 10).
 //
-// Holds one variable's full perturbation ensemble and answers:
-//   * RMSZ_X^m — the root-mean-square Z-score of member m against the
-//     sub-ensemble {E \ m}  (eqs. 6–7), for the original member or for an
-//     arbitrary (e.g. reconstructed) dataset standing in for member m;
-//   * the E_nmax distribution (eq. 10) — each member's normalized maximum
-//     pointwise distance to the rest of the ensemble;
-//   * per-member global means (the PVT range-shift check).
-//
-// Leave-one-out statistics are computed from per-point sufficient
-// statistics (sum and sum of squares), so evaluating any member is O(N)
-// rather than O(N·M).
+// EnsembleView holds what verification needs of one variable's
+// perturbation ensemble: RMSZ_X^m — the root-mean-square Z-score of member
+// m against the sub-ensemble {E \ m} (eqs. 6–7) — the E_nmax distribution
+// (eq. 10), and per-member summaries and global means. Leave-one-out
+// statistics come from per-point sufficient statistics (sum and sum of
+// squares), so scoring any member is O(N) rather than O(N·M).
 
 #include <cmath>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "climate/field.h"
+#include "stats/descriptive.h"
 #include "stats/kernels.h"
 #include "util/bytes.h"
+
+namespace cesm::ncio {
+class ChunkStoreReader;
+}
+namespace cesm::util {
+class MemoryBudget;
+}
 
 namespace cesm::core {
 
@@ -28,27 +32,30 @@ namespace cesm::core {
 inline constexpr double kDegenerateSpreadRelTol = 3e-7;
 
 /// RMSZ (eq. 7) from a z-score accumulation — the exact finalization
-/// rmsz_of() applies, shared with the streaming path, which accumulates
-/// chunk-by-chunk (stats::ZScoreStream).
+/// rmsz_of() applies, shared with the chunk-walking verifier, which
+/// accumulates chunk-by-chunk (stats::ZScoreStream).
 inline double rmsz_from_accum(const stats::kernels::ZScoreAccum& acc) {
   if (acc.used == 0) return 0.0;
   return std::sqrt(acc.sum_z2 / static_cast<double>(acc.used));
 }
 
-class EnsembleStats {
+/// The derived statistics of one variable's ensemble — everything the
+/// verifier reads: the per-point sufficient statistics, the shared
+/// validity mask and the per-member summaries and distributions.
+/// EnsembleStats builds it from resident members, StreamingStats from a
+/// chunk store; for the same data both hold bit-identical values.
+class EnsembleView {
  public:
-  /// Takes ownership of all members' fields (same variable, same shape,
-  /// same fill layout). Requires at least 3 members.
-  explicit EnsembleStats(std::vector<climate::Field> members);
-
-  [[nodiscard]] std::size_t member_count() const { return members_.size(); }
+  [[nodiscard]] std::size_t member_count() const { return member_count_; }
   [[nodiscard]] std::size_t point_count() const { return valid_points_; }
-  [[nodiscard]] const climate::Field& member(std::size_t m) const { return members_[m]; }
 
-  /// RMSZ of arbitrary data standing in for member m: each point is
-  /// z-scored against the sub-ensemble {E \ m} (eq. 6) and the RMS taken
-  /// over points with non-degenerate sub-ensemble spread (eq. 7).
-  [[nodiscard]] double rmsz_of(std::size_t m, std::span<const float> data) const;
+  /// Shared validity mask of the ensemble (empty = every point valid;
+  /// every member agrees on it by construction).
+  [[nodiscard]] std::span<const std::uint8_t> mask() const { return mask_; }
+
+  /// Per-point Σx and Σx² over all members (the eq. 6 leave-one-out input).
+  [[nodiscard]] std::span<const double> sum() const { return sum_; }
+  [[nodiscard]] std::span<const double> sum_sq() const { return sum_sq_; }
 
   /// RMSZ_X^m of the original member m.
   [[nodiscard]] double rmsz(std::size_t m) const { return rmsz_dist_[m]; }
@@ -56,10 +63,8 @@ class EnsembleStats {
   /// All member RMSZ scores (the Figure 2 histogram).
   [[nodiscard]] const std::vector<double>& rmsz_distribution() const { return rmsz_dist_; }
 
-  /// {min, max} of the RMSZ distribution, precomputed once at build time.
-  /// The eq. (8) acceptance window needs this per member per variant;
-  /// scanning the distribution there again would be an O(members) rescan
-  /// repeated members x variants times.
+  /// {min, max} of the RMSZ distribution, precomputed once at build time:
+  /// the eq. (8) acceptance window needs it per member per variant.
   [[nodiscard]] std::pair<double, double> rmsz_range() const {
     return {rmsz_min_, rmsz_max_};
   }
@@ -74,18 +79,66 @@ class EnsembleStats {
   /// the denominator of acceptance eq. (11).
   [[nodiscard]] double enmax_range() const;
 
+  /// The §4.1 summary of member m over valid points (the characterization
+  /// and the GRIB2 magnitude heuristic read it instead of rescanning).
+  [[nodiscard]] const stats::Summary& member_summary(std::size_t m) const {
+    return member_summary_[m];
+  }
+
   /// Range R_X^m of member m over valid points.
-  [[nodiscard]] double member_range(std::size_t m) const { return ranges_[m]; }
+  [[nodiscard]] double member_range(std::size_t m) const { return member_summary_[m].range(); }
 
   /// Equal-weight global mean of member m over valid points.
-  [[nodiscard]] double global_mean(std::size_t m) const { return global_means_[m]; }
-  [[nodiscard]] const std::vector<double>& global_means() const { return global_means_; }
+  [[nodiscard]] double global_mean(std::size_t m) const { return member_summary_[m].mean; }
+  [[nodiscard]] std::vector<double> global_means() const;
 
-  /// Shared validity mask of the ensemble (empty = every point valid;
-  /// the constructor enforces that all members agree on it). Lets callers
-  /// reuse it for per-member metric passes instead of reallocating
-  /// Field::valid_mask() per evaluation.
-  [[nodiscard]] std::span<const std::uint8_t> mask() const { return mask_; }
+ protected:
+  /// Fill every derived array, in two passes, from `members` members cut
+  /// on `offsets`; the partition cannot change a bit of the result.
+  ///   read(m, c, buf)  -> chunk c of member m: a view of resident data,
+  ///                       or read into `buf` (buffer_elems != 0);
+  ///   walk(m, process) -> process(c, chunk) for every chunk of member m.
+  /// `fill` marks invalid points; `buffer_elems` is the widest read buffer
+  /// a task holds; `budget` is charged for every array and buffer.
+  template <typename Read, typename Walk>
+  void build(std::size_t members, std::span<const std::size_t> offsets,
+             std::optional<float> fill, std::size_t buffer_elems, const Read& read,
+             const Walk& walk, util::MemoryBudget& budget);
+  /// Derive the cached rmsz_range() extremes from rmsz_dist_.
+  void finalize_rmsz_range();
+
+  std::size_t member_count_ = 0;
+  std::vector<std::uint8_t> mask_;  // normalized: empty when all valid
+  std::size_t valid_points_ = 0;
+
+  // Per-point sufficient statistics over all members.
+  std::vector<double> sum_;
+  std::vector<double> sum_sq_;
+  // Per-point extremes with runners-up, for leave-one-out max distances.
+  std::vector<float> max1_, max2_, min1_, min2_;
+  std::vector<std::uint32_t> argmax_, argmin_;
+
+  std::vector<stats::Summary> member_summary_;
+  std::vector<double> rmsz_dist_;
+  std::vector<double> enmax_dist_;
+  double rmsz_min_ = 0.0;
+  double rmsz_max_ = 0.0;
+};
+
+/// The ensemble view built from resident members, which it also keeps
+/// (the in-core leg verifies straight from them).
+class EnsembleStats final : public EnsembleView {
+ public:
+  /// Takes ownership of all members' fields (same variable, same shape,
+  /// same fill layout). Requires at least 3 members.
+  explicit EnsembleStats(std::vector<climate::Field> members);
+
+  [[nodiscard]] const climate::Field& member(std::size_t m) const { return members_[m]; }
+
+  /// RMSZ of arbitrary data standing in for member m: each point is
+  /// z-scored against the sub-ensemble {E \ m} (eq. 6) and the RMS taken
+  /// over points with non-degenerate sub-ensemble spread (eq. 7).
+  [[nodiscard]] double rmsz_of(std::size_t m, std::span<const float> data) const;
 
   /// Exact-bit snapshot of the members and every derived product, for the
   /// content-addressed ensemble cache (core/ensemble_cache.h). A
@@ -104,28 +157,16 @@ class EnsembleStats {
  private:
   EnsembleStats() = default;  ///< deserialize() fills every member itself
 
-  void build();
-  /// Derive the cached rmsz_range() extremes from rmsz_dist_ (shared by
-  /// build() and deserialize()).
-  void finalize_rmsz_range();
-
   std::vector<climate::Field> members_;
-  std::vector<std::uint8_t> mask_;      // shared validity mask (may be empty)
-  std::size_t valid_points_ = 0;
+};
 
-  // Per-point sufficient statistics over all members.
-  std::vector<double> sum_;
-  std::vector<double> sum_sq_;
-  // Per-point extremes with runners-up, for leave-one-out max distances.
-  std::vector<float> max1_, max2_, min1_, min2_;
-  std::vector<std::uint32_t> argmax_, argmin_;
-
-  std::vector<double> rmsz_dist_;
-  std::vector<double> enmax_dist_;
-  std::vector<double> ranges_;
-  std::vector<double> global_means_;
-  double rmsz_min_ = 0.0;
-  double rmsz_max_ = 0.0;
+/// The ensemble view built from a CNK1 chunk store (core/ooc.h) in two
+/// bounded-memory read passes instead of from resident members — with
+/// the next chunk's read prefetched in pass 2, and every resident array
+/// and buffer charged to `budget`.
+class StreamingStats final : public EnsembleView {
+ public:
+  StreamingStats(const ncio::ChunkStoreReader& store, util::MemoryBudget& budget);
 };
 
 }  // namespace cesm::core

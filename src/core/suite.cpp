@@ -62,9 +62,22 @@ comp::CodecPtr with_chunking(comp::CodecPtr codec, std::size_t chunk_elems) {
   return std::make_shared<comp::ChunkedCodec>(std::move(codec), chunk_elems);
 }
 
+namespace {
+
+/// Scheduler grain for sweeping `n` variants under
+/// SuiteConfig::variant_jobs: 1 -> n (one serial task, catalog order),
+/// 0 -> 1 (one task per variant), N -> about N contiguous tasks.
+std::size_t variant_grain(std::size_t variant_jobs, std::size_t n) {
+  if (n == 0) return 1;
+  if (variant_jobs <= 1) return variant_jobs == 0 ? 1 : n;
+  return (n + variant_jobs - 1) / variant_jobs;
+}
+
+/// The §5 hybrid stand-in for a lossy variant that failed outright: the
+/// fpzip family degrades to its own lossless mode (fpzip-32); every other
+/// family has no lossless mode and is stored as NetCDF-4 instead.
 comp::CodecPtr lossless_stand_in(const std::string& failed_codec,
-                                 std::optional<float> fill,
-                                 std::size_t chunk_elems) {
+                                 std::optional<float> fill, std::size_t chunk_elems) {
   comp::CodecPtr codec;
   if (failed_codec.rfind("fpzip", 0) == 0) {
     codec = comp::with_fill_handling(std::make_shared<comp::FpzCodec>(32), fill);
@@ -74,25 +87,35 @@ comp::CodecPtr lossless_stand_in(const std::string& failed_codec,
   return with_chunking(comp::traced(std::move(codec)), chunk_elems);
 }
 
-namespace {
-
-/// Record a codec-error verdict (never a pass) for a variant whose verify
-/// threw `message`, re-scored under the lossless stand-in when the
+/// verify() one variant. A thrown cesm::Error — or `injected`, an error
+/// the catalog-order failpoint pre-pass already raised for this variant,
+/// in which case the verify is skipped — becomes a codec-error verdict
+/// (never a pass), re-scored under the lossless stand-in when the
 /// fallback policy is on.
-VariableVerdict codec_error_verdict(const PvtVerifier& verifier, const comp::Codec& codec,
-                                    std::optional<float> fill,
-                                    std::span<const std::size_t> test_members,
-                                    const SuiteConfig& config,
-                                    const std::string& message) {
-  trace::counter_add("suite.codec_errors", 1);
+VariableVerdict verify_with_fallback(const PvtVerifier& verifier, const comp::Codec& codec,
+                                     std::optional<float> fill,
+                                     std::span<const std::size_t> test_members,
+                                     const SuiteConfig& config,
+                                     const std::optional<std::string>& injected) {
   VariableVerdict verdict;
-  verdict.variable = verifier.stats().member(0).name;
+  if (injected) {
+    verdict.error_message = *injected;
+  } else {
+    try {
+      return verifier.verify(codec, test_members, config.run_bias);
+    } catch (const InvalidArgument&) {
+      throw;  // caller bug, not a codec failure: keep the old contract
+    } catch (const Error& e) {
+      verdict.error_message = e.what();
+    }
+  }
+  trace::counter_add("suite.codec_errors", 1);
+  verdict.variable = verifier.source().variable();
   verdict.codec = codec.name();
   verdict.codec_error = true;
-  verdict.error_message = message;
   if (config.lossless_fallback) {
     const comp::CodecPtr stand_in =
-        lossless_stand_in(codec.name(), fill, config.chunk_elems);
+        lossless_stand_in(codec.name(), fill, verifier.source().chunk_elems());
     try {
       VariableVerdict lossless =
           verifier.verify(*stand_in, test_members, config.run_bias);
@@ -113,95 +136,57 @@ VariableVerdict codec_error_verdict(const PvtVerifier& verifier, const comp::Cod
   return verdict;
 }
 
-/// verify() one variant; a thrown cesm::Error becomes a codec-error
-/// verdict. Non-null `injected` is an error already raised for this
-/// variant by the caller's catalog-order failpoint pre-pass: the verify is
-/// skipped and the codec-error path runs directly — exactly what the
-/// in-line CESM_FAILPOINT("suite.verify_variant") used to produce, but
-/// with the injection decided at a deterministic point so parallel sweeps
-/// attribute faults to the same variants as the serial schedule.
-VariableVerdict verify_with_fallback(const PvtVerifier& verifier, const comp::Codec& codec,
-                                     std::optional<float> fill,
-                                     std::span<const std::size_t> test_members,
-                                     const SuiteConfig& config,
-                                     const std::string* injected = nullptr) {
-  if (injected != nullptr) {
-    return codec_error_verdict(verifier, codec, fill, test_members, config, *injected);
-  }
-  try {
-    return verifier.verify(codec, test_members, config.run_bias);
-  } catch (const InvalidArgument&) {
-    throw;  // caller bug, not a codec failure: keep the old contract
-  } catch (const Error& e) {
-    return codec_error_verdict(verifier, codec, fill, test_members, config, e.what());
-  }
-}
-
 }  // namespace
 
-VariableResult run_variable(const climate::EnsembleGenerator& ensemble,
-                            const climate::VariableSpec& spec,
-                            const SuiteConfig& config,
-                            const comp::VariantPool* pool) {
-  trace::Span span("suite.variable");
+void begin_variable(const climate::VariableSpec& spec, const SuiteConfig& config) {
   trace::counter_add("suite.variables", 1);
-  // test_members.front() below (and every downstream verify) requires at
-  // least one probe member; a zero count used to slip through pick_members
-  // and dereference an empty vector.
+  // test_members.front() (and every downstream verify) requires at least
+  // one probe member; a zero count used to slip through pick_members and
+  // dereference an empty vector.
   if (config.test_member_count == 0) {
     throw InvalidArgument("SuiteConfig::test_member_count must be >= 1 (variable " +
                           spec.name + ")");
   }
   CESM_FAILPOINT("suite.variable");
+}
+
+VariableResult verify_variable(const climate::VariableSpec& spec, const ChunkSource& source,
+                               const SuiteConfig& config, comp::PlanStore& plans,
+                               const comp::VariantPool* pool) {
   VariableResult result;
   result.variable = spec.name;
   result.is_3d = spec.is_3d;
   if (spec.has_fill) result.fill = climate::kFillValue;
+  const std::size_t chunk_elems = source.chunk_elems();
 
-  // Memoized ensemble products: repetitions, variants and sibling bench
-  // tools all share one synthesis + stats build per (ensemble, variable)
-  // key. With the cache disabled this is a plain build.
-  const std::shared_ptr<const EnsembleStats> stats_ptr =
-      EnsembleCache::global().stats(ensemble, spec);
-  const EnsembleStats& stats = *stats_ptr;
-
-  // One plan store per variable: the variant-invariant encode stages
-  // (fpzip ordered map, ISABELA sort + fit, GRIB2 scans and wavelet lift)
-  // are computed once per member here and reused across the lossless
-  // probe, the GRIB2 tuning ladder and every variant verify below. Plans
-  // are pure memoization — every stream stays byte-identical (prep.h).
-  comp::PlanStore plans(config.plan_cache_bytes);
-  PvtVerifier verifier(stats, config.thresholds);
+  // One verifier and one plan store for the whole variable: the
+  // variant-invariant encode stages (fpzip ordered map, ISABELA sort +
+  // fit, GRIB2 scans and wavelet lift) are computed once per member chunk
+  // and reused across the lossless probe, the GRIB2 tuning ladder and
+  // every variant verify below. Plans are pure memoization — every stream
+  // stays byte-identical (prep.h).
+  PvtVerifier verifier(source, config.thresholds);
   verifier.set_plan_store(&plans);
-
   result.test_members = PvtVerifier::pick_members(
-      config.test_member_count, stats.member_count(),
+      config.test_member_count, source.stats().member_count(),
       hash_combine(config.member_seed, spec.stream));
 
-  // Characterization + lossless baselines on the first test member. With
-  // chunk_elems set, both baselines measure the chunked container stream —
-  // the same stream the out-of-core leg sizes via packed_stream_bytes.
-  const climate::Field& probe = stats.member(result.test_members.front());
-  result.character = characterize(
-      probe, *with_chunking(std::make_shared<comp::DeflateCodec>(), config.chunk_elems));
+  // Characterization + lossless baselines on the first test member: the
+  // summary is the precomputed member summary, the CRs measure the stream
+  // of the source's partition. The probe's fpzip-32 encode seeds the plan
+  // store for the fpzip variants when the variable has no fill value.
+  const std::size_t probe = result.test_members.front();
+  result.character.summary = source.stats().member_summary(probe);
+  result.character.lossless_cr = verifier.compression_ratio(
+      *with_chunking(std::make_shared<comp::DeflateCodec>(), chunk_elems), probe);
   result.netcdf4_cr = result.character.lossless_cr;
-  {
-    // The probe's fpzip-32 stream seeds the plan store: when the variable
-    // has no fill value, the fpzip variants below reuse the ordered map
-    // this encode builds for the probe member.
-    const comp::CodecPtr fpz32 =
-        with_chunking(std::make_shared<comp::FpzCodec>(32), config.chunk_elems);
-    const Bytes s =
-        plans.encode(*fpz32, probe.data, probe.shape, result.test_members.front());
-    result.fpzip32_cr = comp::compression_ratio(s.size(), probe.data.size());
-  }
+  result.fpzip32_cr = verifier.compression_ratio(
+      *with_chunking(std::make_shared<comp::FpzCodec>(32), chunk_elems), probe);
 
-  // RMSZ-guided GRIB2 decimal scale (§5.4). Sharing `plans` leaves the
-  // winning scale's wavelet lift cached for the GRIB2 variant verify.
-  const GribTuning tuning = rmsz_guided_decimal_scale(
-      stats, result.fill, result.test_members, config.thresholds,
-      config.grib_significant_digits, config.grib_max_extra_digits,
-      config.chunk_elems, &plans);
+  // RMSZ-guided GRIB2 decimal scale (§5.4).
+  const GribTuning tuning =
+      tune_decimal_scale(verifier, result.fill, result.test_members,
+                         config.grib_significant_digits, config.grib_max_extra_digits);
   result.grib_decimal_scale = tuning.decimal_scale;
   result.grib_tuning_passed = tuning.passed;
 
@@ -211,31 +196,28 @@ VariableResult run_variable(const climate::EnsembleGenerator& ensemble,
 
   // Failpoint pre-pass: hit "suite.verify_variant" once per variant in
   // catalog order before any verify runs, so stateful triggers (once,
-  // nth, prob) select the same variants at every variant_jobs setting as
-  // the historical serial loop did.
-  std::vector<std::string> injected(variants.size());
-  std::vector<std::uint8_t> has_injection(variants.size(), 0);
-  for (std::size_t v = 0; v < variants.size(); ++v) {
+  // nth, prob) select the same variants at every variant_jobs setting.
+  std::vector<std::optional<std::string>> injected(variants.size());
+  for (std::optional<std::string>& fault : injected) {
     try {
       CESM_FAILPOINT("suite.verify_variant");
     } catch (const Error& e) {
-      has_injection[v] = 1;
-      injected[v] = e.what();
+      fault = e.what();
     }
   }
 
   result.verdicts.resize(variants.size());
+  const auto verify_one = [&](const PvtVerifier& v, std::size_t i) {
+    trace::counter_add("sweep.variant_tasks", 1);
+    const comp::CodecPtr wrapped = with_chunking(variants[i], chunk_elems);
+    result.verdicts[i] = verify_with_fallback(v, *wrapped, result.fill,
+                                              result.test_members, config, injected[i]);
+  };
   const std::size_t grain = variant_grain(config.variant_jobs, variants.size());
   if (grain >= variants.size()) {
-    // Serial catalog order (the default): one verifier, whose scratch
-    // arena warms on the first variant and serves the rest allocation-free.
-    for (std::size_t v = 0; v < variants.size(); ++v) {
-      trace::counter_add("sweep.variant_tasks", 1);
-      const comp::CodecPtr wrapped = with_chunking(variants[v], config.chunk_elems);
-      result.verdicts[v] =
-          verify_with_fallback(verifier, *wrapped, result.fill, result.test_members,
-                               config, has_injection[v] != 0 ? &injected[v] : nullptr);
-    }
+    // Serial catalog order (the default): the variable's verifier, whose
+    // scratch arena is already warm, serves every variant.
+    for (std::size_t v = 0; v < variants.size(); ++v) verify_one(verifier, v);
   } else {
     // Parallel sweep: verdicts land in fixed catalog-order slots, so the
     // results are byte-identical to the serial path at any worker count.
@@ -244,33 +226,21 @@ VariableResult run_variable(const climate::EnsembleGenerator& ensemble,
     parallel_for(
         0, variants.size(),
         [&](std::size_t v) {
-          trace::counter_add("sweep.variant_tasks", 1);
-          const comp::CodecPtr wrapped = with_chunking(variants[v], config.chunk_elems);
-          PvtVerifier task_verifier(stats, config.thresholds);
+          PvtVerifier task_verifier(source, config.thresholds);
           task_verifier.set_plan_store(&plans);
-          result.verdicts[v] = verify_with_fallback(
-              task_verifier, *wrapped, result.fill, result.test_members, config,
-              has_injection[v] != 0 ? &injected[v] : nullptr);
+          verify_one(task_verifier, v);
         },
         grain);
   }
   return result;
 }
 
-namespace {
-
-/// run_variable with the suite's containment policy: retry after a
-/// whole-variable failure (one-shot injected faults clear themselves), and
-/// when retries are exhausted return a processing_failed marker instead of
-/// tearing down the other 100+ variables of the sweep.
-VariableResult run_variable_guarded(const climate::EnsembleGenerator& ensemble,
-                                    const climate::VariableSpec& spec,
-                                    const SuiteConfig& config,
-                                    const comp::VariantPool* pool) {
+VariableResult run_guarded(const climate::VariableSpec& spec, const SuiteConfig& config,
+                           const std::function<VariableResult()>& run) {
   std::size_t failures = 0;
   for (;;) {
     try {
-      return run_variable(ensemble, spec, config, pool);
+      return run();
     } catch (const InvalidArgument&) {
       throw;  // caller bug: retrying cannot help and hiding it would lie
     } catch (const Error& e) {
@@ -290,7 +260,20 @@ VariableResult run_variable_guarded(const climate::EnsembleGenerator& ensemble,
   }
 }
 
-}  // namespace
+VariableResult run_variable(const climate::EnsembleGenerator& ensemble,
+                            const climate::VariableSpec& spec,
+                            const SuiteConfig& config,
+                            const comp::VariantPool* pool) {
+  trace::Span span("suite.variable");
+  begin_variable(spec, config);
+  // Memoized ensemble products: repetitions, variants and sibling bench
+  // tools all share one synthesis + stats build per (ensemble, variable)
+  // key. With the cache disabled this is a plain build.
+  const std::shared_ptr<const EnsembleStats> stats =
+      EnsembleCache::global().stats(ensemble, spec);
+  comp::PlanStore plans(config.plan_cache_bytes);
+  return verify_variable(spec, ChunkSource(*stats, config.chunk_elems), config, plans, pool);
+}
 
 std::vector<const climate::VariableSpec*> resolve_suite_specs(
     const climate::EnsembleGenerator& ensemble,
@@ -321,7 +304,9 @@ SuiteResults run_suite(const climate::EnsembleGenerator& ensemble,
   comp::VariantPool pool;
   results.variables.resize(specs.size());
   parallel_for(0, specs.size(), [&](std::size_t i) {
-    results.variables[i] = run_variable_guarded(ensemble, *specs[i], config, &pool);
+    results.variables[i] = run_guarded(*specs[i], config, [&] {
+      return run_variable(ensemble, *specs[i], config, &pool);
+    });
   });
   if (const std::size_t failed = results.failed_variable_count(); failed > 0) {
     trace::counter_add("suite.variables_failed_total", failed);

@@ -9,6 +9,7 @@
 //   * aggregation helpers: per-method pass counts (Table 6) and the
 //     per-variant error distributions (Figure 1).
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -33,12 +34,13 @@ struct SuiteConfig {
   /// GRIB2 cannot satisfy the tests on large-range variables (§5.3).
   int grib_max_extra_digits = 2;
 
-  /// Nonzero: wrap every codec the suite measures (variants, GRIB2 tuning
-  /// attempts, lossless baselines, fallback stand-ins) in a ChunkedCodec
-  /// with this target chunk size — the chunk partition the out-of-core
-  /// leg streams through, so an in-core run with the same value produces
+  /// Nonzero: cut the resident members on the ChunkedCodec partition
+  /// with this target chunk size and wrap every codec the suite measures
+  /// (variants, GRIB2 tuning attempts, lossless baselines, fallback
+  /// stand-ins) in a ChunkedCodec — the partition the out-of-core leg
+  /// streams through, so an in-core run with the same value produces
   /// bit-identical verdicts and CRs to run_variable_streaming (core/ooc.h).
-  /// 0 (the default) keeps the unwrapped codecs and existing results.
+  /// 0 (the default) verifies whole members through the unwrapped codecs.
   /// Must be >= 1024 when set (ChunkedCodec's floor).
   std::size_t chunk_elems = 0;
 
@@ -147,29 +149,32 @@ VariableResult run_variable(const climate::EnsembleGenerator& ensemble,
                             const SuiteConfig& config = {},
                             const comp::VariantPool* pool = nullptr);
 
-/// Scheduler grain for sweeping `n` variants under
-/// SuiteConfig::variant_jobs: 1 -> n (one serial task, catalog order),
-/// 0 -> 1 (one task per variant), N -> about N contiguous tasks. Shared by
-/// the in-core and streaming sweeps.
-[[nodiscard]] inline std::size_t variant_grain(std::size_t variant_jobs,
-                                               std::size_t n) {
-  if (n == 0) return 1;
-  if (variant_jobs <= 1) return variant_jobs == 0 ? 1 : n;
-  return (n + variant_jobs - 1) / variant_jobs;
-}
-
 /// Wrap `codec` in a ChunkedCodec with the suite's chunk partition;
-/// passthrough when chunk_elems == 0. The single construction point both
-/// verification legs share.
+/// passthrough when chunk_elems == 0. The single construction point of
+/// every chunked codec the verifier measures.
 comp::CodecPtr with_chunking(comp::CodecPtr codec, std::size_t chunk_elems);
 
-/// The §5 hybrid stand-in for a lossy variant that failed outright: the
-/// fpzip family degrades to its own lossless mode (fpzip-32); every other
-/// family has no lossless mode and is stored as NetCDF-4 instead.
-/// Exposed so the streaming leg records the same fallback codec names.
-comp::CodecPtr lossless_stand_in(const std::string& failed_codec,
-                                 std::optional<float> fill,
-                                 std::size_t chunk_elems = 0);
+// --- per-variable steps shared by run_variable and run_variable_streaming,
+// which differ only in the chunk source they build ---
+
+/// Count the variable, reject a zero test_member_count and hit the
+/// "suite.variable" failpoint — before any work on the variable.
+void begin_variable(const climate::VariableSpec& spec, const SuiteConfig& config);
+
+/// Everything measured for one variable once its chunk source is ready:
+/// member picks, characterization and lossless baselines, RMSZ-guided
+/// GRIB2 tuning, and one verdict per variant (from `pool` when non-null;
+/// a variant whose verify throws gets a codec-error verdict).
+VariableResult verify_variable(const climate::VariableSpec& spec, const ChunkSource& source,
+                               const SuiteConfig& config, comp::PlanStore& plans,
+                               const comp::VariantPool* pool);
+
+/// The suite's containment policy around one variable run: retry `run`
+/// after a failure (one-shot injected faults clear themselves), and when
+/// retries are exhausted return a processing_failed marker instead of
+/// tearing down the rest of the sweep. InvalidArgument always propagates.
+VariableResult run_guarded(const climate::VariableSpec& spec, const SuiteConfig& config,
+                           const std::function<VariableResult()>& run);
 
 /// Derive results.variant_names from the verdicts actually recorded (and
 /// check every processed variable agrees on them) — shared by run_suite

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/export.h"
 #include "core/hybrid.h"
+#include "util/trace.h"
 
 namespace cesm::core {
 namespace {
@@ -154,6 +156,35 @@ TEST(SuiteSingleVariable, RunVariableMatchesSuiteEntry) {
   EXPECT_EQ(direct.grib_decimal_scale, via_suite.variables[0].grib_decimal_scale);
   EXPECT_EQ(direct.verdicts[0].all_pass(), via_suite.variables[0].verdicts[0].all_pass());
   EXPECT_DOUBLE_EQ(direct.verdicts[3].mean_cr, via_suite.variables[0].verdicts[3].mean_cr);
+}
+
+TEST(SuiteSingleVariable, ChunkedInCoreRunSharesPlansAndMatchesPlanFreeRun) {
+  // The in-core leg cuts resident members on the chunk partition and
+  // encodes chunk by chunk through the plan store, so a chunked run shares
+  // encode-prep plans across variants exactly as an unchunked one does.
+  climate::EnsembleSpec spec = tiny_spec();
+  spec.grid = climate::GridSpec{16, 128, 4};  // U: 8192 points, two 4096-element chunks
+  const climate::EnsembleGenerator ens(spec);
+  SuiteConfig cfg = fast_config();
+  cfg.chunk_elems = 4096;
+  const auto csv_of = [&](const SuiteConfig& c) {
+    SuiteResults results;
+    results.variables.push_back(run_variable(ens, ens.variable("U"), c));
+    derive_variant_names(results);
+    return suite_results_csv(results);
+  };
+
+  trace::set_enabled(true);
+  trace::reset();
+  const std::string planned = csv_of(cfg);
+  const auto counters = trace::counters();
+  trace::set_enabled(false);
+  const auto reused = counters.find("prep.plan_reused");
+  ASSERT_NE(reused, counters.end());
+  EXPECT_GT(reused->second, 0u);
+
+  cfg.plan_cache_bytes = 0;
+  EXPECT_EQ(csv_of(cfg), planned);
 }
 
 }  // namespace

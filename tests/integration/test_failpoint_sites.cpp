@@ -31,6 +31,7 @@
 #include "compress/special.h"
 #include "core/ensemble_cache.h"
 #include "core/export.h"
+#include "core/ooc.h"
 #include "core/suite.h"
 #include "ncio/chunkstore.h"
 #include "ncio/dataset.h"
@@ -348,11 +349,60 @@ TEST_F(SuiteRobustness, ExhaustedRetriesQuarantineTheVariableNotTheSuite) {
     EXPECT_FALSE(var.error_message.empty());
     EXPECT_TRUE(var.verdicts.empty());
   }
-  // Aggregation and export still work with every variable quarantined.
+  // Aggregation and export still work with every variable quarantined;
+  // the export keeps one failure row per variable (see below).
   EXPECT_EQ(results.variant_names.size(), 9u);
   for (const core::MethodTally& row : results.tally()) EXPECT_EQ(row.all, 0u);
   const std::string csv = core::suite_results_csv(results);
-  EXPECT_EQ(csv.find("\nU,"), std::string::npos);
+  EXPECT_NE(csv.find("\nU,"), std::string::npos);
+}
+
+/// The CSV row of `variable` (fields split on commas; the fixture's error
+/// messages contain none), or empty when the variable has no row.
+std::vector<std::string> csv_row(const std::string& csv, const std::string& variable) {
+  const std::size_t at = csv.find("\n" + variable + ",");
+  if (at == std::string::npos) return {};
+  const std::string line = csv.substr(at + 1, csv.find('\n', at + 1) - at - 1);
+  std::vector<std::string> fields(1);
+  for (const char c : line) {
+    if (c == ',') {
+      fields.emplace_back();
+    } else {
+      fields.back() += c;
+    }
+  }
+  return fields;
+}
+
+TEST_F(SuiteRobustness, QuarantinedVariableKeepsOneCsvRowOnBothLegs) {
+  // A variable that failed must never just disappear from the output: it
+  // gets one row with an empty variant, every pass flag 0 and its error.
+  fail::ScopedFailpoint fp("suite.variable", fail::Trigger::always());
+  core::OocConfig ooc;
+  ooc.chunk_elems = 1024;
+  ooc.spill_dir = ::testing::TempDir();
+  ooc.suite = fast_config();
+  const core::SuiteResults legs[] = {
+      core::run_suite(shared_ensemble(), fast_config(), {"U", "FSDSC"}),
+      core::run_suite_streaming(shared_ensemble(), ooc, {"U", "FSDSC"})};
+  for (const core::SuiteResults& results : legs) {
+    ASSERT_EQ(results.failed_variable_count(), 2u);
+    const std::string csv = core::suite_results_csv(results);
+    for (const core::VariableResult& var : results.variables) {
+      SCOPED_TRACE(var.variable);
+      const std::vector<std::string> row = csv_row(csv, var.variable);
+      ASSERT_EQ(row.size(), 20u);
+      EXPECT_EQ(row[2], "");                  // variant
+      for (std::size_t col = 8; col <= 12; ++col) {
+        EXPECT_EQ(row[col], "0") << "pass column " << col;
+      }
+      EXPECT_EQ(row[19], var.error_message);  // error_message
+      EXPECT_NE(row[19].find("suite.variable"), std::string::npos);
+      EXPECT_EQ(csv.find("\n" + var.variable + ",", csv.find("\n" + var.variable + ",") + 1),
+                std::string::npos)
+          << "more than one row";
+    }
+  }
 }
 
 TEST_F(SuiteRobustness, ContinueOnErrorOffRestoresThrowingBehavior) {
