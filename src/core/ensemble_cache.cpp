@@ -13,7 +13,7 @@ namespace {
 // Salted into every key so a change to the key schema or the snapshot
 // layout (rmsz.cpp kStatsFormatVersion bumps alongside this) can never
 // alias an old disk entry.
-constexpr std::uint64_t kKeySchemaVersion = 1;
+constexpr std::uint64_t kKeySchemaVersion = 2;
 
 void make_tiers(const util::CacheConfig& cfg,
                 std::shared_ptr<util::LruCache<EnsembleStats>>& mem,
