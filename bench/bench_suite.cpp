@@ -1,8 +1,5 @@
-// End-to-end suite benchmark: run_suite under three scheduler shapes.
+// End-to-end suite benchmark: run_suite under two scheduler shapes.
 //
-//   fifo_baseline  N workers, serialize_nested — the seed thread pool's
-//                  behaviour (outer variable loop parallel, every nested
-//                  loop serial on the worker that entered it);
 //   sched_serial   1 worker — the plain serial reference;
 //   sched_full     N workers with nested work-stealing parallelism.
 //
@@ -10,7 +7,7 @@
 // ensemble and runs the whole §4 methodology over the selected variables,
 // so the speedup covers synthesis, stats builds, GRIB tuning, PVT verify
 // and the chunked codec paths together. After timing, one traced pass
-// under sched_full produces the per-phase breakdown, and the three
+// under sched_full produces the per-phase breakdown, and the two
 // configurations' results are cross-checked bitwise — a speedup that
 // changed a verdict would be a bug, not a feature.
 //
@@ -80,16 +77,13 @@ struct ConfigResult {
   core::SuiteResults results;  ///< from the last rep (determinism check)
 };
 
-/// One timed configuration: `threads` workers (0 = default resolution),
-/// optionally reproducing the seed FIFO pool's nested-serial shape.
-ConfigResult run_config(const std::string& name, std::size_t threads,
-                        bool serialize_nested, int reps,
+/// One timed configuration: `threads` workers (0 = default resolution).
+ConfigResult run_config(const std::string& name, std::size_t threads, int reps,
                         const bench::Options& options,
                         const std::vector<std::string>& variables) {
   ConfigResult out;
   out.name = name;
   ScopedScheduler scoped(threads);
-  scoped.scheduler().set_serialize_nested(serialize_nested);
   scoped.scheduler().reset_stats();
   out.seconds = 1e300;
   for (int r = 0; r < reps; ++r) {
@@ -634,8 +628,7 @@ void write_json(std::ostream& out, const std::vector<ConfigResult>& configs,
                 const SpillReuseBench& sr, const VariantSweepBench& vs,
                 const bench::Options& options,
                 std::size_t threads, std::size_t n_vars, int reps,
-                bool deterministic, double speedup_vs_fifo,
-                double speedup_vs_serial) {
+                bool deterministic, double speedup_vs_serial) {
   // `threads` is the configured worker count; when it exceeds the core
   // count the workers time-slice and any reported "parallel speedup" is
   // bounded by the cores, not the worker count. Record both the effective
@@ -664,7 +657,6 @@ void write_json(std::ostream& out, const std::vector<ConfigResult>& configs,
       << "  \"peak_rss_bytes\": " << peak_rss << ",\n"
       << "  \"reps\": " << reps << ",\n"
       << "  \"deterministic\": " << (deterministic ? "true" : "false") << ",\n"
-      << "  \"speedup_vs_fifo\": " << speedup_vs_fifo << ",\n"
       << "  \"speedup_vs_serial\": " << speedup_vs_serial << ",\n"
       << "  \"configs\": [\n";
   for (std::size_t i = 0; i < configs.size(); ++i) {
@@ -828,19 +820,13 @@ int main(int argc, char** argv) {
   }
 
   std::vector<ConfigResult> configs;
-  configs.push_back(run_config("fifo_baseline", options.threads,
-                               /*serialize_nested=*/true, reps, options, variables));
-  configs.push_back(run_config("sched_serial", 1,
-                               /*serialize_nested=*/false, reps, options, variables));
-  configs.push_back(run_config("sched_full", options.threads,
-                               /*serialize_nested=*/false, reps, options, variables));
-  const ConfigResult& fifo = configs[0];
-  const ConfigResult& serial = configs[1];
-  const ConfigResult& full = configs[2];
+  configs.push_back(run_config("sched_serial", 1, reps, options, variables));
+  configs.push_back(run_config("sched_full", options.threads, reps, options, variables));
+  const ConfigResult& serial = configs[0];
+  const ConfigResult& full = configs[1];
 
   const bool deterministic =
-      identical_results(serial.results, full.results, serial.name, full.name) &&
-      identical_results(serial.results, fifo.results, serial.name, fifo.name);
+      identical_results(serial.results, full.results, serial.name, full.name);
 
   // Per-phase breakdown: one traced pass under the full scheduler.
   std::vector<PhaseRow> phases;
@@ -865,7 +851,6 @@ int main(int argc, char** argv) {
     if (!had_trace) trace::set_enabled(false);
   }
 
-  const double speedup_vs_fifo = fifo.seconds / full.seconds;
   const double speedup_vs_serial = serial.seconds / full.seconds;
 
   const std::string out_path =
@@ -897,8 +882,7 @@ int main(int argc, char** argv) {
                 "bounded by the core count\n",
                 threads, hw);
   }
-  std::printf("speedup vs fifo_baseline: %.2fx   vs 1 thread: %.2fx\n",
-              speedup_vs_fifo, speedup_vs_serial);
+  std::printf("speedup vs 1 thread: %.2fx\n", speedup_vs_serial);
   std::printf("deterministic across configs: %s\n", deterministic ? "yes" : "NO");
   std::printf("cache phase: off %.3fs  cold %.3fs  warm %.3fs  (warm %.2fx vs off, "
               "hit rate %.0f%%, %llu hits/%llu misses%s)\n",
@@ -993,7 +977,7 @@ int main(int argc, char** argv) {
   std::ostringstream out;
   write_json(out, configs, phases, cache_bench, full_grid, multi_var, spill_reuse,
              variant_sweep, options, threads, variables.size(), reps, deterministic,
-             speedup_vs_fifo, speedup_vs_serial);
+             speedup_vs_serial);
   core::write_text_file(out_path, out.str());
   std::printf("wrote %s and %s\n", out_path.c_str(), csv_path.c_str());
 

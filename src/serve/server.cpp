@@ -3,6 +3,10 @@
 #include <poll.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <bit>
+#include <chrono>
+#include <cmath>
 #include <utility>
 
 #include "core/ensemble_cache.h"
@@ -33,6 +37,14 @@ std::uint64_t ensemble_spec_key(const climate::EnsembleSpec& spec) {
       .u64(spec.latent.seed);
   return h.digest();
 }
+
+/// Bucket index of a latency in microseconds (see kLatencyBuckets).
+std::size_t latency_bucket(std::uint64_t us, std::size_t buckets) {
+  return std::min<std::size_t>(std::bit_width(us | 1) - 1, buckets - 1);
+}
+
+/// Largest latency bucket `b` holds: 2^(b+1) - 1 us.
+std::uint64_t bucket_upper_us(std::size_t b) { return (std::uint64_t{2} << b) - 1; }
 
 }  // namespace
 
@@ -207,6 +219,20 @@ void Server::serve_connection(Connection* conn) {
 void Server::handle_verify(const util::Socket& sock, const Bytes& payload) {
   trace::Span span("serve.request");
   n_requests_.fetch_add(1, std::memory_order_relaxed);
+  // Every exit writes exactly one response (or finds the client gone);
+  // each counts once in the latency histogram.
+  struct LatencyGuard {
+    Server* s;
+    std::chrono::steady_clock::time_point t0 = std::chrono::steady_clock::now();
+    ~LatencyGuard() {
+      const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+      s->request_us_buckets_[latency_bucket(static_cast<std::uint64_t>(us),
+                                            kLatencyBuckets)]
+          .fetch_add(1, std::memory_order_relaxed);
+    }
+  } latency{this};
 
   // Register with the drain accounting BEFORE checking the drain flag:
   // stop() flips the flag and then waits for active_requests_ to reach
@@ -360,6 +386,24 @@ void Server::send_error(const util::Socket& sock, ErrorCode code,
 }
 
 std::map<std::string, std::uint64_t> Server::counters() const {
+  std::array<std::uint64_t, kLatencyBuckets> hist{};
+  std::uint64_t timed = 0;
+  for (std::size_t b = 0; b < kLatencyBuckets; ++b) {
+    hist[b] = request_us_buckets_[b].load(std::memory_order_relaxed);
+    timed += hist[b];
+  }
+  // Upper edge of the bucket holding the ceil(q * timed)-th fastest request.
+  const auto quantile_us = [&](double q) -> std::uint64_t {
+    if (timed == 0) return 0;
+    const auto rank = std::max<std::uint64_t>(
+        1, static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(timed))));
+    std::uint64_t seen = 0;
+    for (std::size_t b = 0; b < kLatencyBuckets; ++b) {
+      seen += hist[b];
+      if (seen >= rank) return bucket_upper_us(b);
+    }
+    return bucket_upper_us(kLatencyBuckets - 1);
+  };
   return {
       {"serve.connections", n_connections_.load(std::memory_order_relaxed)},
       {"serve.requests", n_requests_.load(std::memory_order_relaxed)},
@@ -373,6 +417,9 @@ std::map<std::string, std::uint64_t> Server::counters() const {
       {"serve.processing_failures",
        n_processing_failures_.load(std::memory_order_relaxed)},
       {"serve.pings", n_pings_.load(std::memory_order_relaxed)},
+      {"serve.request_us_p50", quantile_us(0.50)},
+      {"serve.request_us_p99", quantile_us(0.99)},
+      {"serve.request_us_max", quantile_us(1.0)},
   };
 }
 

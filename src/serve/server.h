@@ -33,6 +33,7 @@
 // count. tests/serve/test_server.cpp and the bench_serving CI gate
 // compare the bytes with memcmp.
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -87,7 +88,10 @@ class Server {
   /// Service counters (serve.requests, serve.coalesced_joins,
   /// serve.flights, serve.rejected_queue_full, ...). Also the payload of
   /// the kStatsRequest protocol message, which is how an out-of-process
-  /// load generator observes coalescing.
+  /// load generator observes coalescing. serve.request_us_{p50,p99,max}
+  /// read the request-latency histogram (see kLatencyBuckets): 0 before
+  /// the first verify request, else the upper edge of the log2 bucket
+  /// holding that quantile, so within 2x above the true value.
   [[nodiscard]] std::map<std::string, std::uint64_t> counters() const;
 
  private:
@@ -153,6 +157,13 @@ class Server {
   std::atomic<std::uint64_t> n_protocol_errors_{0};
   std::atomic<std::uint64_t> n_processing_failures_{0};
   std::atomic<std::uint64_t> n_pings_{0};
+
+  /// handle_verify latency, from the parsed frame to the response
+  /// written, in microseconds: bucket b counts requests that took
+  /// [2^b, 2^(b+1)) us (bucket 0 also takes 0 us; the last bucket is
+  /// open-ended).
+  static constexpr std::size_t kLatencyBuckets = 40;
+  std::array<std::atomic<std::uint64_t>, kLatencyBuckets> request_us_buckets_{};
 };
 
 }  // namespace cesm::serve

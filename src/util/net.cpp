@@ -4,6 +4,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -16,6 +17,19 @@ namespace {
 
 [[noreturn]] void throw_errno(const std::string& what) {
   throw IoError(what + ": " + std::strerror(errno));
+}
+
+/// Disable Nagle's algorithm. A frame already leaves in one write, so
+/// there is nothing for Nagle to coalesce; left on, it holds a reply's
+/// tail segment until the peer's delayed ACK (~40 ms on Linux) arrives.
+bool set_nodelay(const Socket& sock) {
+  const int one = 1;
+  return ::setsockopt(sock.fd(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) == 0;
+}
+
+/// Little-endian store, the byte order ByteWriter::u32 writes.
+void store_u32(std::uint8_t* out, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
 }  // namespace
@@ -85,8 +99,12 @@ Socket listen_tcp(std::uint16_t port, std::uint16_t* bound_port, int backlog) {
 }
 
 Socket accept_connection(const Socket& listener) {
-  const int fd = ::accept(listener.fd(), nullptr, nullptr);
-  return Socket(fd);  // invalid on error — caller decides retry vs stop
+  sockaddr_storage peer = {};
+  socklen_t len = sizeof(peer);
+  Socket conn(::accept(listener.fd(), reinterpret_cast<sockaddr*>(&peer), &len));
+  // Invalid on error — caller decides retry vs stop.
+  if (conn.valid() && peer.ss_family == AF_INET && !set_nodelay(conn)) return Socket();
+  return conn;
 }
 
 Socket connect_unix(const std::string& path) {
@@ -118,6 +136,7 @@ Socket connect_tcp(const std::string& host, std::uint16_t port) {
   if (::connect(sock.fd(), reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
     throw_errno("connect(" + host + ":" + std::to_string(port) + ")");
   }
+  if (!set_nodelay(sock)) throw_errno("setsockopt(TCP_NODELAY)");
   return sock;
 }
 
@@ -153,14 +172,42 @@ bool recv_exact(const Socket& sock, std::uint8_t* out, std::size_t n) {
 
 void write_frame(const Socket& sock, std::uint8_t type,
                  std::span<const std::uint8_t> payload) {
-  Bytes header;
-  header.reserve(kFrameHeaderBytes);
-  ByteWriter w(header);
-  w.u32(kFrameMagic);
-  w.u8(type);
-  w.u32(static_cast<std::uint32_t>(payload.size()));
-  send_all(sock, header.data(), header.size());
-  if (!payload.empty()) send_all(sock, payload.data(), payload.size());
+  std::uint8_t header[kFrameHeaderBytes];
+  store_u32(header, kFrameMagic);
+  header[4] = type;
+  store_u32(header + 5, static_cast<std::uint32_t>(payload.size()));
+
+  // Header and payload go out in one gather write: two send()s would be
+  // the write-write-read pattern that stalls on the peer's delayed ACK.
+  iovec iov[2] = {
+      {header, sizeof(header)},
+      {const_cast<std::uint8_t*>(payload.data()), payload.size()},
+  };
+  msghdr msg = {};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = payload.empty() ? 1 : 2;
+  std::size_t left = sizeof(header) + payload.size();
+  while (left > 0) {
+    const ssize_t rc = ::sendmsg(sock.fd(), &msg, MSG_NOSIGNAL);
+    if (rc < 0) {
+      if (errno == EINTR) continue;
+      throw_errno("sendmsg");
+    }
+    if (rc == 0) throw IoError("sendmsg: connection closed");
+    // Partial write: skip the iovecs (and the prefix of the current one)
+    // that already left.
+    auto sent = static_cast<std::size_t>(rc);
+    left -= sent;
+    while (sent > 0 && sent >= msg.msg_iov->iov_len) {
+      sent -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (sent > 0) {
+      msg.msg_iov->iov_base = static_cast<std::uint8_t*>(msg.msg_iov->iov_base) + sent;
+      msg.msg_iov->iov_len -= sent;
+    }
+  }
 }
 
 std::optional<Frame> read_frame(const Socket& sock, std::uint32_t max_payload) {

@@ -19,6 +19,14 @@
 // (cesmd's socket lives on the filesystem); TCP on loopback is available
 // for cross-host setups. All writes use MSG_NOSIGNAL: a vanished client
 // must surface as an IoError on the server thread, never as SIGPIPE.
+//
+// Every frame leaves in ONE gather write (header + payload), and TCP
+// sockets — connected or accepted — run with TCP_NODELAY. Together they
+// keep a request/response exchange off the write-write-read pattern that
+// meets delayed ACK: with Nagle on and the header sent first, the kernel
+// holds the payload until the peer ACKs the header, ~40 ms later on
+// Linux, in both directions of every request. Unix-domain sockets have
+// no Nagle and are left alone.
 
 #include <cstdint>
 #include <optional>
@@ -64,10 +72,12 @@ Socket listen_tcp(std::uint16_t port, std::uint16_t* bound_port = nullptr,
                   int backlog = 64);
 
 /// Accept one connection (blocking). Returns an invalid Socket when the
-/// listener was shut down or the accept was interrupted.
+/// listener was shut down or the accept was interrupted. An accepted TCP
+/// connection comes back with TCP_NODELAY set.
 Socket accept_connection(const Socket& listener);
 
 Socket connect_unix(const std::string& path);
+/// Connect to an IPv4 `host`; the socket comes back with TCP_NODELAY set.
 Socket connect_tcp(const std::string& host, std::uint16_t port);
 
 /// Write all of `data`; throws IoError on a closed/failed peer.
@@ -101,7 +111,8 @@ class FrameTooLarge : public FormatError {
   explicit FrameTooLarge(const std::string& what) : FormatError(what) {}
 };
 
-/// Serialize and send one frame.
+/// Serialize and send one frame in a single gather write (partial writes
+/// and EINTR are resumed); throws IoError on a closed/failed peer.
 void write_frame(const Socket& sock, std::uint8_t type,
                  std::span<const std::uint8_t> payload);
 

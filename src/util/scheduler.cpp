@@ -176,7 +176,6 @@ struct Scheduler::Impl {
   std::condition_variable wait_cv;
 
   std::atomic<bool> stop{false};
-  std::atomic<bool> serialize_nested{false};
   std::vector<std::thread> threads;
 
   [[nodiscard]] SourceCounters& counters_here() {
@@ -292,16 +291,6 @@ Scheduler::~Scheduler() {
 }
 
 std::size_t Scheduler::thread_count() const { return impl_->workers.size(); }
-
-bool Scheduler::on_worker_thread() const { return t_owner == impl_.get(); }
-
-void Scheduler::set_serialize_nested(bool on) {
-  impl_->serialize_nested.store(on, std::memory_order_relaxed);
-}
-
-bool Scheduler::serialize_nested() const {
-  return impl_->serialize_nested.load(std::memory_order_relaxed);
-}
 
 void Scheduler::submit(Task* task) {
   Impl& im = *impl_;

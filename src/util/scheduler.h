@@ -99,16 +99,6 @@ class Scheduler {
 
   [[nodiscard]] std::size_t thread_count() const;
 
-  /// True when the calling thread is one of this scheduler's workers.
-  [[nodiscard]] bool on_worker_thread() const;
-
-  /// Benchmarking/compat knob reproducing the seed FIFO pool's semantics:
-  /// while set, parallel loops entered from a worker thread run serially
-  /// inline instead of spawning subtasks. bench_suite uses it to measure
-  /// the old "outer-parallel, inner-serial" baseline on identical code.
-  void set_serialize_nested(bool on);
-  [[nodiscard]] bool serialize_nested() const;
-
   [[nodiscard]] SchedulerStats stats() const;
   void reset_stats();
 
@@ -223,8 +213,8 @@ inline constexpr std::size_t kMaxChunksPerLoop = 1024;
 /// minimum number of indices per task — use 1 when every index is a
 /// substantial unit of work (a variable, a member, a codec chunk).
 /// Exceptions from body propagate to the caller after the loop quiesces.
-/// Runs serially when the range fits one grain, the scheduler has one
-/// worker, or serialize_nested is set and the caller is a worker.
+/// Runs serially when the range fits one grain or the scheduler has one
+/// worker.
 /// Nested calls spawn real subtasks; they compose instead of serializing.
 template <class Body>
 void parallel_for(std::size_t begin, std::size_t end, const Body& body,
@@ -233,8 +223,7 @@ void parallel_for(std::size_t begin, std::size_t end, const Body& body,
   if (grain == 0) grain = 1;
   Scheduler& sched = Scheduler::global();
   const std::size_t n = end - begin;
-  if (n <= grain || sched.thread_count() <= 1 ||
-      (sched.serialize_nested() && sched.on_worker_thread())) {
+  if (n <= grain || sched.thread_count() <= 1) {
     for (std::size_t i = begin; i < end; ++i) body(i);
     return;
   }

@@ -97,6 +97,22 @@ TEST(Serve, PingAndStats) {
   EXPECT_EQ(stats.at("serve.flights"), 0u);
 }
 
+TEST(Serve, StatsReportRequestLatencyQuantiles) {
+  TcpServer s;
+  Client client = s.client();
+  EXPECT_EQ(client.stats().at("serve.request_us_max"), 0u);  // nothing timed yet
+  for (int i = 0; i < 3; ++i) (void)client.verify_raw(tiny_request("U"));
+  // Same connection: the stats request is read only after each verify
+  // request's handler returned, so all three are in the histogram.
+  const auto stats = client.stats();
+  const std::uint64_t p50 = stats.at("serve.request_us_p50");
+  const std::uint64_t p99 = stats.at("serve.request_us_p99");
+  const std::uint64_t max = stats.at("serve.request_us_max");
+  EXPECT_GT(p50, 0u);
+  EXPECT_LE(p50, p99);
+  EXPECT_LE(p99, max);
+}
+
 TEST(Serve, EightConcurrentClientsGetBitIdenticalResults) {
   TcpServer s;
   // Mixed workload: two distinct computations (different variables), one

@@ -154,25 +154,6 @@ TEST(ParallelFor, NestedLoopsSpawnRealSubtasks) {
   EXPECT_EQ(stats.inline_chunks, 1u + 16u);
 }
 
-TEST(ParallelFor, SerializeNestedRestoresSeedPoolShape) {
-  ScopedScheduler scoped(4);
-  Scheduler& sched = scoped.scheduler();
-  sched.set_serialize_nested(true);
-  sched.reset_stats();
-  std::atomic<int> counter{0};
-  parallel_for(0, 8, [&](std::size_t) {
-    parallel_for(0, 8, [&](std::size_t) { counter.fetch_add(1); });
-  });
-  sched.set_serialize_nested(false);
-  EXPECT_EQ(counter.load(), 64);
-  // Outer spawns 7; inner loops run serial when entered from a worker.
-  // Only inner loops entered from the calling (non-worker) thread may
-  // still spawn, exactly like the seed FIFO pool.
-  const SchedulerStats stats = sched.stats();
-  EXPECT_LE(stats.spawned, 7u + 8u * 7u);
-  EXPECT_GE(stats.spawned, 7u);
-}
-
 TEST(ParallelFor, PropagatesBodyException) {
   ScopedScheduler scoped(2);
   EXPECT_THROW(parallel_for(0, 100,
