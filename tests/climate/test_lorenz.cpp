@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "util/cache.h"
 
 namespace cesm::climate {
 namespace {
@@ -68,6 +73,36 @@ TEST(Lorenz96, MemberZeroIsUnperturbedBase) {
   const auto base = model.member_time_means(0);
   const auto again = model.member_time_means(0);
   EXPECT_EQ(base, again);
+}
+
+std::string hash_doubles(const std::vector<double>& v) {
+  const std::uint64_t h = util::fnv1a64(
+      {reinterpret_cast<const std::uint8_t*>(v.data()), v.size() * sizeof(double)});
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
+  return buf;
+}
+
+// Bit-exact pin of the latent trajectory at the production spec: the
+// control-run climatology and the time means of three members. Every
+// synthetic field is a function of these doubles, so a change in the
+// integrator's arithmetic order would move every suite output. The
+// constants were recorded before the tendency's neighbour wrap lost its
+// integer modulo; only an intended change of the dynamics may update them.
+TEST(Lorenz96, TrajectoryPinnedBitExactly) {
+  const Lorenz96 model(Lorenz96Spec{});
+  const std::vector<std::string> actual = {
+      "mean:" + hash_doubles(model.climatology().mean),
+      "stddev:" + hash_doubles(model.climatology().stddev),
+      "m0:" + hash_doubles(model.member_time_means(0)),
+      "m1:" + hash_doubles(model.member_time_means(1)),
+      "m50:" + hash_doubles(model.member_time_means(50)),
+  };
+  const std::vector<std::string> expected = {
+      "mean:042fbf2bc100cd57", "stddev:5958238a7281a865", "m0:532a11a49b2d83de",
+      "m1:9edd83572789b745",   "m50:d7eaa998894ed3df",
+  };
+  EXPECT_EQ(actual, expected);
 }
 
 }  // namespace
