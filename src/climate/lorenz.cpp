@@ -88,12 +88,15 @@ Lorenz96::Lorenz96(const Lorenz96Spec& spec) : spec_(spec) {
 
 void Lorenz96::tendency(const std::vector<double>& x, double forcing,
                         std::vector<double>& dxdt) {
+  // The cyclic neighbours wrap with compares, not `% k`: three integer
+  // divisions per element per RK4 stage dominated the settle and control
+  // integrations of the constructor. Same values, same arithmetic order.
   const std::size_t k = x.size();
   for (std::size_t i = 0; i < k; ++i) {
-    const double xm1 = x[(i + k - 1) % k];
-    const double xm2 = x[(i + k - 2) % k];
-    const double xp1 = x[(i + 1) % k];
-    dxdt[i] = -xm1 * (xm2 - xp1) - x[i] + forcing;
+    const std::size_t im1 = i == 0 ? k - 1 : i - 1;
+    const std::size_t im2 = im1 == 0 ? k - 1 : im1 - 1;
+    const std::size_t ip1 = i + 1 == k ? 0 : i + 1;
+    dxdt[i] = -x[im1] * (x[im2] - x[ip1]) - x[i] + forcing;
   }
 }
 
