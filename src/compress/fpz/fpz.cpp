@@ -98,7 +98,7 @@ Bytes fpz_encode_impl(std::span<const T> data, const Shape& shape, unsigned prec
   if (!q.empty()) lorenzo_residuals(q.data(), zz.data(), to_kernel_dims(d));
 
   RangeEncoder enc(out);
-  ResidualCoder coder;
+  ResidualEncoder coder;
   for (std::size_t i = 0; i < zz.size(); ++i) {
     coder.encode(enc, zz[i]);
   }
@@ -123,10 +123,9 @@ std::vector<T> fpz_decode_impl(std::span<const std::uint8_t> stream) {
   // Decode every residual symbol first (the adaptive models never consult
   // reconstructed values), then invert the Lorenzo transform as one batch.
   std::vector<U> zz(n);
-  RangeDecoder dec(stream.subspan(r.position()));
-  ResidualCoder coder;
+  ResidualDecoder<> dec(stream.subspan(r.position()));
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t z = coder.decode(dec);
+    const std::uint64_t z = dec.decode();
     if constexpr (kTotalBits < 64) {
       if ((z >> kTotalBits) != 0) throw FormatError("fpz residual out of range");
     }
@@ -177,7 +176,7 @@ Bytes fpz_encode_planned(std::span<const std::uint32_t> q0, const Shape& shape,
   if (!q.empty()) lorenzo_residuals(q.data(), zz.data(), to_kernel_dims(d));
 
   RangeEncoder enc(out);
-  ResidualCoder coder;
+  ResidualEncoder coder;
   for (std::size_t i = 0; i < zz.size(); ++i) {
     coder.encode(enc, zz[i]);
   }

@@ -13,15 +13,20 @@
 // of one bit per normalize() round trip. Every transformation below is
 // byte-stream-preserving: the emitted/consumed streams are bit-identical to
 // the straightforward one-bit-at-a-time formulation (pinned by
-// tests/compress/test_rangecoder.cpp and the codec conformance digests).
+// tests/compress/test_rangecoder.cpp and the codec conformance digests in
+// tests/compress/test_codec_pin.cpp).
+//
+// This header holds the encoder only. The decoder is not a separate
+// object here: its state (code, range, read position) lives together with
+// the adaptive class models in ResidualDecoder (compress/residual.h), which
+// every codec builds as a local so that the whole serial bit chain stays in
+// registers. residual.h explains why the two must not be split again.
 
 #include <bit>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "util/bytes.h"
-#include "util/error.h"
 
 namespace cesm::comp {
 
@@ -125,72 +130,6 @@ class RangeEncoder {
   std::uint32_t range_ = 0xffffffffu;
   std::uint8_t cache_ = 0;
   std::uint64_t cache_size_ = 1;
-};
-
-/// Range decoder mirroring RangeEncoder.
-class RangeDecoder {
- public:
-  explicit RangeDecoder(std::span<const std::uint8_t> data) : data_(data) {
-    for (int i = 0; i < 5; ++i) code_ = (code_ << 8) | next_byte();
-  }
-
-  bool decode(BitModel& model) {
-    const std::uint32_t bound = (range_ >> BitModel::kBits) * model.p0();
-    // The bit decision is data-dependent and ~unpredictable on residual
-    // streams; select both outcomes with conditional moves instead of
-    // branching.
-    const bool bit = static_cast<std::uint32_t>(code_) >= bound;
-    code_ -= bit ? bound : 0u;
-    range_ = bit ? range_ - bound : bound;
-    model.update(bit);
-    normalize();
-    return bit;
-  }
-
-  std::uint32_t decode_raw(unsigned nbits) {
-    std::uint32_t v = 0;
-    while (nbits > 0) {
-      unsigned m = static_cast<unsigned>(std::bit_width(range_)) - 25;
-      if (m == 0) {
-        --nbits;
-        range_ >>= 1;
-        const bool bit = static_cast<std::uint32_t>(code_) >= range_;
-        code_ -= bit ? range_ : 0u;
-        v = (v << 1) | (bit ? 1u : 0u);
-        normalize();
-        continue;
-      }
-      if (m > nbits) m = nbits;
-      nbits -= m;
-      for (unsigned j = 0; j < m; ++j) {
-        range_ >>= 1;
-        const bool bit = static_cast<std::uint32_t>(code_) >= range_;
-        code_ -= bit ? range_ : 0u;
-        v = (v << 1) | (bit ? 1u : 0u);
-      }
-      // range_ >= 2^24 still holds: no normalize needed inside the window.
-    }
-    return v;
-  }
-
- private:
-  void normalize() {
-    while (range_ < (1u << 24)) {
-      code_ = ((code_ << 8) | next_byte()) & 0xffffffffull;
-      range_ <<= 8;
-    }
-  }
-
-  std::uint8_t next_byte() {
-    // Reading past the payload is legal during the final flush window; the
-    // decoder never uses those bits to produce symbols.
-    return pos_ < data_.size() ? data_[pos_++] : 0;
-  }
-
-  std::span<const std::uint8_t> data_;
-  std::size_t pos_ = 0;
-  std::uint64_t code_ = 0;
-  std::uint32_t range_ = 0xffffffffu;
 };
 
 }  // namespace cesm::comp

@@ -2,10 +2,16 @@
 // crash, hang, or invoke UB — every codec either throws a library error
 // or returns a (garbage but well-formed) buffer. This is the safety
 // property an archive system needs when media rot meets old files.
+//
+// A parameter ending in "+fill" encodes a field with fill values under
+// that fill, so the validity-bitmap decoders (GRIB2's native bitmap, the
+// SpecialValueCodec wrapper's) are fuzzed too.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <string>
 
 #include "compress/variants.h"
 #include "util/rng.h"
@@ -16,11 +22,20 @@ namespace {
 class CorruptionFuzz : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(CorruptionFuzz, ByteFlipsNeverCrash) {
-  const CodecPtr codec = make_variant(GetParam());
+  constexpr std::string_view kFillSuffix = "+fill";
+  std::string name = GetParam();
+  std::optional<float> fill;
+  if (name.ends_with(kFillSuffix)) {
+    name.resize(name.size() - kFillSuffix.size());
+    fill = 1.0e35f;
+  }
+  const CodecPtr codec = make_variant(name, fill);
   std::vector<float> data(3000);
   Pcg32 data_rng(1);
   for (std::size_t i = 0; i < data.size(); ++i) {
     data[i] = static_cast<float>(std::sin(i * 0.01) * 40.0 + data_rng.uniform(-1.0, 1.0));
+    // Masked runs of varying length plus isolated points.
+    if (fill && ((i / 97) % 3 == 1 || i % 41 == 0)) data[i] = *fill;
   }
   const Bytes original = codec->encode(data, Shape::d1(data.size()));
 
@@ -53,7 +68,8 @@ TEST_P(CorruptionFuzz, ByteFlipsNeverCrash) {
 
 INSTANTIATE_TEST_SUITE_P(AllVariants, CorruptionFuzz,
                          ::testing::Values("NetCDF-4", "fpzip-24", "fpzip-32", "APAX-4",
-                                           "ISA-0.5", "GRIB2:3"),
+                                           "ISA-0.5", "GRIB2:3", "GRIB2:3+fill",
+                                           "fpzip-24+fill"),
                          [](const ::testing::TestParamInfo<const char*>& info) {
                            std::string name = info.param;
                            for (char& c : name) {
