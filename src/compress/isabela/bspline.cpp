@@ -7,15 +7,6 @@
 
 namespace cesm::comp {
 
-void bspline_weights(double u, double w[4]) {
-  const double u2 = u * u;
-  const double u3 = u2 * u;
-  w[0] = (1.0 - 3.0 * u + 3.0 * u2 - u3) / 6.0;
-  w[1] = (3.0 * u3 - 6.0 * u2 + 4.0) / 6.0;
-  w[2] = (-3.0 * u3 + 3.0 * u2 + 3.0 * u + 1.0) / 6.0;
-  w[3] = u3 / 6.0;
-}
-
 void solve_banded_spd(std::vector<std::vector<double>>& band, std::span<double> b,
                       std::size_t bw) {
   const std::size_t n = b.size();
@@ -60,29 +51,10 @@ void solve_banded_spd(std::vector<std::vector<double>>& band, std::span<double> 
   }
 }
 
-void CubicBSpline::locate(std::size_t i, std::size_t& segment, double& u) const {
-  const std::size_t segments = coeff_.size() - 3;
-  const double t = n_ > 1
-                       ? static_cast<double>(i) / static_cast<double>(n_ - 1) *
-                             static_cast<double>(segments)
-                       : 0.0;
-  segment = std::min(static_cast<std::size_t>(t), segments - 1);
-  u = t - static_cast<double>(segment);
-}
-
 CubicBSpline::CubicBSpline(std::vector<double> coefficients, std::size_t sample_count)
     : coeff_(std::move(coefficients)), n_(sample_count) {
   CESM_REQUIRE(coeff_.size() >= 4);
   CESM_REQUIRE(n_ >= 1);
-}
-
-double CubicBSpline::evaluate(std::size_t i) const {
-  std::size_t seg;
-  double u, w[4];
-  locate(i, seg, u);
-  bspline_weights(u, w);
-  return w[0] * coeff_[seg] + w[1] * coeff_[seg + 1] + w[2] * coeff_[seg + 2] +
-         w[3] * coeff_[seg + 3];
 }
 
 std::vector<double> CubicBSpline::evaluate_all() const {
