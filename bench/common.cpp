@@ -167,13 +167,6 @@ core::SuiteConfig suite_config(const Options& options) {
   return cfg;
 }
 
-const std::vector<std::string>& variant_order() {
-  static const std::vector<std::string> kOrder = {
-      "GRIB2",    "APAX-2", "APAX-4",  "APAX-5", "fpzip-24",
-      "fpzip-16", "ISA-0.1", "ISA-0.5", "ISA-1.0"};
-  return kOrder;
-}
-
 std::string paper_cr(double cr) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.2f", cr);

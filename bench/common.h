@@ -60,9 +60,6 @@ core::SuiteConfig suite_config(const Options& options);
 /// bench's main().
 void write_profile(const Options& options);
 
-/// The paper's variant display order.
-const std::vector<std::string>& variant_order();
-
 /// CR in the paper's table style: ".50" for 0.50 (full form when >= 1).
 std::string paper_cr(double cr);
 

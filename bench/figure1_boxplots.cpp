@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
                           std::map<std::string, std::vector<double>>& data) {
     std::printf("%s\n", title);
     std::vector<core::LabelledBox> boxes;
-    for (const std::string& variant : bench::variant_order()) {
+    for (const std::string& variant : comp::paper_variant_names()) {
       core::LabelledBox b;
       b.label = variant;
       b.box = stats::box_summary(data[variant]);

@@ -2,6 +2,8 @@
 // of the four candidate methods against the §3.1 selection criteria.
 
 #include <cstdio>
+#include <string>
+#include <string_view>
 
 #include "compress/variants.h"
 #include "core/report.h"
@@ -13,25 +15,17 @@ int main() {
   core::TextTable table({"Method", "lossless mode", "special values", "freely avail.",
                          "fixed quality", "fixed CR", "32- & 64-bit"});
 
-  struct Row {
-    const char* label;
-    const char* variant;
-  };
-  // Capability flags describe the *method*, so query unwrapped variants.
-  const Row rows[] = {
-      {"GRIB2 + jpeg2000", "GRIB2:4"},
-      {"APAX", "APAX-2"},
-      {"fpzip", "fpzip-24"},
-      {"ISABELA", "ISA-0.5"},
-  };
-
+  // Capability flags describe the *method*: one row per lossy family, from
+  // its first catalog row, queried without fill handling.
   const auto yn = [](bool b) { return b ? "Y" : "N"; };
-  for (const Row& row : rows) {
-    const comp::CodecPtr codec = comp::make_variant(row.variant);
-    const comp::Capabilities c = codec->capabilities();
-    table.add_row({row.label, yn(c.lossless_mode), yn(c.special_values),
-                   yn(c.freely_available), yn(c.fixed_quality), yn(c.fixed_rate),
-                   yn(c.handles_64bit)});
+  std::string_view family;
+  for (const comp::VariantRow& row : comp::variant_catalog()) {
+    if (row.lossless || row.family == family) continue;
+    family = row.family;
+    const comp::Capabilities c = row.build(4, std::nullopt)->capabilities();
+    table.add_row({family == "GRIB2" ? "GRIB2 + jpeg2000" : std::string(family),
+                   yn(c.lossless_mode), yn(c.special_values), yn(c.freely_available),
+                   yn(c.fixed_quality), yn(c.fixed_rate), yn(c.handles_64bit)});
   }
   std::fputs(table.to_string().c_str(), stdout);
   std::printf(

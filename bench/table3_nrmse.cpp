@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   }
 
   core::TextTable table({"Comp. Method", "U", "FSDSC", "Z3", "CCN3"});
-  for (const std::string& variant : bench::variant_order()) {
+  for (const std::string& variant : comp::paper_variant_names()) {
     std::vector<std::string> row = {variant};
     for (const char* variable : climate::kSpotlightVariables) {
       const bench::VariantOutcome& out = cells[variable][variant];

@@ -37,8 +37,9 @@ int main(int argc, char** argv) {
 
   core::TextTable table({"Comp. Method", "U comp.", "U reconst.", "U CR", "FSDSC comp.",
                          "FSDSC reconst.", "FSDSC CR"});
-  for (std::size_t vi = 0; vi < bench::variant_order().size(); ++vi) {
-    const std::string& variant = bench::variant_order()[vi];
+  const std::vector<std::string> variants = comp::paper_variant_names();
+  for (std::size_t vi = 0; vi < variants.size(); ++vi) {
+    const std::string& variant = variants[vi];
     std::vector<std::string> row = {variant};
     for (const char* variable : {"U", "FSDSC"}) {
       const bench::VariantOutcome& out = outcomes[variable][vi];

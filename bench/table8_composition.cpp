@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "common.h"
+#include "compress/variants.h"
 #include "core/hybrid.h"
 #include "core/report.h"
 
@@ -31,12 +32,10 @@ int main(int argc, char** argv) {
     bool first = true;
     // Print lossy variants most-aggressive-first, lossless fallback last,
     // matching the paper's table layout.
-    std::vector<std::string> order;
-    if (h.family == "GRIB2") order = {"GRIB2", "NetCDF-4"};
-    if (h.family == "ISABELA") order = {"ISA-1.0", "ISA-0.5", "ISA-0.1", "NetCDF-4"};
-    if (h.family == "fpzip") order = {"fpzip-16", "fpzip-24", "fpzip-32"};
-    if (h.family == "APAX") order = {"APAX-5", "APAX-4", "APAX-2", "NetCDF-4"};
-    for (const std::string& variant : order) {
+    std::vector<const comp::VariantRow*> order = comp::hybrid_candidates(family);
+    order.push_back(&comp::lossless_stand_in(family));
+    for (const comp::VariantRow* row : order) {
+      const std::string variant(row->name);
       const auto it = h.variant_counts.find(variant);
       const std::size_t count = it == h.variant_counts.end() ? 0 : it->second;
       table.add_row({first ? family : "", variant, std::to_string(count)});

@@ -46,26 +46,24 @@ int main(int argc, char** argv) {
     nc_bytes += nc->encode(field.data, field.shape).size();
 
     // Hybrid: most aggressive fpzip variant that keeps rho at five nines.
-    const comp::CodecPtr* chosen = nullptr;
-    static const char* kLadder[] = {"fpzip-16", "fpzip-24", "fpzip-32"};
-    comp::CodecPtr candidate;
+    comp::CodecPtr chosen;
     Bytes stream;
-    for (const char* name : kLadder) {
-      candidate = comp::make_variant(name, field.fill);
-      stream = candidate->encode(field.data, field.shape);
-      const std::vector<float> recon = candidate->decode(stream);
-      const core::ErrorMetrics m = core::compare_fields(field, recon);
+    for (const comp::VariantRow* row : comp::hybrid_candidates("fpzip")) {
+      comp::CodecPtr candidate = row->build(0, field.fill);
+      Bytes s = candidate->encode(field.data, field.shape);
+      const core::ErrorMetrics m = core::compare_fields(field, candidate->decode(s));
       if (m.pearson >= core::kPearsonThreshold) {
-        chosen = &candidate;
+        chosen = std::move(candidate);
+        stream = std::move(s);
         break;
       }
     }
-    if (chosen == nullptr) {  // fall back to lossless container storage
-      candidate = comp::make_variant("fpzip-32", field.fill);
-      stream = candidate->encode(field.data, field.shape);
+    if (!chosen) {  // fall back to fpzip's lossless mode
+      chosen = comp::lossless_stand_in("fpzip").build(0, field.fill);
+      stream = chosen->encode(field.data, field.shape);
     }
     hybrid_bytes += stream.size();
-    ++variant_counts[candidate->name()];
+    ++variant_counts[chosen->name()];
   }
 
   std::printf("Archive compression study over %zu variables (member 1):\n\n", processed);

@@ -3,8 +3,7 @@
 // floating point)... we will examine lossless techniques for these data in
 // the future". This example builds a synthetic restart file (full-precision
 // prognostic state) and compares the library's lossless methods on it:
-// fpzip-64, Burtscher's FPC, the ISOBAR preconditioner, and the NetCDF-4
-// deflate baseline.
+// fpzip-64 and the NetCDF-4 deflate baseline.
 //
 // Usage: ./build/examples/restart_compression
 
@@ -13,10 +12,7 @@
 
 #include "climate/restart.h"
 #include "compress/deflate/deflate.h"
-#include "compress/fpc/fpc.h"
 #include "compress/fpz/fpz.h"
-#include "compress/isobar.h"
-#include "compress/mafisc.h"
 #include "core/report.h"
 
 int main() {
@@ -47,9 +43,6 @@ int main() {
                    back == state ? "yes" : "NO"});
   };
   row("fpzip-64", comp::FpzCodec(64));
-  row("FPC-16 (Burtscher)", comp::FpcCodec(16));
-  row("ISOBAR + deflate", comp::IsobarCodec());
-  row("MAFISC + deflate", comp::MafiscCodec());
   row("NetCDF-4 deflate", comp::DeflateCodec());
   std::fputs(table.to_string().c_str(), stdout);
 

@@ -5,8 +5,8 @@
 // continuing stopped simulations; the paper defers their (lossless)
 // compression to future work. This module produces restart-like
 // datasets — double-precision prognostic state with a genuine
-// full-precision mantissa tail — so the lossless codecs (fpzip-64, FPC,
-// ISOBAR, deflate) can be exercised on the deferred case.
+// full-precision mantissa tail — so the lossless codecs (fpzip-64 and
+// deflate) can be exercised on the deferred case.
 
 #include "climate/ensemble.h"
 #include "ncio/dataset.h"

@@ -1,95 +1,128 @@
 #include "compress/variants.h"
 
-#include <bit>
 #include <charconv>
+#include <iterator>
 
 #include "compress/apax/apax.h"
 #include "compress/deflate/deflate.h"
 #include "compress/fpz/fpz.h"
-#include "compress/fpc/fpc.h"
 #include "compress/grib2/grib2.h"
 #include "compress/isabela/isabela.h"
-#include "compress/isobar.h"
-#include "compress/mafisc.h"
 #include "compress/special.h"
 
 namespace cesm::comp {
 
+namespace {
+
+CodecPtr grib2(int decimal_scale, std::optional<float> fill) {
+  return std::make_shared<Grib2Codec>(decimal_scale, fill);
+}
+template <int Rate>
+CodecPtr apax(int, std::optional<float>) {
+  return std::make_shared<ApaxCodec>(ApaxCodec::fixed_rate(Rate));
+}
+template <unsigned Bits>
+CodecPtr fpzip(int, std::optional<float>) {
+  return std::make_shared<FpzCodec>(Bits);
+}
+template <double Percent>
+CodecPtr isabela(int, std::optional<float>) {
+  return std::make_shared<IsabelaCodec>(Percent);
+}
+CodecPtr deflate(int, std::optional<float>) { return std::make_shared<DeflateCodec>(); }
+
+constexpr VariantRow kCatalog[] = {
+    {"GRIB2", "GRIB2", false, grib2},
+    {"APAX-2", "APAX", false, apax<2>},
+    {"APAX-4", "APAX", false, apax<4>},
+    {"APAX-5", "APAX", false, apax<5>},
+    {"fpzip-24", "fpzip", false, fpzip<24>},
+    {"fpzip-16", "fpzip", false, fpzip<16>},
+    {"ISA-0.1", "ISABELA", false, isabela<0.1>},
+    {"ISA-0.5", "ISABELA", false, isabela<0.5>},
+    {"ISA-1.0", "ISABELA", false, isabela<1.0>},
+    {"fpzip-32", "fpzip", true, fpzip<32>},
+    {"NetCDF-4", "NetCDF-4", true, deflate},
+};
+
+/// Wrap `codec` so fill values survive the round trip when the codec has
+/// no native special-value support; returns `codec` unchanged otherwise.
 CodecPtr with_fill_handling(CodecPtr codec, std::optional<float> fill_value) {
   if (!fill_value || codec->capabilities().special_values) return codec;
   return std::make_shared<SpecialValueCodec>(std::move(codec), *fill_value);
 }
 
+const VariantRow* find_row(std::string_view name) {
+  for (const VariantRow& row : kCatalog) {
+    if (row.name == name) return &row;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+CodecPtr VariantRow::build(int grib_decimal_scale, std::optional<float> fill) const {
+  return traced(with_fill_handling(make(grib_decimal_scale, fill), fill));
+}
+
+std::span<const VariantRow> variant_catalog() { return kCatalog; }
+
 std::vector<CodecPtr> paper_variants(int grib_decimal_scale,
                                      std::optional<float> fill_value) {
   std::vector<CodecPtr> v;
-  v.push_back(std::make_shared<Grib2Codec>(grib_decimal_scale, fill_value));
-  v.push_back(with_fill_handling(std::make_shared<ApaxCodec>(ApaxCodec::fixed_rate(2)), fill_value));
-  v.push_back(with_fill_handling(std::make_shared<ApaxCodec>(ApaxCodec::fixed_rate(4)), fill_value));
-  v.push_back(with_fill_handling(std::make_shared<ApaxCodec>(ApaxCodec::fixed_rate(5)), fill_value));
-  v.push_back(with_fill_handling(std::make_shared<FpzCodec>(24), fill_value));
-  v.push_back(with_fill_handling(std::make_shared<FpzCodec>(16), fill_value));
-  v.push_back(with_fill_handling(std::make_shared<IsabelaCodec>(0.1), fill_value));
-  v.push_back(with_fill_handling(std::make_shared<IsabelaCodec>(0.5), fill_value));
-  v.push_back(with_fill_handling(std::make_shared<IsabelaCodec>(1.0), fill_value));
-  // Trace every variant uniformly so --profile covers all nine methods.
-  for (CodecPtr& codec : v) codec = traced(std::move(codec));
-  return v;
-}
-
-std::vector<CodecPtr> VariantPool::assemble(int grib_decimal_scale,
-                                            std::optional<float> fill_value) const {
-  const std::uint64_t key =
-      fill_value ? std::uint64_t{std::bit_cast<std::uint32_t>(*fill_value)} : ~0ull;
-  std::vector<CodecPtr> v;
-  v.reserve(9);
-  // GRIB2 carries the per-variable tuned scale, so it is always fresh.
-  v.push_back(traced(std::make_shared<Grib2Codec>(grib_decimal_scale, fill_value)));
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<CodecPtr>& tail = tails_[key];
-    if (tail.empty()) {
-      const std::vector<CodecPtr> all = paper_variants(grib_decimal_scale, fill_value);
-      tail.assign(all.begin() + 1, all.end());
-    }
-    v.insert(v.end(), tail.begin(), tail.end());
+  for (const VariantRow& row : kCatalog) {
+    if (!row.lossless) v.push_back(row.build(grib_decimal_scale, fill_value));
   }
   return v;
 }
 
-namespace {
+std::vector<std::string> paper_variant_names() {
+  std::vector<std::string> names;
+  for (const VariantRow& row : kCatalog) {
+    if (!row.lossless) names.emplace_back(row.name);
+  }
+  return names;
+}
 
-CodecPtr make_variant_impl(const std::string& name, std::optional<float> fill_value) {
-  if (name == "NetCDF-4" || name == "NC") {
-    return std::make_shared<DeflateCodec>();
+std::vector<const VariantRow*> hybrid_candidates(std::string_view family) {
+  std::vector<const VariantRow*> rows;
+  for (auto it = std::rbegin(kCatalog); it != std::rend(kCatalog); ++it) {
+    if (it->family == family && !it->lossless) rows.push_back(&*it);
   }
-  // Lossless methods from the paper's related work (§2.1); being exact,
-  // they need no fill handling.
-  if (name == "ISOBAR") return std::make_shared<IsobarCodec>();
-  if (name == "MAFISC") return std::make_shared<MafiscCodec>();
-  if (name == "FPC") return std::make_shared<FpcCodec>();
-  if (name.rfind("FPC-", 0) == 0) {
-    unsigned bits = 0;
-    const char* b = name.data() + 4;
-    auto [p, ec] = std::from_chars(b, name.data() + name.size(), bits);
-    if (ec != std::errc{} || p != name.data() + name.size()) {
-      throw InvalidArgument("bad FPC variant: " + name);
-    }
-    return std::make_shared<FpcCodec>(bits);
+  return rows;
+}
+
+const VariantRow& lossless_stand_in(std::string_view family) {
+  bool known = false;
+  for (const VariantRow& row : kCatalog) {
+    if (row.family != family) continue;
+    if (row.lossless) return row;
+    known = true;
   }
-  if (name == "fpzip-16") return with_fill_handling(std::make_shared<FpzCodec>(16), fill_value);
-  if (name == "fpzip-24") return with_fill_handling(std::make_shared<FpzCodec>(24), fill_value);
-  if (name == "fpzip-32") return with_fill_handling(std::make_shared<FpzCodec>(32), fill_value);
-  if (name == "ISA-0.1") return with_fill_handling(std::make_shared<IsabelaCodec>(0.1), fill_value);
-  if (name == "ISA-0.5") return with_fill_handling(std::make_shared<IsabelaCodec>(0.5), fill_value);
-  if (name == "ISA-1.0") return with_fill_handling(std::make_shared<IsabelaCodec>(1.0), fill_value);
+  if (!known) throw InvalidArgument("unknown codec family: " + std::string(family));
+  return *find_row("NetCDF-4");
+}
+
+CodecPtr make_variant(const std::string& name, std::optional<float> fill_value) {
+  if (name == "GRIB2") {
+    throw InvalidArgument("GRIB2 needs a decimal scale: GRIB2:D");
+  }
+  if (const VariantRow* row = find_row(name == "NC" ? "NetCDF-4" : name)) {
+    return row->build(0, fill_value);
+  }
+  const char* end = name.data() + name.size();
+  if (name.rfind("GRIB2:", 0) == 0) {
+    int d = 0;
+    auto [p, ec] = std::from_chars(name.data() + 6, end, d);
+    if (ec != std::errc{} || p != end) throw InvalidArgument("bad GRIB2 variant: " + name);
+    return find_row("GRIB2")->build(d, fill_value);
+  }
   if (name.rfind("APAX-q", 0) == 0) {
     unsigned bits = 0;
-    const char* b = name.data() + 6;
-    auto [p, ec] = std::from_chars(b, name.data() + name.size(), bits);
-    if (ec == std::errc{} && p == name.data() + name.size()) {
-      return with_fill_handling(
-          std::make_shared<ApaxCodec>(ApaxCodec::fixed_quality(bits)), fill_value);
+    auto [p, ec] = std::from_chars(name.data() + 6, end, bits);
+    if (ec == std::errc{} && p == end) {
+      return traced(with_fill_handling(
+          std::make_shared<ApaxCodec>(ApaxCodec::fixed_quality(bits)), fill_value));
     }
   }
   if (name.rfind("APAX-", 0) == 0) {
@@ -99,56 +132,10 @@ CodecPtr make_variant_impl(const std::string& name, std::optional<float> fill_va
     } catch (...) {
       throw InvalidArgument("bad APAX variant: " + name);
     }
-    return with_fill_handling(std::make_shared<ApaxCodec>(ApaxCodec::fixed_rate(ratio)),
-                              fill_value);
-  }
-  if (name.rfind("GRIB2:", 0) == 0) {
-    int d = 0;
-    const char* b = name.data() + 6;
-    auto [p, ec] = std::from_chars(b, name.data() + name.size(), d);
-    if (ec != std::errc{} || p != name.data() + name.size()) {
-      throw InvalidArgument("bad GRIB2 variant: " + name);
-    }
-    return std::make_shared<Grib2Codec>(d, fill_value);
+    return traced(with_fill_handling(
+        std::make_shared<ApaxCodec>(ApaxCodec::fixed_rate(ratio)), fill_value));
   }
   throw InvalidArgument("unknown codec variant: " + name);
-}
-
-}  // namespace
-
-CodecPtr make_variant(const std::string& name, std::optional<float> fill_value) {
-  return traced(make_variant_impl(name, fill_value));
-}
-
-std::vector<CodecPtr> family_ladder(const std::string& family, int grib_decimal_scale,
-                                    std::optional<float> fill_value) {
-  std::vector<CodecPtr> ladder;
-  const CodecPtr lossless = std::make_shared<DeflateCodec>();
-  if (family == "GRIB2") {
-    ladder.push_back(std::make_shared<Grib2Codec>(grib_decimal_scale, fill_value));
-    ladder.push_back(lossless);
-  } else if (family == "APAX") {
-    for (double r : {5.0, 4.0, 2.0}) {
-      ladder.push_back(
-          with_fill_handling(std::make_shared<ApaxCodec>(ApaxCodec::fixed_rate(r)), fill_value));
-    }
-    ladder.push_back(lossless);
-  } else if (family == "fpzip") {
-    for (unsigned p : {16u, 24u, 32u}) {
-      ladder.push_back(with_fill_handling(std::make_shared<FpzCodec>(p), fill_value));
-    }
-  } else if (family == "ISABELA") {
-    for (double e : {1.0, 0.5, 0.1}) {
-      ladder.push_back(with_fill_handling(std::make_shared<IsabelaCodec>(e), fill_value));
-    }
-    ladder.push_back(lossless);
-  } else if (family == "NetCDF-4") {
-    ladder.push_back(lossless);
-  } else {
-    throw InvalidArgument("unknown codec family: " + family);
-  }
-  for (CodecPtr& codec : ladder) codec = traced(std::move(codec));
-  return ladder;
 }
 
 }  // namespace cesm::comp

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 
 #include "util/error.h"
 
@@ -9,23 +10,9 @@ namespace cesm::core {
 
 namespace {
 
-struct FamilyPlan {
-  std::vector<std::string> lossy_variants;  // candidates within the suite
-  std::string lossless_name;                // fallback label
-  bool lossless_is_fpzip = false;
-};
-
-FamilyPlan plan_for(const std::string& family) {
-  if (family == "GRIB2") return {{"GRIB2"}, "NetCDF-4", false};
-  if (family == "APAX") return {{"APAX-5", "APAX-4", "APAX-2"}, "NetCDF-4", false};
-  if (family == "fpzip") return {{"fpzip-16", "fpzip-24"}, "fpzip-32", true};
-  if (family == "ISABELA") return {{"ISA-1.0", "ISA-0.5", "ISA-0.1"}, "NetCDF-4", false};
-  if (family == "NetCDF-4") return {{}, "NetCDF-4", false};
-  throw InvalidArgument("unknown hybrid family: " + family);
-}
-
-HybridSelection select_for_variable(const SuiteResults& results,
-                                    const VariableResult& var, const FamilyPlan& plan) {
+HybridSelection select_for_variable(const SuiteResults& results, const VariableResult& var,
+                                    std::span<const comp::VariantRow* const> candidates,
+                                    const comp::VariantRow& stand_in) {
   HybridSelection sel;
   sel.variable = var.variable;
 
@@ -33,8 +20,8 @@ HybridSelection select_for_variable(const SuiteResults& results,
   // "we choose the variant of each method for each variable that yields
   // the best CR and passes all of our tests" (§5.4).
   const VariableVerdict* best = nullptr;
-  for (const std::string& name : plan.lossy_variants) {
-    const VariableVerdict& verdict = var.verdicts[results.variant_index(name)];
+  for (const comp::VariantRow* row : candidates) {
+    const VariableVerdict& verdict = var.verdicts[results.variant_index(row->name)];
     if (!verdict.all_pass()) continue;
     if (best == nullptr || verdict.mean_cr < best->mean_cr) best = &verdict;
   }
@@ -55,9 +42,9 @@ HybridSelection select_for_variable(const SuiteResults& results,
     return sel;
   }
 
-  sel.variant = plan.lossless_name;
+  sel.variant = stand_in.name;
   sel.lossless_fallback = true;
-  sel.cr = plan.lossless_is_fpzip ? var.fpzip32_cr : var.netcdf4_cr;
+  sel.cr = stand_in.name == "fpzip-32" ? var.fpzip32_cr : var.netcdf4_cr;
   sel.pearson = 1.0;
   sel.nrmse = 0.0;
   sel.enmax = 0.0;
@@ -67,16 +54,17 @@ HybridSelection select_for_variable(const SuiteResults& results,
 }  // namespace
 
 HybridSummary build_hybrid(const SuiteResults& results, const std::string& family) {
-  const FamilyPlan plan = plan_for(family);
+  const comp::VariantRow& stand_in = comp::lossless_stand_in(family);
+  const std::vector<const comp::VariantRow*> candidates = comp::hybrid_candidates(family);
   HybridSummary summary;
   summary.family = family;
-  CESM_REQUIRE(!results.variables.empty());
 
   double cr_sum = 0.0, p_sum = 0.0, nr_sum = 0.0, en_sum = 0.0;
   summary.best_cr = std::numeric_limits<double>::infinity();
   summary.worst_cr = -std::numeric_limits<double>::infinity();
   for (const VariableResult& var : results.variables) {
-    HybridSelection sel = select_for_variable(results, var, plan);
+    if (var.processing_failed) continue;  // no verdicts to choose from
+    HybridSelection sel = select_for_variable(results, var, candidates, stand_in);
     cr_sum += sel.cr;
     p_sum += sel.pearson;
     nr_sum += sel.nrmse;
@@ -86,7 +74,8 @@ HybridSummary build_hybrid(const SuiteResults& results, const std::string& famil
     ++summary.variant_counts[sel.variant];
     summary.selections.push_back(std::move(sel));
   }
-  const auto n = static_cast<double>(results.variables.size());
+  CESM_REQUIRE(!summary.selections.empty());
+  const auto n = static_cast<double>(summary.selections.size());
   summary.avg_cr = cr_sum / n;
   summary.avg_pearson = p_sum / n;
   summary.avg_nrmse = nr_sum / n;

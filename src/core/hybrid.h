@@ -2,12 +2,12 @@
 // Per-variable customization: the "hybrid" methods of §5.4 (Tables 7–8).
 //
 // For each of the four families, each variable gets the most aggressive
-// variant of that family that passes all four acceptance tests; variables
-// no lossy variant can handle fall back to the family's lossless option
-// (fpzip-32) or to NetCDF-4 deflate (ISABELA, GRIB2 and APAX have no
-// usable lossless mode). The construction reuses the verdicts from a
-// SuiteResults sweep, exactly as the paper derives Table 7 from the
-// experiments behind Table 6.
+// variant of that family that passes all four acceptance tests
+// (comp::hybrid_candidates); variables no lossy variant can handle fall
+// back to the family's lossless stand-in (comp::lossless_stand_in).
+// Variables whose processing failed are left out. The construction reuses
+// the verdicts from a SuiteResults sweep, exactly as the paper derives
+// Table 7 from the experiments behind Table 6.
 
 #include <map>
 #include <string>
@@ -43,6 +43,8 @@ struct HybridSummary {
 
 /// Build the hybrid method for `family` ("GRIB2", "ISABELA", "fpzip",
 /// "APAX") or the all-lossless baseline ("NetCDF-4", the "NC" column).
+/// Throws InvalidArgument for an unknown family or when no variable was
+/// processed.
 HybridSummary build_hybrid(const SuiteResults& results, const std::string& family);
 
 /// All five Table 7 columns in paper order.

@@ -276,7 +276,7 @@ VariableResult run_variable_streaming(const climate::EnsembleGenerator& ensemble
   // at risk. Declared after `budget` so its charges release first.
   comp::PlanStore plans(config.plan_cache_bytes, &budget);
   VariableResult result = verify_variable(
-      spec, ChunkSource(store, stats, config.chunk_elems), config.suite, plans, nullptr);
+      spec, ChunkSource(store, stats, config.chunk_elems), config.suite, plans);
   budget.release(verify_bytes);
 
   // Keep the reusable store within its byte budget: oldest spills go

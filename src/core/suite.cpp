@@ -38,16 +38,11 @@ std::size_t SuiteResults::failed_variable_count() const {
   return n;
 }
 
-std::size_t SuiteResults::variant_index(const std::string& name) const {
-  if (const auto it = variant_lookup.find(name); it != variant_lookup.end()) {
-    return it->second;
-  }
-  // Hand-assembled results may fill variant_names without running
-  // derive_variant_names; keep the scan as their fallback.
+std::size_t SuiteResults::variant_index(std::string_view name) const {
   for (std::size_t i = 0; i < variant_names.size(); ++i) {
     if (variant_names[i] == name) return i;
   }
-  throw InvalidArgument("variant not in suite results: " + name);
+  throw InvalidArgument("variant not in suite results: " + std::string(name));
 }
 
 const VariableResult& SuiteResults::variable(const std::string& name) const {
@@ -71,20 +66,6 @@ std::size_t variant_grain(std::size_t variant_jobs, std::size_t n) {
   if (n == 0) return 1;
   if (variant_jobs <= 1) return variant_jobs == 0 ? 1 : n;
   return (n + variant_jobs - 1) / variant_jobs;
-}
-
-/// The §5 hybrid stand-in for a lossy variant that failed outright: the
-/// fpzip family degrades to its own lossless mode (fpzip-32); every other
-/// family has no lossless mode and is stored as NetCDF-4 instead.
-comp::CodecPtr lossless_stand_in(const std::string& failed_codec,
-                                 std::optional<float> fill, std::size_t chunk_elems) {
-  comp::CodecPtr codec;
-  if (failed_codec.rfind("fpzip", 0) == 0) {
-    codec = comp::with_fill_handling(std::make_shared<comp::FpzCodec>(32), fill);
-  } else {
-    codec = std::make_shared<comp::DeflateCodec>();
-  }
-  return with_chunking(comp::traced(std::move(codec)), chunk_elems);
 }
 
 /// verify() one variant. A thrown cesm::Error — or `injected`, an error
@@ -115,7 +96,8 @@ VariableVerdict verify_with_fallback(const PvtVerifier& verifier, const comp::Co
   verdict.codec_error = true;
   if (config.lossless_fallback) {
     const comp::CodecPtr stand_in =
-        lossless_stand_in(codec.name(), fill, verifier.source().chunk_elems());
+        with_chunking(comp::lossless_stand_in(codec.family()).build(0, fill),
+                      verifier.source().chunk_elems());
     try {
       VariableVerdict lossless =
           verifier.verify(*stand_in, test_members, config.run_bias);
@@ -151,8 +133,7 @@ void begin_variable(const climate::VariableSpec& spec, const SuiteConfig& config
 }
 
 VariableResult verify_variable(const climate::VariableSpec& spec, const ChunkSource& source,
-                               const SuiteConfig& config, comp::PlanStore& plans,
-                               const comp::VariantPool* pool) {
+                               const SuiteConfig& config, comp::PlanStore& plans) {
   VariableResult result;
   result.variable = spec.name;
   result.is_3d = spec.is_3d;
@@ -191,8 +172,7 @@ VariableResult verify_variable(const climate::VariableSpec& spec, const ChunkSou
   result.grib_tuning_passed = tuning.passed;
 
   const std::vector<comp::CodecPtr> variants =
-      pool != nullptr ? pool->assemble(result.grib_decimal_scale, result.fill)
-                      : comp::paper_variants(result.grib_decimal_scale, result.fill);
+      comp::paper_variants(result.grib_decimal_scale, result.fill);
 
   // Failpoint pre-pass: hit "suite.verify_variant" once per variant in
   // catalog order before any verify runs, so stateful triggers (once,
@@ -262,8 +242,7 @@ VariableResult run_guarded(const climate::VariableSpec& spec, const SuiteConfig&
 
 VariableResult run_variable(const climate::EnsembleGenerator& ensemble,
                             const climate::VariableSpec& spec,
-                            const SuiteConfig& config,
-                            const comp::VariantPool* pool) {
+                            const SuiteConfig& config) {
   trace::Span span("suite.variable");
   begin_variable(spec, config);
   // Memoized ensemble products: repetitions, variants and sibling bench
@@ -272,7 +251,7 @@ VariableResult run_variable(const climate::EnsembleGenerator& ensemble,
   const std::shared_ptr<const EnsembleStats> stats =
       EnsembleCache::global().stats(ensemble, spec);
   comp::PlanStore plans(config.plan_cache_bytes);
-  return verify_variable(spec, ChunkSource(*stats, config.chunk_elems), config, plans, pool);
+  return verify_variable(spec, ChunkSource(*stats, config.chunk_elems), config, plans);
 }
 
 std::vector<const climate::VariableSpec*> resolve_suite_specs(
@@ -298,14 +277,10 @@ SuiteResults run_suite(const climate::EnsembleGenerator& ensemble,
   const std::vector<const climate::VariableSpec*> specs =
       resolve_suite_specs(ensemble, variables);
 
-  // One variant pool per run: the eight tuning-independent codecs are
-  // assembled once and shared by every variable's sweep (only the GRIB2
-  // entry, which carries the tuned decimal scale, is built per variable).
-  comp::VariantPool pool;
   results.variables.resize(specs.size());
   parallel_for(0, specs.size(), [&](std::size_t i) {
     results.variables[i] = run_guarded(*specs[i], config, [&] {
-      return run_variable(ensemble, *specs[i], config, &pool);
+      return run_variable(ensemble, *specs[i], config);
     });
   });
   if (const std::size_t failed = results.failed_variable_count(); failed > 0) {
@@ -342,17 +317,8 @@ void derive_variant_names(SuiteResults& results) {
       }
     }
   } else {
-    // No variables swept (or none survived): fall back to the canonical
-    // list (decimal scale is a dummy; the table label is just "GRIB2"
-    // regardless).
-    for (const comp::CodecPtr& codec : comp::paper_variants(4)) {
-      results.variant_names.push_back(codec->name());
-    }
-  }
-  results.variant_lookup.clear();
-  results.variant_lookup.reserve(results.variant_names.size());
-  for (std::size_t i = 0; i < results.variant_names.size(); ++i) {
-    results.variant_lookup.emplace(results.variant_names[i], i);
+    // No variables swept (or none survived): the catalog's names.
+    results.variant_names = comp::paper_variant_names();
   }
 }
 

@@ -12,7 +12,7 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "climate/ensemble.h"
@@ -63,8 +63,8 @@ struct SuiteConfig {
 
   // --- robustness policy (exercised by cesm::fail injection) ---
   /// When a lossy variant's verify throws, record a codec-error verdict
-  /// and re-verify with the family's lossless stand-in (fpzip -> fpzip-32,
-  /// everything else -> NetCDF-4), mirroring the §5 hybrid fallback.
+  /// and re-verify with the family's lossless stand-in
+  /// (comp::lossless_stand_in), mirroring the §5 hybrid fallback.
   bool lossless_fallback = true;
   /// Re-run a variable this many times after a whole-variable failure
   /// before giving up on it (one-shot faults clear on retry).
@@ -113,15 +113,10 @@ struct SuiteResults {
   /// Variables whose processing failed outright (see VariableResult).
   [[nodiscard]] std::size_t failed_variable_count() const;
 
-  /// Index of a variant by its table name; throws if absent. O(1) via the
-  /// lookup table derive_variant_names builds; falls back to a scan of
-  /// variant_names for hand-assembled results that never went through it.
-  [[nodiscard]] std::size_t variant_index(const std::string& name) const;
+  /// Index of a variant in variant_names by its table name; throws if absent.
+  [[nodiscard]] std::size_t variant_index(std::string_view name) const;
 
   [[nodiscard]] const VariableResult& variable(const std::string& name) const;
-
-  /// name -> position in variant_names, rebuilt by derive_variant_names.
-  std::unordered_map<std::string, std::size_t> variant_lookup;
 };
 
 /// The variable set a suite run covers: the whole catalog when
@@ -141,13 +136,9 @@ SuiteResults run_suite(const climate::EnsembleGenerator& ensemble,
                        std::vector<std::string> variables = {});
 
 /// Single-variable version (used by the spotlight benches and tests).
-/// `pool`, when non-null, supplies the variant catalog from a shared
-/// cache (run_suite passes one so the eight tuning-independent codecs are
-/// constructed once per suite run instead of once per variable).
 VariableResult run_variable(const climate::EnsembleGenerator& ensemble,
                             const climate::VariableSpec& spec,
-                            const SuiteConfig& config = {},
-                            const comp::VariantPool* pool = nullptr);
+                            const SuiteConfig& config = {});
 
 /// Wrap `codec` in a ChunkedCodec with the suite's chunk partition;
 /// passthrough when chunk_elems == 0. The single construction point of
@@ -163,11 +154,10 @@ void begin_variable(const climate::VariableSpec& spec, const SuiteConfig& config
 
 /// Everything measured for one variable once its chunk source is ready:
 /// member picks, characterization and lossless baselines, RMSZ-guided
-/// GRIB2 tuning, and one verdict per variant (from `pool` when non-null;
-/// a variant whose verify throws gets a codec-error verdict).
+/// GRIB2 tuning, and one verdict per paper variant (a variant whose
+/// verify throws gets a codec-error verdict).
 VariableResult verify_variable(const climate::VariableSpec& spec, const ChunkSource& source,
-                               const SuiteConfig& config, comp::PlanStore& plans,
-                               const comp::VariantPool* pool);
+                               const SuiteConfig& config, comp::PlanStore& plans);
 
 /// The suite's containment policy around one variable run: retry `run`
 /// after a failure (one-shot injected faults clear themselves), and when

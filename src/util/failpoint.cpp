@@ -25,12 +25,9 @@ constexpr const char* kRegisteredSites[] = {
     "chunked.decode",     //
     "comp.prep_plan",     //
     "deflate.decode",     //
-    "fpc.decode",         //
     "fpz.decode",         //
     "grib2.decode",       //
     "isabela.decode",     //
-    "isobar.decode",      //
-    "mafisc.decode",      //
     "ncio.read",          //
     "ncio.read_chunk",    //
     "ncio.read_file",     //

@@ -169,8 +169,7 @@ TEST_P(LosslessConformance, BitExactOnHostileData) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllLossless, LosslessConformance,
-                         ::testing::Values("NetCDF-4", "fpzip-32", "ISOBAR", "MAFISC",
-                                           "FPC"),
+                         ::testing::Values("NetCDF-4", "fpzip-32"),
                          [](const auto& info) { return sanitize(info.param); });
 
 /// The advertised per-point bound of a lossy variant on `data`, or a

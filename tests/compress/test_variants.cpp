@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "util/error.h"
 
 namespace cesm::comp {
@@ -65,8 +69,7 @@ TEST(Variants, FillHandlingWrapsOnlyWhereNeeded) {
 TEST(MakeVariant, ResolvesAllTableNames) {
   for (const char* name :
        {"NetCDF-4", "fpzip-16", "fpzip-24", "fpzip-32", "ISA-0.1", "ISA-0.5", "ISA-1.0",
-        "APAX-2", "APAX-4", "APAX-5", "APAX-q12", "GRIB2:4", "FPC", "FPC-12", "ISOBAR",
-        "MAFISC"}) {
+        "APAX-2", "APAX-4", "APAX-5", "APAX-q12", "GRIB2:4"}) {
     const CodecPtr codec = make_variant(name);
     ASSERT_NE(codec, nullptr) << name;
   }
@@ -76,32 +79,54 @@ TEST(MakeVariant, ResolvesAllTableNames) {
 
 TEST(MakeVariant, RejectsUnknownNames) {
   EXPECT_THROW(make_variant("zfp"), InvalidArgument);
-  EXPECT_THROW(make_variant("FPC-abc"), InvalidArgument);
+  EXPECT_THROW(make_variant("GRIB2"), InvalidArgument);  // needs "GRIB2:D"
+  for (const char* deleted : {"FPC", "FPC-12", "ISOBAR", "MAFISC"}) {
+    EXPECT_THROW(make_variant(deleted), InvalidArgument) << deleted;
+  }
   EXPECT_THROW(make_variant("GRIB2:x"), InvalidArgument);
   EXPECT_THROW(make_variant(""), InvalidArgument);
 }
 
-TEST(FamilyLadder, OrderedMostCompressiveFirstWithLosslessTail) {
-  const auto fpz = family_ladder("fpzip", 4);
-  ASSERT_EQ(fpz.size(), 3u);
-  EXPECT_EQ(fpz[0]->name(), "fpzip-16");
-  EXPECT_EQ(fpz[2]->name(), "fpzip-32");
-  EXPECT_TRUE(fpz[2]->is_lossless());
+TEST(VariantCatalog, EveryRowMatchesItsCodec) {
+  const std::optional<float> fill = 1.0e35f;
+  for (const VariantRow& row : variant_catalog()) {
+    SCOPED_TRACE(std::string(row.name));
+    const CodecPtr codec = row.build(4, std::nullopt);
+    EXPECT_EQ(codec->name(), row.name);
+    EXPECT_EQ(codec->family(), row.family);
+    EXPECT_EQ(codec->is_lossless(), row.lossless);
 
-  const auto isa = family_ladder("ISABELA", 4);
-  ASSERT_EQ(isa.size(), 4u);
-  EXPECT_EQ(isa[0]->name(), "ISA-1.0");
-  EXPECT_EQ(isa[3]->name(), "NetCDF-4");  // ISABELA cannot be lossless
+    // GRIB2 is looked up with its decimal scale; every other row by name.
+    const std::string spec = row.name == "GRIB2" ? "GRIB2:4" : std::string(row.name);
+    EXPECT_EQ(make_variant(spec)->name(), row.name);
 
-  const auto apax = family_ladder("APAX", 4);
-  ASSERT_EQ(apax.size(), 4u);
-  EXPECT_EQ(apax[0]->name(), "APAX-5");
+    EXPECT_TRUE(row.build(4, fill)->capabilities().special_values);
+    EXPECT_TRUE(make_variant(spec, fill)->capabilities().special_values);
 
-  const auto grib = family_ladder("GRIB2", 4);
-  ASSERT_EQ(grib.size(), 2u);
-  EXPECT_EQ(grib[1]->name(), "NetCDF-4");
+    const VariantRow& stand_in = lossless_stand_in(row.family);
+    EXPECT_TRUE(stand_in.lossless);
+    EXPECT_TRUE(stand_in.family == row.family || stand_in.name == "NetCDF-4");
+  }
+  EXPECT_THROW(lossless_stand_in("zstd"), InvalidArgument);
+}
 
-  EXPECT_THROW(family_ladder("bogus", 4), InvalidArgument);
+TEST(VariantCatalog, HybridCandidatesMostCompressiveFirst) {
+  const auto names = [](std::string_view family) {
+    std::vector<std::string_view> out;
+    for (const VariantRow* row : hybrid_candidates(family)) out.push_back(row->name);
+    return out;
+  };
+  using Names = std::vector<std::string_view>;
+  EXPECT_EQ(names("GRIB2"), (Names{"GRIB2"}));
+  EXPECT_EQ(names("APAX"), (Names{"APAX-5", "APAX-4", "APAX-2"}));
+  EXPECT_EQ(names("fpzip"), (Names{"fpzip-16", "fpzip-24"}));
+  EXPECT_EQ(names("ISABELA"), (Names{"ISA-1.0", "ISA-0.5", "ISA-0.1"}));
+  EXPECT_TRUE(names("NetCDF-4").empty());
+
+  EXPECT_EQ(lossless_stand_in("fpzip").name, "fpzip-32");
+  for (const char* family : {"GRIB2", "APAX", "ISABELA", "NetCDF-4"}) {
+    EXPECT_EQ(lossless_stand_in(family).name, "NetCDF-4") << family;
+  }
 }
 
 }  // namespace

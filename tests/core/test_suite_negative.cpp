@@ -39,6 +39,35 @@ TEST(SuiteNegative, UnknownHybridFamilyThrows) {
   EXPECT_THROW(build_hybrid(r, "zstd"), InvalidArgument);
 }
 
+TEST(SuiteNegative, HybridSkipsFailedVariables) {
+  // A processing_failed variable keeps its row in SuiteResults with no
+  // verdicts; the hybrid must leave it out of the selections and the
+  // averages instead of indexing its empty verdict list.
+  const SuiteResults ok = tiny_results();
+  SuiteResults r = ok;
+  VariableResult failed;
+  failed.variable = "BROKEN";
+  failed.processing_failed = true;
+  failed.error_message = "injected";
+  r.variables.push_back(failed);
+
+  for (const char* family : {"GRIB2", "ISABELA", "fpzip", "APAX", "NetCDF-4"}) {
+    const HybridSummary expected = build_hybrid(ok, family);
+    const HybridSummary h = build_hybrid(r, family);
+    ASSERT_EQ(h.selections.size(), 1u) << family;
+    EXPECT_EQ(h.selections[0].variable, "U");
+    EXPECT_EQ(h.selections[0].variant, expected.selections[0].variant);
+    EXPECT_EQ(h.avg_cr, expected.avg_cr);
+    EXPECT_EQ(h.variant_counts, expected.variant_counts);
+  }
+
+  // Nothing processed: no hybrid to build.
+  SuiteResults none;
+  none.variant_names = ok.variant_names;
+  none.variables = {failed};
+  EXPECT_THROW(build_hybrid(none, "fpzip"), InvalidArgument);
+}
+
 TEST(SuiteNegative, BiasSkippedVerdictsDoNotVeto) {
   const SuiteResults r = tiny_results();
   for (const VariableVerdict& v : r.variables[0].verdicts) {

@@ -21,12 +21,9 @@
 #include "compress/apax/apax.h"
 #include "compress/chunked.h"
 #include "compress/deflate/deflate.h"
-#include "compress/fpc/fpc.h"
 #include "compress/fpz/fpz.h"
 #include "compress/grib2/grib2.h"
 #include "compress/isabela/isabela.h"
-#include "compress/isobar.h"
-#include "compress/mafisc.h"
 #include "compress/prep.h"
 #include "compress/special.h"
 #include "core/ensemble_cache.h"
@@ -133,12 +130,9 @@ const std::map<std::string, std::function<void()>>& site_scenarios() {
          }
        }},
       {"deflate.decode", [] { decode_roundtrip(comp::DeflateCodec()); }},
-      {"fpc.decode", [] { decode_roundtrip(comp::FpcCodec()); }},
       {"fpz.decode", [] { decode_roundtrip(comp::FpzCodec(24)); }},
       {"grib2.decode", [] { decode_roundtrip(comp::Grib2Codec(3)); }},
       {"isabela.decode", [] { decode_roundtrip(comp::IsabelaCodec(0.5)); }},
-      {"isobar.decode", [] { decode_roundtrip(comp::IsobarCodec()); }},
-      {"mafisc.decode", [] { decode_roundtrip(comp::MafiscCodec()); }},
       {"special.decode",
        [] {
          decode_roundtrip(
@@ -285,45 +279,60 @@ class SuiteRobustness : public ::testing::Test {
 };
 
 TEST_F(SuiteRobustness, LossyDecodeFailureGetsCodecErrorVerdictWithLosslessFallback) {
-  fail::ScopedFailpoint fp("fpz.decode", fail::Trigger::once());
-  const core::SuiteResults results =
-      core::run_suite(shared_ensemble(), fast_config(), {"U", "FSDSC"});
+  // One poisoned decode per family: the first variant of that family to
+  // decode fails, and the §5 stand-in is the family's own lossless mode
+  // (fpzip-32) or NetCDF-4 for a family that has none.
+  struct Case {
+    const char* site;
+    const char* variant;
+    const char* fallback;
+  };
+  for (const Case& c : {Case{"fpz.decode", "fpzip-24", "fpzip-32"},
+                        Case{"apax.decode", "APAX-2", "NetCDF-4"},
+                        Case{"isabela.decode", "ISA-0.1", "NetCDF-4"}}) {
+    SCOPED_TRACE(c.site);
+    fail::reset();
+    fail::ScopedFailpoint fp(c.site, fail::Trigger::once());
+    const core::SuiteResults results =
+        core::run_suite(shared_ensemble(), fast_config(), {"U", "FSDSC"});
 
-  // The whole sweep completed: both variables, all nine verdicts each.
-  ASSERT_EQ(results.variables.size(), 2u);
-  EXPECT_EQ(results.failed_variable_count(), 0u);
-  ASSERT_EQ(results.variant_names.size(), 9u);
-  EXPECT_EQ(fail::fire_count("fpz.decode"), 1u);
+    // The whole sweep completed: both variables, all nine verdicts each.
+    ASSERT_EQ(results.variables.size(), 2u);
+    EXPECT_EQ(results.failed_variable_count(), 0u);
+    ASSERT_EQ(results.variant_names.size(), 9u);
+    EXPECT_EQ(fail::fire_count(c.site), 1u);
 
-  // Exactly one verdict took the hit; it is a codec-error with the §5
-  // fpzip-family fallback (fpzip-32), and it never counts as a pass.
-  std::size_t codec_errors = 0;
-  for (const core::VariableResult& var : results.variables) {
-    ASSERT_EQ(var.verdicts.size(), 9u);
-    for (const core::VariableVerdict& v : var.verdicts) {
-      if (!v.codec_error) continue;
-      ++codec_errors;
-      EXPECT_EQ(v.codec, "fpzip-24");
-      EXPECT_EQ(v.fallback_codec, "fpzip-32");
-      EXPECT_FALSE(v.all_pass());
-      EXPECT_NE(v.error_message.find("fpz.decode"), std::string::npos);
-      // The fallback actually ran: member metrics were re-scored
-      // (losslessly, so the correlation is exact).
-      ASSERT_EQ(v.members.size(), 2u);
-      for (const core::MemberEvaluation& m : v.members) {
-        EXPECT_DOUBLE_EQ(m.metrics.pearson, 1.0);
+    // Exactly one verdict took the hit; it is a codec-error with the
+    // family's stand-in, and it never counts as a pass.
+    std::size_t codec_errors = 0;
+    for (const core::VariableResult& var : results.variables) {
+      ASSERT_EQ(var.verdicts.size(), 9u);
+      for (const core::VariableVerdict& v : var.verdicts) {
+        if (!v.codec_error) continue;
+        ++codec_errors;
+        EXPECT_EQ(v.codec, c.variant);
+        EXPECT_EQ(v.fallback_codec, c.fallback);
+        EXPECT_FALSE(v.all_pass());
+        EXPECT_NE(v.error_message.find(c.site), std::string::npos);
+        // The fallback actually ran: member metrics were re-scored
+        // (losslessly, so the correlation is exact).
+        ASSERT_EQ(v.members.size(), 2u);
+        for (const core::MemberEvaluation& m : v.members) {
+          EXPECT_DOUBLE_EQ(m.metrics.pearson, 1.0);
+        }
       }
     }
-  }
-  EXPECT_EQ(codec_errors, 1u);
+    EXPECT_EQ(codec_errors, 1u);
 
-  // The table layer reports the event instead of choking on it: the
-  // codec_error flag, the fallback codec, and the thrown message all
-  // appear in the row's trailing columns.
-  const std::string csv = core::suite_results_csv(results);
-  EXPECT_NE(csv.find(",1,fpzip-32,injected fault at failpoint fpz.decode\n"),
-            std::string::npos);
-  EXPECT_EQ(results.tally().size(), 9u);
+    // The table layer reports the event instead of choking on it: the
+    // codec_error flag, the fallback codec, and the thrown message all
+    // appear in the row's trailing columns.
+    const std::string csv = core::suite_results_csv(results);
+    EXPECT_NE(csv.find(std::string(",1,") + c.fallback + ",injected fault at failpoint " +
+                       c.site + "\n"),
+              std::string::npos);
+    EXPECT_EQ(results.tally().size(), 9u);
+  }
 }
 
 TEST_F(SuiteRobustness, TransientVariableFailureIsRetriedToSuccess) {

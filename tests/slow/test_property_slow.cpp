@@ -64,8 +64,7 @@ TEST_P(LosslessSweepSlow, BitExactAcrossSeedsAndRegimes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllLossless, LosslessSweepSlow,
-                         ::testing::Values("NetCDF-4", "fpzip-32", "ISOBAR", "MAFISC",
-                                           "FPC"),
+                         ::testing::Values("NetCDF-4", "fpzip-32"),
                          [](const auto& info) { return sanitize(info.param); });
 
 class IsabelaBoundSweepSlow : public ::testing::TestWithParam<double> {};
