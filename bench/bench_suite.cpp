@@ -33,10 +33,10 @@
 // The JSON records peak RSS figures, phase breakdowns, and bitwise-parity
 // flags the CI gates (and the exit code) require to hold.
 //
-// The variant_sweep phase times the variant-sweep engine itself: the same
-// warmed suite slice swept direct-serial (plans off, variant_jobs=1),
-// plan-serial (shared encode-prep plans on), and plan-parallel (one
-// scheduler task per variant), with byte-parity of every plan-driven
+// The variant_sweep phase times the variant sweep itself: the same warmed
+// suite slice swept member-major (variant_jobs=1, one pass over all nine
+// variants) and per run (variant_jobs=0, one task per plan-sharing run),
+// with bitwise parity of the two, byte parity of every plan-driven
 // stream and nonzero plan reuse baked into the exit code.
 
 #include <unistd.h>
@@ -47,13 +47,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common.h"
-#include "compress/prep.h"
 #include "compress/variants.h"
 #include "core/ensemble_cache.h"
 #include "core/export.h"
@@ -491,41 +492,27 @@ SpillReuseBench run_spill_reuse_phase(const bench::Options& options) {
   return sr;
 }
 
-/// The variant-sweep engine leg: one warmed in-core suite slice swept
-/// three ways —
-///   direct_serial   variant_jobs=1, plan cache off: every variant encodes
-///                   from scratch, one after another (the pre-engine shape);
-///   plan_serial     plans on, still serial: isolates the shared
-///                   encode-prep reuse (fpzip map, ISABELA sort, GRIB2 scans);
-///   plan_parallel   variant_jobs=0: one scheduler task per variant, all
-///                   tasks sharing one plan store.
+/// The variant-sweep leg: one warmed in-core suite slice swept two ways —
+///   member_major  variant_jobs=1: one pass per variable walks each
+///                 member once for all nine variants (the default);
+///   per_run       variant_jobs=0: one scheduler task per plan-sharing run
+///                 of variants, each walking the members itself.
 /// The ensemble cache is warmed first so the timings cover the sweep
 /// itself (GRIB tuning + nine variant verifications per variable), not
-/// synthesis. All three sweeps must be bitwise identical, a traced pass
-/// records the engine's counters, and every paper variant's plan-driven
-/// stream is byte-compared against its direct encode on a real member
-/// field — the contract the engine rests on, held in the exit code.
+/// synthesis. Both sweeps must be bitwise identical, a traced pass records
+/// the sweep's counters, and every paper variant's plan-driven stream
+/// (build_prep + encode_with_prep) is byte-compared against its direct
+/// encode on a real member field — the contract plan sharing rests on,
+/// held in the exit code.
 struct VariantSweepBench {
   std::size_t workers = 0;
-  double direct_serial_seconds = 0.0;
-  double plan_serial_seconds = 0.0;
-  double plan_parallel_seconds = 0.0;
+  double member_major_seconds = 0.0;
+  double per_run_seconds = 0.0;
   std::uint64_t plans_built = 0;
   std::uint64_t plans_reused = 0;
   std::uint64_t variant_tasks = 0;
   bool stream_parity = false;  ///< plan vs direct bytes, every paper variant
-  bool identical = false;      ///< three sweeps bitwise + CSV identical
-
-  [[nodiscard]] double speedup() const {
-    return plan_parallel_seconds > 0.0
-               ? direct_serial_seconds / plan_parallel_seconds
-               : 0.0;
-  }
-  [[nodiscard]] double plan_speedup() const {
-    return plan_serial_seconds > 0.0
-               ? direct_serial_seconds / plan_serial_seconds
-               : 0.0;
-  }
+  bool identical = false;      ///< both sweeps bitwise + CSV identical
 };
 
 VariantSweepBench run_variant_sweep_phase(const bench::Options& options,
@@ -546,18 +533,15 @@ VariantSweepBench run_variant_sweep_phase(const bench::Options& options,
     (void)cache.stats(ensemble, ensemble.variable(name));
   }
 
-  core::SuiteConfig direct_cfg = bench::suite_config(options);
+  core::SuiteConfig member_major_cfg = bench::suite_config(options);
   // The bias regression round-trips every member once per variant and is
   // identical across the legs; keep the timing on the sweep.
-  direct_cfg.run_bias = false;
-  direct_cfg.variant_jobs = 1;
-  direct_cfg.plan_cache_bytes = 0;
-  core::SuiteConfig plan_serial_cfg = direct_cfg;
-  plan_serial_cfg.plan_cache_bytes = core::SuiteConfig{}.plan_cache_bytes;
-  core::SuiteConfig plan_parallel_cfg = plan_serial_cfg;
-  plan_parallel_cfg.variant_jobs = 0;  // one scheduler task per variant
+  member_major_cfg.run_bias = false;
+  member_major_cfg.variant_jobs = 1;
+  core::SuiteConfig per_run_cfg = member_major_cfg;
+  per_run_cfg.variant_jobs = 0;
 
-  core::SuiteResults direct, plan_serial, plan_parallel;
+  core::SuiteResults member_major, per_run;
   const auto timed = [&](const core::SuiteConfig& cfg, core::SuiteResults& out) {
     double best = 1e300;
     for (int r = 0; r < reps; ++r) {
@@ -567,24 +551,20 @@ VariantSweepBench run_variant_sweep_phase(const bench::Options& options,
     }
     return best;
   };
-  vs.direct_serial_seconds = timed(direct_cfg, direct);
-  vs.plan_serial_seconds = timed(plan_serial_cfg, plan_serial);
-  vs.plan_parallel_seconds = timed(plan_parallel_cfg, plan_parallel);
+  vs.member_major_seconds = timed(member_major_cfg, member_major);
+  vs.per_run_seconds = timed(per_run_cfg, per_run);
 
   vs.identical =
-      identical_results(direct, plan_serial, "sweep_direct", "sweep_plan_serial") &&
-      identical_results(direct, plan_parallel, "sweep_direct",
-                        "sweep_plan_parallel") &&
-      core::suite_results_csv(direct) == core::suite_results_csv(plan_serial) &&
-      core::suite_results_csv(direct) == core::suite_results_csv(plan_parallel);
+      identical_results(member_major, per_run, "sweep_member_major", "sweep_per_run") &&
+      core::suite_results_csv(member_major) == core::suite_results_csv(per_run);
 
-  // Traced pass under the parallel config: the engine's own counters.
+  // Traced pass under the default config: the sweep's own counters.
   {
     const bool had_trace = trace::enabled();
     trace::reset();
     trace::set_enabled(true);
     const core::SuiteResults traced =
-        core::run_suite(ensemble, plan_parallel_cfg, variables);
+        core::run_suite(ensemble, member_major_cfg, variables);
     if (traced.variables.empty()) vs.identical = false;  // keep it observable
     const auto counters = trace::counters();
     const auto counter = [&](const char* key) {
@@ -599,18 +579,23 @@ VariantSweepBench run_variant_sweep_phase(const bench::Options& options,
   }
 
   // Byte parity of the plan-driven streams on a real member field, for
-  // every paper variant: build pass and reuse pass both.
+  // every paper variant: the first variant with a prep key builds the
+  // plan, its siblings reuse it, as in the sweep.
   vs.stream_parity = true;
   const climate::VariableSpec& spec = ensemble.variable(variables.front());
   const auto stats = cache.stats(ensemble, spec);
   const climate::Field& field = stats->member(0);
   const std::optional<float> fill =
       spec.has_fill ? std::optional<float>(climate::kFillValue) : std::nullopt;
-  comp::PlanStore plans(256ull << 20);
+  std::map<std::string, comp::PrepPlanPtr> plans;
   for (const comp::CodecPtr& codec : comp::paper_variants(4, fill)) {
-    const Bytes direct_stream = codec->encode(field.data, field.shape);
-    if (plans.encode(*codec, field.data, field.shape, 0) != direct_stream ||
-        plans.encode(*codec, field.data, field.shape, 0) != direct_stream) {
+    const std::string key = codec->prep_key();
+    if (key.empty()) continue;
+    comp::PrepPlanPtr& plan = plans[key];
+    if (plan == nullptr) plan = codec->build_prep(field.data, field.shape);
+    if (plan == nullptr ||
+        codec->encode_with_prep(*plan, field.data, field.shape) !=
+            codec->encode(field.data, field.shape)) {
       std::fprintf(stderr, "PLAN PARITY FAILURE: %s plan stream != direct\n",
                    codec->name().c_str());
       vs.stream_parity = false;
@@ -757,11 +742,8 @@ void write_json(std::ostream& out, const std::vector<ConfigResult>& configs,
       << "  },\n"
       << "  \"variant_sweep\": {\n"
       << "    \"workers\": " << vs.workers << ",\n"
-      << "    \"direct_serial_seconds\": " << vs.direct_serial_seconds << ",\n"
-      << "    \"plan_serial_seconds\": " << vs.plan_serial_seconds << ",\n"
-      << "    \"plan_parallel_seconds\": " << vs.plan_parallel_seconds << ",\n"
-      << "    \"speedup_plan_parallel_vs_direct\": " << vs.speedup() << ",\n"
-      << "    \"speedup_plan_serial_vs_direct\": " << vs.plan_speedup() << ",\n"
+      << "    \"member_major_seconds\": " << vs.member_major_seconds << ",\n"
+      << "    \"per_run_seconds\": " << vs.per_run_seconds << ",\n"
       << "    \"plans_built\": " << vs.plans_built << ",\n"
       << "    \"plans_reused\": " << vs.plans_reused << ",\n"
       << "    \"variant_tasks\": " << vs.variant_tasks << ",\n"
@@ -894,18 +876,15 @@ int main(int argc, char** argv) {
               cache_bench.disk_tier ? ", disk tier on" : "");
   std::printf("cache parity (off == cold == warm, bitwise): %s\n",
               cache_bench.parity ? "yes" : "NO");
-  std::printf("variant sweep: direct-serial %.3fs  plan-serial %.3fs (%.2fx)  "
-              "plan-parallel %.3fs (%.2fx, %zu workers)\n",
-              variant_sweep.direct_serial_seconds,
-              variant_sweep.plan_serial_seconds, variant_sweep.plan_speedup(),
-              variant_sweep.plan_parallel_seconds, variant_sweep.speedup(),
+  std::printf("variant sweep: member-major %.3fs  per-run %.3fs (%zu workers)\n",
+              variant_sweep.member_major_seconds, variant_sweep.per_run_seconds,
               variant_sweep.workers);
   std::printf("  plans built %llu, reused %llu; %llu variant tasks\n",
               static_cast<unsigned long long>(variant_sweep.plans_built),
               static_cast<unsigned long long>(variant_sweep.plans_reused),
               static_cast<unsigned long long>(variant_sweep.variant_tasks));
   std::printf("  plan streams == direct streams (bytes): %s   "
-              "three sweeps identical (bitwise): %s\n",
+              "both sweeps identical (bitwise): %s\n",
               variant_sweep.stream_parity ? "yes" : "NO",
               variant_sweep.identical ? "yes" : "NO");
   if (full_grid.enabled) {
@@ -992,9 +971,9 @@ int main(int argc, char** argv) {
       !spill_reuse.enabled ||
       (spill_reuse.parity && spill_reuse.warm_synthesize_spans == 0 &&
        spill_reuse.cold_synthesize_spans > 0 && spill_reuse.warm_spills_reused > 0);
-  // The variant-sweep engine's contract: plan-driven streams byte-equal
-  // to direct encodes, bit-identical results at every scheduling shape,
-  // and plans actually shared (nonzero reuse across variants/tasks).
+  // The variant sweep's contract: plan-driven streams byte-equal to
+  // direct encodes, bit-identical results at both scheduling shapes, and
+  // plans actually shared (nonzero reuse across sibling variants).
   const bool variant_sweep_ok =
       variant_sweep.identical && variant_sweep.stream_parity &&
       variant_sweep.plans_reused > 0 && variant_sweep.variant_tasks > 0;

@@ -32,9 +32,10 @@ namespace {
       "  --seed=N         seed for the random test-member choice\n"
       "  --threads=N      scheduler worker count (default: CESM_THREADS env,\n"
       "                   then hardware concurrency; clamped to the hardware)\n"
-      "  --variant-jobs=N concurrent variant-sweep tasks per variable\n"
-      "                   (1 = serial sweep [default], 0 = one task per\n"
-      "                   variant; results are bit-identical at any setting)\n"
+      "  --variant-jobs=N variant-sweep schedule per variable (1 = one\n"
+      "                   member-major pass over all variants [default], any\n"
+      "                   other value = one task per plan-sharing run of\n"
+      "                   variants; results are bit-identical at any setting)\n"
       "  --quick          CI smoke mode (shrinks the bench's workload)\n"
       "  --full-grid      (bench_suite) out-of-core full-grid leg: stream one\n"
       "                   paper-scale variable under the CESM_MEM_MB budget and\n"

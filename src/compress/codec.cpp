@@ -75,8 +75,8 @@ class TracedCodec final : public Codec {
 
   // Prep hooks forward transparently so a traced variant shares plans
   // with (and produces the same streams as) its bare codec. A plan-driven
-  // encode carries the exact span and counters of a direct encode — the
-  // sweep's profile stays comparable whether plans are on or off.
+  // encode carries the exact span and counters of a direct encode, so the
+  // sweep's profile counts both alike.
   [[nodiscard]] std::string prep_key() const override { return inner_->prep_key(); }
 
   [[nodiscard]] PrepPlanPtr build_prep(std::span<const float> data,

@@ -60,18 +60,13 @@ inline double compression_ratio(std::size_t compressed_bytes, std::size_t value_
          static_cast<double>(value_count * bytes_per_value);
 }
 
-/// Variant-invariant preprocessing shared across a codec family's sweep
-/// variants (see prep.h for the PlanStore that caches these). A plan is
-/// immutable from the caller's point of view; implementations may keep
-/// internal lazily-filled memo state behind their own lock, but
-/// resident_bytes() must stay constant over the plan's lifetime so cache
-/// accounting remains exact (reserve memo capacity at build time).
+/// Variant-invariant preprocessing shared by the variants of a codec
+/// family (Codec::build_prep). The member-major sweep (core/pvt.h) builds
+/// one per chunk for each run of sibling variants and drops it when the
+/// chunk is done. Immutable once built.
 class PrepPlan {
  public:
   virtual ~PrepPlan() = default;
-
-  /// Bytes held resident by this plan, including reserved memo capacity.
-  [[nodiscard]] virtual std::size_t resident_bytes() const = 0;
 };
 
 using PrepPlanPtr = std::shared_ptr<const PrepPlan>;
@@ -116,24 +111,24 @@ class Codec {
   [[nodiscard]] virtual std::vector<double> decode64(
       std::span<const std::uint8_t> stream) const;
 
-  // --- Shared encode-prep plans (variant-sweep engine, see prep.h) ------
+  // --- Shared encode-prep plans (the variant sweep, core/pvt.h) --------
   //
-  // A codec family whose variants differ only in a tuning knob (fpzip
-  // precision, ISABELA error bound, GRIB2 decimal scale) can expose the
-  // knob-invariant stage of encode() as a reusable plan. The contract is
-  // pure memoization: for any plan built by build_prep(data, shape) on a
-  // codec with the same prep_key(), encode_with_prep(plan, data, shape)
-  // must return a stream byte-identical to encode(data, shape).
+  // A codec family whose variants differ only in a tuning knob (ISABELA's
+  // error bound) can expose the knob-invariant stage of encode() as a
+  // reusable plan. The contract is pure memoization: for any plan built
+  // by build_prep(data, shape) on a codec with the same prep_key(),
+  // encode_with_prep(plan, data, shape) must return a stream
+  // byte-identical to encode(data, shape).
 
   /// Key identifying the preprocessing this codec can share. Codecs with
   /// equal keys accept each other's plans for the same data. Empty (the
-  /// default) means "no plannable stage": PlanStore takes the direct path.
+  /// default) means "no plannable stage": the sweep encodes directly.
   [[nodiscard]] virtual std::string prep_key() const { return {}; }
 
   /// Compute the variant-invariant stage for `data`. Must throw exactly
   /// the input-validation errors encode() would throw for the same field
   /// (exception parity is part of the bit-identity contract). The default
-  /// returns nullptr, which PlanStore treats as "take the direct path".
+  /// returns nullptr, which the sweep treats as "encode directly".
   [[nodiscard]] virtual PrepPlanPtr build_prep(std::span<const float> data,
                                                const Shape& shape) const;
 

@@ -1,7 +1,6 @@
 #include "compress/fpz/fpz.h"
 
 #include <algorithm>
-#include <bit>
 #include <vector>
 
 #include "compress/codec_kernels.h"
@@ -142,48 +141,6 @@ std::vector<T> fpz_decode_impl(std::span<const std::uint8_t> stream) {
   return data;
 }
 
-// Variant-invariant stage of the float encode: the order-preserving
-// integer map at full precision. ordered_from truncates as
-// `ordered_map(v) >> shift`, so every precision variant's q is the plan's
-// q0 right-shifted — the Lorenzo transform and entropy coder then see
-// exactly the integers the direct path computes. (Lorenzo itself is not
-// shift-commutative, so residual formation stays per-variant.)
-struct FpzPlan final : PrepPlan {
-  std::vector<std::uint32_t> q0;
-
-  [[nodiscard]] std::size_t resident_bytes() const override {
-    return q0.capacity() * sizeof(std::uint32_t) + sizeof(*this);
-  }
-};
-
-Bytes fpz_encode_planned(std::span<const std::uint32_t> q0, const Shape& shape,
-                         unsigned prec) {
-  CESM_REQUIRE(shape.count() == q0.size());
-  CESM_REQUIRE(prec >= 8 && prec <= 32 && prec % 8 == 0);
-  const unsigned shift = 32 - prec;
-
-  Bytes out;
-  ByteWriter w(out);
-  wire::write_header(w, kFpzMagic, shape);
-  w.u8(static_cast<std::uint8_t>(prec));
-  w.u8(sizeof(float));
-
-  const Dims3 d = to_dims3(shape);
-  std::vector<std::uint32_t> q(q0.size());
-  for (std::size_t i = 0; i < q0.size(); ++i) q[i] = q0[i] >> shift;
-
-  std::vector<std::uint32_t> zz(q.size());
-  if (!q.empty()) lorenzo_residuals(q.data(), zz.data(), to_kernel_dims(d));
-
-  RangeEncoder enc(out);
-  ResidualEncoder coder;
-  for (std::size_t i = 0; i < zz.size(); ++i) {
-    coder.encode(enc, zz[i]);
-  }
-  enc.finish();
-  return out;
-}
-
 }  // namespace
 
 FpzCodec::FpzCodec(unsigned precision_bits) : precision_bits_(precision_bits) {
@@ -202,31 +159,6 @@ Bytes FpzCodec::encode(std::span<const float> data, const Shape& shape) const {
 std::vector<float> FpzCodec::decode(std::span<const std::uint8_t> stream) const {
   CESM_FAILPOINT("fpz.decode");
   return fpz_decode_impl<std::uint32_t, float>(stream);
-}
-
-std::string FpzCodec::prep_key() const {
-  // The ordered map is element-width specific; only the float path is
-  // plan-driven (the suite sweeps float fields). All float precisions
-  // share one key — and therefore one plan per block.
-  return precision_bits_ <= 32 ? "fpz" : std::string{};
-}
-
-PrepPlanPtr FpzCodec::build_prep(std::span<const float> data, const Shape& shape) const {
-  if (precision_bits_ > 32) return nullptr;
-  CESM_REQUIRE(shape.count() == data.size());
-  (void)to_dims3(shape);  // same rank validation (and error) as encode()
-  auto plan = std::make_shared<FpzPlan>();
-  plan->q0.resize(data.size());
-  ordered_from(data.data(), plan->q0.data(), data.size(), 0);
-  return plan;
-}
-
-Bytes FpzCodec::encode_with_prep(const PrepPlan& plan, std::span<const float> data,
-                                 const Shape& shape) const {
-  CESM_REQUIRE(precision_bits_ <= 32);
-  const auto* p = dynamic_cast<const FpzPlan*>(&plan);
-  CESM_REQUIRE(p != nullptr && p->q0.size() == data.size());
-  return fpz_encode_planned(p->q0, shape, precision_bits_);
 }
 
 Bytes FpzCodec::encode64(std::span<const double> data, const Shape& shape) const {

@@ -40,14 +40,6 @@ class FpzCodec final : public Codec {
   [[nodiscard]] std::vector<double> decode64(
       std::span<const std::uint8_t> stream) const override;
 
-  /// Prep plan: the full-precision ordered-integer map, shared by every
-  /// float precision variant (see the variant-sweep engine in prep.h).
-  [[nodiscard]] std::string prep_key() const override;
-  [[nodiscard]] PrepPlanPtr build_prep(std::span<const float> data,
-                                       const Shape& shape) const override;
-  [[nodiscard]] Bytes encode_with_prep(const PrepPlan& plan, std::span<const float> data,
-                                       const Shape& shape) const override;
-
   [[nodiscard]] unsigned precision_bits() const { return precision_bits_; }
 
  private:

@@ -1,10 +1,8 @@
 #include "compress/grib2/grib2.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <limits>
-#include <mutex>
 #include <vector>
 
 #include "compress/codec_kernels.h"
@@ -44,34 +42,6 @@ Dims2 to_dims2(const Shape& shape) {
   }
   return d;
 }
-
-// Variant-invariant stage: the validity bitmap and min/max scan never
-// depend on the decimal scale, so one plan serves the whole scale ladder
-// (the grib_tuning search plus the GRIB2 table variant). The quantize +
-// wavelet lift does depend on the scale; the plan memoizes the most
-// recent scale's lift behind its own lock, which turns the tuning
-// pattern — every candidate scale re-encoding the same members, then the
-// winning scale encoding them once more for the verdict — into one lift
-// per (member, scale) with the winner's lift reused by the final verify.
-// lift_q's capacity is reserved at build time so resident_bytes() stays
-// constant while the memo is rewritten.
-struct GribPlan final : PrepPlan {
-  std::size_t n = 0;
-  std::vector<std::uint8_t> valid;  // kept only when any_missing
-  bool any_missing = false;
-  double lo = 0.0, hi = 0.0;
-
-  mutable std::mutex mu;
-  mutable bool lift_cached = false;
-  mutable int lift_d = 0;
-  mutable int lift_bscale = 0;
-  mutable unsigned lift_levels = 0;
-  mutable std::vector<std::int64_t> lift_q;
-
-  [[nodiscard]] std::size_t resident_bytes() const override {
-    return valid.capacity() + lift_q.capacity() * sizeof(std::int64_t) + sizeof(*this);
-  }
-};
 
 }  // namespace
 
@@ -202,107 +172,6 @@ std::vector<float> Grib2Codec::decode(std::span<const std::uint8_t> stream) cons
       if (!valid[i]) out[i] = missing_value;
     }
   }
-  return out;
-}
-
-std::string Grib2Codec::prep_key() const {
-  if (!missing_value_) return "grib2:none";
-  return "grib2:f" + std::to_string(std::bit_cast<std::uint32_t>(*missing_value_));
-}
-
-PrepPlanPtr Grib2Codec::build_prep(std::span<const float> data, const Shape& shape) const {
-  CESM_REQUIRE(shape.count() == data.size());
-  const std::size_t n = data.size();
-
-  auto plan = std::make_shared<GribPlan>();
-  plan->n = n;
-  std::vector<std::uint8_t> valid(n, 1);
-  if (missing_value_) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (data[i] == *missing_value_) {
-        valid[i] = 0;
-        plan->any_missing = true;
-      }
-    }
-  }
-
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!valid[i]) continue;
-    if (!std::isfinite(data[i])) {
-      throw InvalidArgument("grib2 cannot encode non-finite data");
-    }
-    lo = std::min(lo, static_cast<double>(data[i]));
-    hi = std::max(hi, static_cast<double>(data[i]));
-  }
-  if (!(lo <= hi)) {  // entirely missing
-    lo = 0.0;
-    hi = 0.0;
-  }
-  plan->lo = lo;
-  plan->hi = hi;
-  // Rank validation after the finite scan, mirroring encode()'s error
-  // precedence for inputs that are invalid in more than one way.
-  (void)to_dims2(shape);
-  if (plan->any_missing) plan->valid = std::move(valid);
-  plan->lift_q.reserve(n);
-  return plan;
-}
-
-Bytes Grib2Codec::encode_with_prep(const PrepPlan& plan, std::span<const float> data,
-                                   const Shape& shape) const {
-  const auto* p = dynamic_cast<const GribPlan*>(&plan);
-  CESM_REQUIRE(p != nullptr && p->n == data.size());
-  CESM_REQUIRE(shape.count() == data.size());
-  const std::size_t n = data.size();
-
-  std::lock_guard<std::mutex> lock(p->mu);
-  if (!p->lift_cached || p->lift_d != decimal_scale_) {
-    p->lift_cached = false;  // a throw below must not leave a stale memo
-    const double dec_scale = std::pow(10.0, decimal_scale_);
-    int binary_scale = 0;
-    while (std::ldexp((p->hi - p->lo) * dec_scale, -binary_scale) >
-           static_cast<double>(kMaxQuantized)) {
-      if (++binary_scale > 62) {
-        throw InvalidArgument("grib2 data range too wide for decimal scale");
-      }
-    }
-    const double step = std::ldexp(1.0, binary_scale) / dec_scale;
-
-    p->lift_q.resize(n);
-    kernels::grib2_quantize(data.data(), p->any_missing ? p->valid.data() : nullptr,
-                            p->lift_q.data(), n, p->lo, step);
-    const Dims2 dims = to_dims2(shape);
-    p->lift_levels = dwt53_forward_2d(p->lift_q, dims.rows, dims.cols, 5);
-    p->lift_bscale = binary_scale;
-    p->lift_d = decimal_scale_;
-    p->lift_cached = true;
-  }
-
-  Bytes out;
-  ByteWriter w(out);
-  wire::write_header(w, kGribMagic, shape);
-  w.f64(p->lo);
-  w.i32(decimal_scale_);
-  w.i32(p->lift_bscale);
-  w.u8(static_cast<std::uint8_t>(p->lift_levels));
-  w.u8(p->any_missing ? 1 : 0);
-  if (missing_value_) {
-    w.u8(1);
-    w.f32(*missing_value_);
-  } else {
-    w.u8(0);
-    w.f32(0.0f);
-  }
-
-  RangeEncoder enc(out);
-  if (p->any_missing) encode_validity_runs(enc, p->valid);
-  ResidualEncoder coeff_coder;
-  for (std::size_t i = 0; i < n; ++i) {
-    coeff_coder.encode(enc, zigzag_encode(static_cast<std::uint64_t>(p->lift_q[i])));
-  }
-  enc.finish();
   return out;
 }
 

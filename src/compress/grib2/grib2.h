@@ -48,16 +48,6 @@ class Grib2Codec final : public Codec {
   [[nodiscard]] Bytes encode(std::span<const float> data, const Shape& shape) const override;
   [[nodiscard]] std::vector<float> decode(std::span<const std::uint8_t> stream) const override;
 
-  /// Prep plan: validity bitmap + min/max scan shared across the whole
-  /// decimal-scale ladder, with the latest scale's quantize+wavelet lift
-  /// memoized so the tuning winner's lift is reused by the final verify
-  /// (see prep.h).
-  [[nodiscard]] std::string prep_key() const override;
-  [[nodiscard]] PrepPlanPtr build_prep(std::span<const float> data,
-                                       const Shape& shape) const override;
-  [[nodiscard]] Bytes encode_with_prep(const PrepPlan& plan, std::span<const float> data,
-                                       const Shape& shape) const override;
-
   [[nodiscard]] int decimal_scale() const { return decimal_scale_; }
 
  private:

@@ -181,9 +181,6 @@ struct IsaWindow {
 struct IsaPlan final : PrepPlan {
   std::vector<IsaWindow> windows;
   std::size_t n = 0;
-  std::size_t bytes = sizeof(IsaPlan);
-
-  [[nodiscard]] std::size_t resident_bytes() const override { return bytes; }
 };
 
 }  // namespace
@@ -258,10 +255,6 @@ PrepPlanPtr IsabelaCodec::build_prep(std::span<const float> data,
       max_abs = std::max(max_abs, std::fabs(static_cast<double>(v)));
     }
     win.floor_abs = std::max(1e-7 * max_abs, 1e-300);
-
-    plan->bytes += sizeof(IsaWindow) + win.perm.capacity() * sizeof(std::uint32_t) +
-                   win.sorted.capacity() * sizeof(float) +
-                   (win.coeffs.capacity() + win.estimate.capacity()) * sizeof(double);
   }
   return plan;
 }

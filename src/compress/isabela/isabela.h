@@ -47,7 +47,7 @@ class IsabelaCodec final : public Codec {
 
   /// Prep plan: per-window sort permutation + spline fit, shared by every
   /// error-bound variant with the same window/coefficient parameters (the
-  /// bound only enters the correction coding; see prep.h).
+  /// bound only enters the correction coding; see codec.h).
   [[nodiscard]] std::string prep_key() const override;
   [[nodiscard]] PrepPlanPtr build_prep(std::span<const float> data,
                                        const Shape& shape) const override;

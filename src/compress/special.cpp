@@ -15,17 +15,13 @@ constexpr std::uint32_t kSpcMagic = 0x31435053;  // "SPC1"
 // The wrapper's variant-invariant stage: the patched field, the complete
 // stream prefix (magic + fill + RLE bitmap — none of it depends on the
 // inner variant), and the inner codec's own plan over the patched data
-// when it has one. APAX's three fixed-rate variants share the patch work
-// even though the inner codec is unplannable.
+// when it has one. APAX's three fixed-rate variants and fpzip's two lossy
+// ones share the patch work even though their inner codecs are
+// unplannable.
 struct SpecialPlan final : PrepPlan {
   std::vector<float> patched;
   Bytes prefix;
   PrepPlanPtr inner;
-
-  [[nodiscard]] std::size_t resident_bytes() const override {
-    return patched.capacity() * sizeof(float) + prefix.capacity() + sizeof(*this) +
-           (inner ? inner->resident_bytes() : 0);
-  }
 };
 
 }  // namespace

@@ -32,7 +32,7 @@ class SpecialValueCodec final : public Codec {
   [[nodiscard]] std::vector<float> decode(std::span<const std::uint8_t> stream) const override;
 
   /// Prep plan: patched field + bitmap prefix (inner-variant invariant),
-  /// composed with the inner codec's own plan when it has one (prep.h).
+  /// composed with the inner codec's own plan when it has one (codec.h).
   [[nodiscard]] std::string prep_key() const override;
   [[nodiscard]] PrepPlanPtr build_prep(std::span<const float> data,
                                        const Shape& shape) const override;

@@ -46,10 +46,8 @@ GribTuning rmsz_guided_decimal_scale(const EnsembleStats& stats,
                                      const PvtThresholds& thresholds,
                                      int significant_digits,
                                      int max_extra_digits,
-                                     std::size_t chunk_elems,
-                                     comp::PlanStore* plans) {
-  PvtVerifier verifier(ChunkSource(stats, chunk_elems), thresholds);
-  verifier.set_plan_store(plans);
+                                     std::size_t chunk_elems) {
+  const PvtVerifier verifier(ChunkSource(stats, chunk_elems), thresholds);
   return tune_decimal_scale(verifier, fill, test_members, significant_digits,
                             max_extra_digits);
 }

@@ -23,8 +23,7 @@ struct GribTuning {
 /// The §5.4 ladder on `verifier`'s ensemble: start from the magnitude
 /// heuristic on the first test member's summary and raise D until every
 /// member of `test_members` passes tests 1–3 (the bias sweep stays with
-/// the caller). Attempts encode through the verifier's plan store, so the
-/// winning scale's wavelet lift stays cached for the GRIB2 verify.
+/// the caller).
 GribTuning tune_decimal_scale(const PvtVerifier& verifier, std::optional<float> fill,
                               std::span<const std::size_t> test_members,
                               int significant_digits, int max_extra_digits);
@@ -32,15 +31,13 @@ GribTuning tune_decimal_scale(const PvtVerifier& verifier, std::optional<float> 
 /// Tune D for the variable held by `stats`. `fill` is forwarded to the
 /// codec's native bitmap support. Nonzero `chunk_elems` measures every
 /// attempt through a ChunkedCodec with that partition (see
-/// SuiteConfig::chunk_elems). `plans`, when non-null, is the plan store
-/// the attempts encode through (see tune_decimal_scale).
+/// SuiteConfig::chunk_elems).
 GribTuning rmsz_guided_decimal_scale(const EnsembleStats& stats,
                                      std::optional<float> fill,
                                      std::span<const std::size_t> test_members,
                                      const PvtThresholds& thresholds = {},
                                      int significant_digits = 4,
                                      int max_extra_digits = 6,
-                                     std::size_t chunk_elems = 0,
-                                     comp::PlanStore* plans = nullptr);
+                                     std::size_t chunk_elems = 0);
 
 }  // namespace cesm::core

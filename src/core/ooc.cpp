@@ -271,12 +271,8 @@ VariableResult run_variable_streaming(const climate::EnsembleGenerator& ensemble
       static_cast<std::uint64_t>(buffer_lanes()) *
       roundtrip_bytes_per_lane(max_chunk_elems(store.chunk_offsets()));
   budget.charge("ooc.verify_buffers", verify_bytes);
-  // Cached encode-prep plans charge the variable's own budget; one that
-  // does not fit is silently not cached, so the CESM_MEM_MB cap is never
-  // at risk. Declared after `budget` so its charges release first.
-  comp::PlanStore plans(config.plan_cache_bytes, &budget);
-  VariableResult result = verify_variable(
-      spec, ChunkSource(store, stats, config.chunk_elems), config.suite, plans);
+  VariableResult result =
+      verify_variable(spec, ChunkSource(store, stats, config.chunk_elems), config.suite);
   budget.release(verify_bytes);
 
   // Keep the reusable store within its byte budget: oldest spills go

@@ -67,13 +67,6 @@ struct OocConfig {
   /// null the suite builds its own from memory_budget_bytes. Exposed so
   /// tests and benches can observe peak/waits across a run.
   util::MemoryBudget* shared_budget = nullptr;
-  /// Byte cap for the per-variable encode-prep plan cache (compress/prep.h)
-  /// of the streaming leg, keyed per (member, chunk). Deliberately small:
-  /// plans are charged to the variable's own MemoryBudget — one that does
-  /// not fit is simply not cached — so the CESM_MEM_MB guarantee is
-  /// unaffected. 0 disables plan sharing. (SuiteConfig::plan_cache_bytes
-  /// is the in-core knob and is ignored here.)
-  std::size_t plan_cache_bytes = 4ull << 20;
   /// Everything else (thresholds, member picks, bias policy, retries).
   /// `suite.chunk_elems` is ignored here: the streaming leg always uses
   /// OocConfig::chunk_elems.

@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <type_traits>
+#include <mutex>
 
 #include "compress/chunked.h"
 #include "compress/deflate/deflate.h"
 #include "stats/correlation.h"
 #include "util/error.h"
+#include "util/failpoint.h"
 #include "util/rng.h"
 #include "util/trace.h"
 
@@ -19,9 +20,28 @@ namespace {
 // Scratch arena slots of a verifier.
 constexpr std::size_t kLaneSlot = 0;     // member lanes: recon + walk floats
 constexpr std::size_t kSizeSlot = 1;     // member lanes: per-chunk stream sizes
-constexpr std::size_t kScoreSlot = 2;    // bias-sweep scores
-constexpr std::size_t kSeededSlot = 3;   // bias-sweep: score already known
-constexpr std::size_t kPendingSlot = 4;  // bias-sweep: members to round-trip
+constexpr std::size_t kScoreSlot = 2;    // bias-sweep scores, per codec
+constexpr std::size_t kSeededSlot = 3;   // bias sweep: covered by a test member
+constexpr std::size_t kPendingSlot = 4;  // the members a verify pass walks
+
+/// One chunk's prep plan for a run of sibling codecs, or null. A
+/// plan-stage fault only costs the plan (the run encodes the chunk
+/// directly); an input error propagates, since build_prep validates its
+/// input exactly like encode() and the direct path would throw it too.
+comp::PrepPlanPtr build_plan(const comp::Codec& codec, std::span<const float> x,
+                             const comp::Shape& shape) {
+  try {
+    CESM_FAILPOINT("comp.prep_plan");
+    comp::PrepPlanPtr plan = codec.build_prep(x, shape);
+    if (plan != nullptr) trace::counter_add("prep.plan_built", 1);
+    return plan;
+  } catch (const InvalidArgument&) {
+    throw;
+  } catch (const Error&) {
+    trace::counter_add("prep.plan_faults", 1);
+    return nullptr;
+  }
+}
 
 }  // namespace
 
@@ -66,111 +86,200 @@ PvtVerifier::PvtVerifier(const EnsembleStats& stats, PvtThresholds thresholds)
 PvtVerifier::PvtVerifier(ChunkSource source, PvtThresholds thresholds)
     : source_(std::move(source)), thresholds_(thresholds) {}
 
-/// Run body(lane, i) for every i in [0, count), members in parallel. Each
-/// index writes its own result slot, so the scheduling never changes a
-/// result. Resident members run in batches of kBiasBatch on arena lanes
-/// that stay warm across calls; store members get buffers of their own,
-/// alive only while the member runs.
+std::vector<std::size_t> plan_run_ends(std::span<const comp::Codec* const> codecs) {
+  std::vector<std::size_t> ends;
+  std::string run_key;
+  for (std::size_t k = 0; k < codecs.size(); ++k) {
+    std::string key = codecs[k]->prep_key();
+    if (k > 0 && (key.empty() || key != run_key)) ends.push_back(k);
+    run_key = std::move(key);
+  }
+  if (!codecs.empty()) ends.push_back(codecs.size());
+  return ends;
+}
+
+/// Run body(lane, i) for every i in [0, count), members in parallel, with
+/// stream-size slots for `codecs` codecs per lane. Each index writes its
+/// own result slots, so the scheduling never changes a result. Resident
+/// members run in batches of kBiasBatch on arena lanes that stay warm
+/// across calls; store members get buffers of their own, alive only while
+/// the member runs.
 template <typename Body>
-void PvtVerifier::for_each_member(std::size_t count, const Body& body) const {
+void PvtVerifier::for_each_member(std::size_t count, std::size_t codecs,
+                                  const Body& body) const {
   const std::size_t recon = source_.max_chunk();
   const std::size_t walk = source_.walk_elems();
-  const std::size_t chunks = source_.chunk_count();
+  const std::size_t sizes = codecs * source_.chunk_count();
   if (walk != 0) {
     parallel_for(0, count, [&](std::size_t i) {
       std::vector<float> floats(recon + walk);
-      std::vector<std::size_t> sizes(chunks);
-      body(Lane{std::span(floats).first(recon), std::span(floats).subspan(recon), sizes}, i);
+      std::vector<std::size_t> lane_sizes(sizes);
+      body(Lane{std::span(floats).first(recon), std::span(floats).subspan(recon), lane_sizes},
+           i);
     });
     return;
   }
   const std::size_t width = std::min(kBiasBatch, count);
   const std::span<float> floats = scratch_.get<float>(kLaneSlot, width * recon);
-  const std::span<std::size_t> sizes = scratch_.get<std::size_t>(kSizeSlot, width * chunks);
+  const std::span<std::size_t> all_sizes = scratch_.get<std::size_t>(kSizeSlot, width * sizes);
   for (std::size_t lo = 0; lo < count; lo += width) {
     parallel_for(0, std::min(width, count - lo), [&](std::size_t i) {
-      body(Lane{floats.subspan(i * recon, recon), {}, sizes.subspan(i * chunks, chunks)},
+      body(Lane{floats.subspan(i * recon, recon), {}, all_sizes.subspan(i * sizes, sizes)},
            lo + i);
     });
   }
 }
 
-/// Encode member `member` chunk by chunk (plan-driven when a store is
-/// attached) and, unless `sink` is nullptr, decode each chunk into the
-/// lane, z-score it and call sink(original, reconstruction, mask, last). On a
-/// chunked source the chunks go through the ChunkedCodec's inner codec and
-/// the member's size is the container size encode() would produce; on an
-/// unchunked source the codec sees the whole member.
-template <typename Sink>
-PvtVerifier::Trip PvtVerifier::round_trip(const comp::Codec& codec, std::size_t member,
-                                          const Lane& lane, const Sink& sink) const {
-  const comp::ChunkedCodec* chunked = nullptr;
+template <typename Done>
+void PvtVerifier::sweep(std::span<const comp::Codec* const> codecs,
+                        std::span<const std::size_t> members, std::size_t evaluated,
+                        bool decode, std::span<std::exception_ptr> errors, const Done& done,
+                        const std::atomic<bool>* skip) const {
+  const std::size_t n = codecs.size();
+  CESM_REQUIRE(errors.size() == n);
+  if (n == 0) return;  // nothing to measure: skip the walk
+  // On a chunked source the chunks go through each ChunkedCodec's inner
+  // codec and a member's size is the container size encode() would
+  // produce; on an unchunked source the codec sees the whole member.
+  std::vector<const comp::ChunkedCodec*> chunked(n, nullptr);
+  std::vector<const comp::Codec*> inner(codecs.begin(), codecs.end());
   if (source_.chunk_elems() != 0) {
-    chunked = dynamic_cast<const comp::ChunkedCodec*>(&codec);
-    CESM_REQUIRE(chunked != nullptr);
+    for (std::size_t k = 0; k < n; ++k) {
+      chunked[k] = dynamic_cast<const comp::ChunkedCodec*>(codecs[k]);
+      CESM_REQUIRE(chunked[k] != nullptr);
+      inner[k] = chunked[k]->inner().get();
+    }
   }
-  const comp::Codec& inner = chunked != nullptr ? *chunked->inner() : codec;
+  // run_begin[k]: the first codec of k's plan-sharing run, or npos for a
+  // codec that encodes directly (a run of one has no sibling to share
+  // its plan with).
+  constexpr std::size_t npos = ~std::size_t{0};
+  std::vector<std::size_t> run_begin(n, npos);
+  std::size_t begin = 0;
+  for (const std::size_t end : plan_run_ends(inner)) {
+    if (end - begin > 1) std::fill(run_begin.begin() + begin, run_begin.begin() + end, begin);
+    begin = end;
+  }
+
   const EnsembleView& s = stats();
   const std::span<const std::size_t> offsets = source_.offsets();
+  const std::size_t chunks = source_.chunk_count();
   const bool masked = !s.mask().empty();
-  stats::kernels::ZScoreStream zs(static_cast<double>(s.member_count()),
-                                  kDegenerateSpreadRelTol, masked);
-  constexpr bool kDecode = !std::is_null_pointer_v<Sink>;
-  source_.walk(member, lane.walk, [&](std::size_t c, std::span<const float> x) {
-    const comp::Shape shape =
-        chunked != nullptr ? chunked->chunk_shape(source_.shape(), offsets[c], offsets[c + 1])
-                           : source_.shape();
-    const std::uint64_t block =
-        static_cast<std::uint64_t>(member) * source_.chunk_count() + c;
-    const Bytes stream =
-        plans_ != nullptr ? plans_->encode(inner, x, shape, block) : inner.encode(x, shape);
-    lane.sizes[c] = stream.size();
-    if constexpr (kDecode) {
-      const std::span<float> out = lane.recon.first(x.size());
-      inner.decode_into(stream, out);
+  std::vector<std::atomic<bool>> dead(n);
+  std::mutex error_mu;
+  const auto leave = [&](std::size_t k) {
+    std::lock_guard<std::mutex> lock(error_mu);
+    if (!errors[k]) errors[k] = std::current_exception();
+    dead[k].store(true);
+  };
+
+  // One codec's accumulators for the member in flight.
+  struct Slot {
+    stats::kernels::ZScoreStream zs;
+    stats::kernels::ErrorNormStream err;
+    stats::kernels::CoMomentStream co;
+  };
+
+  for_each_member(members.size(), n, [&](const Lane& lane, std::size_t i) {
+    if (skip != nullptr && skip->load()) return;
+    const std::size_t member = members[i];
+    const bool evaluate = i < evaluated;
+    std::vector<Slot> slots;
+    slots.reserve(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      slots.push_back({stats::kernels::ZScoreStream(static_cast<double>(s.member_count()),
+                                                    kDegenerateSpreadRelTol, masked),
+                       stats::kernels::ErrorNormStream(masked),
+                       stats::kernels::CoMomentStream(masked)});
+    }
+    // Codecs still in this member's pass: one that left (here or in a
+    // sibling member) skips the member's remaining chunks.
+    std::vector<std::uint8_t> live(n);
+    for (std::size_t k = 0; k < n; ++k) live[k] = dead[k].load() ? 0 : 1;
+
+    source_.walk(member, lane.walk, [&](std::size_t c, std::span<const float> x) {
+      const comp::Shape shape =
+          chunked[0] != nullptr
+              ? chunked[0]->chunk_shape(source_.shape(), offsets[c], offsets[c + 1])
+              : source_.shape();
       const std::size_t lo = offsets[c];
       const std::span<const std::uint8_t> mask =
           masked ? s.mask().subspan(lo, x.size()) : std::span<const std::uint8_t>{};
-      const bool last = c + 1 == source_.chunk_count();
-      zs.feed(out, x, s.sum().subspan(lo, x.size()), s.sum_sq().subspan(lo, x.size()), mask,
-              last);
-      sink(x, std::span<const float>(out), mask, last);
+      const bool last = c + 1 == chunks;
+      // The chunk's plan, built by the first live codec of run `plan_run`.
+      comp::PrepPlanPtr plan;
+      std::size_t plan_run = npos;
+      for (std::size_t k = 0; k < n; ++k) {
+        if (live[k] == 0) continue;
+        if (dead[k].load()) {
+          live[k] = 0;
+          continue;
+        }
+        const comp::Codec& codec = *inner[k];
+        const bool shares = run_begin[k] != npos;
+        try {
+          if (shares && run_begin[k] != plan_run) {
+            plan_run = run_begin[k];
+            plan = build_plan(codec, x, shape);
+          } else if (shares && plan != nullptr) {
+            trace::counter_add("prep.plan_reused", 1);
+          }
+          const Bytes stream = shares && plan != nullptr
+                                   ? codec.encode_with_prep(*plan, x, shape)
+                                   : codec.encode(x, shape);
+          lane.sizes[k * chunks + c] = stream.size();
+          if (!decode) continue;
+          const std::span<float> out = lane.recon.first(x.size());
+          codec.decode_into(stream, out);
+          Slot& slot = slots[k];
+          slot.zs.feed(out, x, s.sum().subspan(lo, x.size()),
+                       s.sum_sq().subspan(lo, x.size()), mask, last);
+          if (evaluate) {
+            slot.err.feed(x, out, mask, last);
+            slot.co.feed(x, out, mask, last);
+          }
+        } catch (const InvalidArgument&) {
+          throw;  // caller bug, not a codec failure
+        } catch (const Error&) {
+          live[k] = 0;
+          leave(k);
+        }
+      }
+    });
+
+    for (std::size_t k = 0; k < n; ++k) {
+      if (live[k] == 0) continue;
+      const std::span<const std::size_t> sizes = lane.sizes.subspan(k * chunks, chunks);
+      Measured m;
+      m.bytes = chunked[k] != nullptr ? chunked[k]->packed_stream_bytes(source_.shape(), sizes)
+                                      : sizes[0];
+      if (decode) {
+        trace::counter_add("pvt.member_roundtrips", 1);
+        m.rmsz = rmsz_from_accum(slots[k].zs.finish());
+        if (evaluate) {
+          m.err = slots[k].err.finish();
+          m.co = slots[k].co.finish();
+        }
+      }
+      done(k, i, m);
     }
   });
-  Trip trip;
-  trip.bytes = chunked != nullptr ? chunked->packed_stream_bytes(source_.shape(), lane.sizes)
-                                  : lane.sizes[0];
-  if constexpr (kDecode) {
-    trace::counter_add("pvt.member_roundtrips", 1);
-    trip.rmsz = rmsz_from_accum(zs.finish());
-  }
-  return trip;
 }
 
-MemberEvaluation PvtVerifier::evaluate(const comp::Codec& codec, std::size_t member,
-                                       const Lane& lane) const {
+MemberEvaluation PvtVerifier::evaluation(std::size_t member, const Measured& m) const {
   const EnsembleView& s = stats();
-  CESM_REQUIRE(member < s.member_count());
-  stats::kernels::ErrorNormStream err(!s.mask().empty());
-  stats::kernels::CoMomentStream co(!s.mask().empty());
-  const Trip trip = round_trip(codec, member, lane,
-                               [&](std::span<const float> x, std::span<const float> y,
-                                   std::span<const std::uint8_t> mask, bool last) {
-                                 err.feed(x, y, mask, last);
-                                 co.feed(x, y, mask, last);
-                               });
   MemberEvaluation eval;
   eval.member = member;
-  eval.cr = comp::compression_ratio(trip.bytes, source_.total_elems());
+  eval.cr = comp::compression_ratio(m.bytes, source_.total_elems());
   // The original member's range and peak come from its precomputed
   // summary — the same moments compare_fields() would rescan.
   const stats::Summary& summary = s.member_summary(member);
-  eval.metrics = error_metrics_from(err.finish(), summary.range(),
+  eval.metrics = error_metrics_from(m.err, summary.range(),
                                     std::max(std::fabs(summary.min), std::fabs(summary.max)),
-                                    stats::pearson_from_accum(co.finish()));
+                                    stats::pearson_from_accum(m.co));
   // The eq. (8)/(11) windows against the precomputed distribution extremes.
   eval.rmsz_original = s.rmsz(member);
-  eval.rmsz_reconstructed = trip.rmsz;
+  eval.rmsz_reconstructed = m.rmsz;
   eval.rmsz_diff = std::fabs(eval.rmsz_original - eval.rmsz_reconstructed);
   const auto [lo, hi] = s.rmsz_range();
   const double slack = thresholds_.rmsz_range_slack * (hi - lo);
@@ -186,107 +295,151 @@ MemberEvaluation PvtVerifier::evaluate(const comp::Codec& codec, std::size_t mem
   return eval;
 }
 
-MemberEvaluation PvtVerifier::evaluate_member(const comp::Codec& codec,
-                                              std::size_t member) const {
-  std::vector<float> recon(source_.max_chunk());
-  std::vector<float> walk(source_.walk_elems());
-  std::vector<std::size_t> sizes(source_.chunk_count());
-  return evaluate(codec, member, Lane{recon, walk, sizes});
+namespace {
+
+void rethrow_if(const std::exception_ptr& error) {
+  if (error) std::rethrow_exception(error);
 }
 
-double PvtVerifier::compression_ratio(const comp::Codec& codec, std::size_t member) const {
-  std::vector<float> walk(source_.walk_elems());
-  std::vector<std::size_t> sizes(source_.chunk_count());
-  const Trip trip = round_trip(codec, member, Lane{{}, walk, sizes}, nullptr);
-  return comp::compression_ratio(trip.bytes, source_.total_elems());
-}
+}  // namespace
 
-bool PvtVerifier::members_pass(const comp::Codec& codec,
-                               std::span<const std::size_t> members) const {
-  std::atomic<bool> failed{false};
-  for_each_member(members.size(), [&](const Lane& lane, std::size_t i) {
-    if (failed.load()) return;
-    const MemberEvaluation eval = evaluate(codec, members[i], lane);
-    if (!(eval.rho_pass && eval.rmsz_pass && eval.enmax_pass)) failed.store(true);
-  });
-  return !failed.load();
-}
-
-void PvtVerifier::bias_scores(const comp::Codec& codec, std::span<double> scores,
-                              std::span<const MemberEvaluation> known) const {
-  trace::Span span("pvt.bias_sweep");
+std::vector<SweepResult> PvtVerifier::verify_all(std::span<const comp::Codec* const> codecs,
+                                                 std::span<const std::size_t> test_members,
+                                                 bool run_bias) const {
+  CESM_REQUIRE(!test_members.empty());
+  trace::Span span("pvt.verify");
+  const std::size_t n = codecs.size();
   const std::size_t m_count = stats().member_count();
-  CESM_REQUIRE(scores.size() == m_count);
+  const std::size_t tests = test_members.size();
+  for (const std::size_t m : test_members) CESM_REQUIRE(m < m_count);
 
-  // Seed the scores the test-member evaluations already computed: the
-  // codec is deterministic, so re-compressing member m would reproduce
-  // the identical reconstruction and the identical RMSZ.
+  // The pass walks the test members, then — for the bias sweep — every
+  // member no test member already covers: the codecs are deterministic,
+  // so a test member's reconstructed RMSZ is its bias score, bit for bit.
   const std::span<std::uint8_t> seeded = scratch_.get<std::uint8_t>(kSeededSlot, m_count);
   std::fill(seeded.begin(), seeded.end(), std::uint8_t{0});
   std::uint64_t reused = 0;
-  for (const MemberEvaluation& eval : known) {
-    if (eval.member < m_count && seeded[eval.member] == 0) {
-      scores[eval.member] = eval.rmsz_reconstructed;
-      seeded[eval.member] = 1;
-      ++reused;
+  for (const std::size_t m : test_members) {
+    reused += seeded[m] == 0 ? 1 : 0;
+    seeded[m] = 1;
+  }
+  const std::span<std::size_t> members =
+      scratch_.get<std::size_t>(kPendingSlot, tests + m_count);
+  std::copy(test_members.begin(), test_members.end(), members.begin());
+  std::size_t count = tests;
+  for (std::size_t m = 0; run_bias && m < m_count; ++m) {
+    if (seeded[m] == 0) members[count++] = m;
+  }
+  const std::span<double> scores =
+      scratch_.get<double>(kScoreSlot, run_bias ? n * m_count : 0);
+
+  std::vector<SweepResult> results(n);
+  std::vector<std::exception_ptr> errors(n);
+  for (SweepResult& r : results) r.verdict.members.resize(tests);
+  sweep(codecs, members.first(count), tests, /*decode=*/true, errors,
+        [&](std::size_t k, std::size_t i, const Measured& m) {
+          if (i < tests) {
+            results[k].verdict.members[i] = evaluation(members[i], m);
+          } else {
+            scores[k * m_count + members[i]] = m.rmsz;
+          }
+        });
+
+  // Per codec, the pass flags and CR mean fold serially in member order —
+  // the same results, bit for bit, at any thread count.
+  for (std::size_t k = 0; k < n; ++k) {
+    SweepResult& r = results[k];
+    VariableVerdict& verdict = r.verdict;
+    if (errors[k]) {
+      r.error = errors[k];
+      verdict.members.clear();
+      continue;
+    }
+    verdict.variable = source_.variable();
+    verdict.codec = codecs[k]->name();
+    verdict.rho_pass = verdict.rmsz_pass = verdict.enmax_pass = true;
+    double cr_sum = 0.0;
+    for (const MemberEvaluation& eval : verdict.members) {
+      verdict.rho_pass = verdict.rho_pass && eval.rho_pass;
+      verdict.rmsz_pass = verdict.rmsz_pass && eval.rmsz_pass;
+      verdict.enmax_pass = verdict.enmax_pass && eval.enmax_pass;
+      cr_sum += eval.cr;
+      if (run_bias) scores[k * m_count + eval.member] = eval.rmsz_reconstructed;
+    }
+    verdict.mean_cr = cr_sum / static_cast<double>(tests);
+    if (run_bias) {
+      trace::counter_add("pvt.bias_reused", reused);
+      verdict.bias = bias_test(stats().rmsz_distribution(), scores.subspan(k * m_count, m_count),
+                               thresholds_.bias_confidence);
+      verdict.bias_pass = verdict.bias.pass;
+      verdict.bias_evaluated = true;
+    } else {
+      verdict.bias_pass = true;  // not evaluated: do not veto
     }
   }
-  trace::counter_add("pvt.bias_reused", reused);
-
-  const std::span<std::size_t> pending = scratch_.get<std::size_t>(kPendingSlot, m_count);
-  std::size_t pending_count = 0;
-  for (std::size_t m = 0; m < m_count; ++m) {
-    if (seeded[m] == 0) pending[pending_count++] = m;
-  }
-  for_each_member(pending_count, [&](const Lane& lane, std::size_t i) {
-    scores[pending[i]] =
-        round_trip(codec, pending[i], lane, [](auto&&...) {}).rmsz;
-  });
-}
-
-std::vector<double> PvtVerifier::reconstructed_rmsz(const comp::Codec& codec) const {
-  std::vector<double> scores(stats().member_count());
-  bias_scores(codec, scores, {});
-  return scores;
+  return results;
 }
 
 VariableVerdict PvtVerifier::verify(const comp::Codec& codec,
                                     std::span<const std::size_t> test_members,
                                     bool run_bias) const {
-  CESM_REQUIRE(!test_members.empty());
-  trace::Span span("pvt.verify");
-  VariableVerdict verdict;
-  verdict.variable = source_.variable();
-  verdict.codec = codec.name();
+  const comp::Codec* const one[] = {&codec};
+  std::vector<SweepResult> results = verify_all(one, test_members, run_bias);
+  rethrow_if(results[0].error);
+  return std::move(results[0].verdict);
+}
 
-  // Test members evaluate in parallel into per-member slots, then the pass
-  // flags and CR mean fold serially in member order — the same results,
-  // bit for bit, at any thread count.
-  verdict.members.resize(test_members.size());
-  for_each_member(test_members.size(), [&](const Lane& lane, std::size_t i) {
-    verdict.members[i] = evaluate(codec, test_members[i], lane);
-  });
-  verdict.rho_pass = verdict.rmsz_pass = verdict.enmax_pass = true;
-  double cr_sum = 0.0;
-  for (const MemberEvaluation& eval : verdict.members) {
-    verdict.rho_pass = verdict.rho_pass && eval.rho_pass;
-    verdict.rmsz_pass = verdict.rmsz_pass && eval.rmsz_pass;
-    verdict.enmax_pass = verdict.enmax_pass && eval.enmax_pass;
-    cr_sum += eval.cr;
-  }
-  verdict.mean_cr = cr_sum / static_cast<double>(verdict.members.size());
+MemberEvaluation PvtVerifier::evaluate_member(const comp::Codec& codec,
+                                              std::size_t member) const {
+  CESM_REQUIRE(member < stats().member_count());
+  const comp::Codec* const one[] = {&codec};
+  const std::size_t members[] = {member};
+  std::exception_ptr error[1];
+  MemberEvaluation eval;
+  sweep(one, members, 1, /*decode=*/true, error,
+        [&](std::size_t, std::size_t, const Measured& m) { eval = evaluation(member, m); });
+  rethrow_if(error[0]);
+  return eval;
+}
 
-  if (run_bias) {
-    const std::span<double> scores = scratch_.get<double>(kScoreSlot, stats().member_count());
-    bias_scores(codec, scores, verdict.members);
-    verdict.bias =
-        bias_test(stats().rmsz_distribution(), scores, thresholds_.bias_confidence);
-    verdict.bias_pass = verdict.bias.pass;
-    verdict.bias_evaluated = true;
-  } else {
-    verdict.bias_pass = true;  // not evaluated: do not veto
-  }
-  return verdict;
+double PvtVerifier::compression_ratio(const comp::Codec& codec, std::size_t member) const {
+  const comp::Codec* const one[] = {&codec};
+  const std::size_t members[] = {member};
+  std::exception_ptr error[1];
+  std::size_t bytes = 0;
+  sweep(one, members, 0, /*decode=*/false, error,
+        [&](std::size_t, std::size_t, const Measured& m) { bytes = m.bytes; });
+  rethrow_if(error[0]);
+  return comp::compression_ratio(bytes, source_.total_elems());
+}
+
+bool PvtVerifier::members_pass(const comp::Codec& codec,
+                               std::span<const std::size_t> members) const {
+  for (const std::size_t m : members) CESM_REQUIRE(m < stats().member_count());
+  const comp::Codec* const one[] = {&codec};
+  std::exception_ptr error[1];
+  std::atomic<bool> failed{false};
+  sweep(
+      one, members, members.size(), /*decode=*/true, error,
+      [&](std::size_t, std::size_t i, const Measured& m) {
+        const MemberEvaluation eval = evaluation(members[i], m);
+        if (!(eval.rho_pass && eval.rmsz_pass && eval.enmax_pass)) failed.store(true);
+      },
+      &failed);
+  rethrow_if(error[0]);
+  return !failed.load();
+}
+
+std::vector<double> PvtVerifier::reconstructed_rmsz(const comp::Codec& codec) const {
+  const comp::Codec* const one[] = {&codec};
+  std::vector<std::size_t> members(stats().member_count());
+  for (std::size_t m = 0; m < members.size(); ++m) members[m] = m;
+  std::exception_ptr error[1];
+  std::vector<double> scores(members.size());
+  sweep(one, members, 0, /*decode=*/true, error,
+        [&](std::size_t, std::size_t i, const Measured& m) { scores[i] = m.rmsz; });
+  rethrow_if(error[0]);
+  return scores;
 }
 
 std::vector<std::size_t> PvtVerifier::pick_members(std::size_t count,

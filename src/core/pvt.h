@@ -14,20 +14,24 @@
 //
 // One verifier serves the in-core and out-of-core legs: it walks each
 // member chunk by chunk on a ChunkSource (resident EnsembleStats fields or
-// a CNK1 store, core/ooc.h), round-trips every chunk through the codec and
-// feeds the streaming kernels (stats/kernels.h), which land on the
-// one-shot kernels' block grid — so the source cannot change a verdict.
+// a CNK1 store, core/ooc.h), round-trips every chunk through each codec of
+// the sweep in turn and feeds that codec's streaming kernels
+// (stats/kernels.h), which land on the one-shot kernels' block grid — so
+// neither the source nor the number of codecs swept together can change a
+// verdict.
 
+#include <atomic>
+#include <exception>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "compress/codec.h"
-#include "compress/prep.h"
 #include "core/bias.h"
 #include "core/metrics.h"
 #include "core/rmsz.h"
 #include "ncio/chunkstore.h"
+#include "stats/kernels.h"
 #include "util/arena.h"
 #include "util/scheduler.h"
 
@@ -212,6 +216,19 @@ class ChunkSource {
   std::size_t max_chunk_ = 0;
 };
 
+/// One codec's outcome of a member-major sweep (PvtVerifier::verify_all).
+struct SweepResult {
+  VariableVerdict verdict;
+  /// The cesm::Error the codec's encode or decode threw, which took it out
+  /// of the pass; `verdict` is then left empty.
+  std::exception_ptr error;
+};
+
+/// Where the plan-sharing runs of `codecs` end: maximal runs of adjacent
+/// codecs with equal non-empty prep_key(). A codec without a key is a run
+/// of its own. Returns one past the last index of each run, in order.
+std::vector<std::size_t> plan_run_ends(std::span<const comp::Codec* const> codecs);
+
 class PvtVerifier {
  public:
   /// Verifies straight from the resident members of `stats`, one whole
@@ -221,21 +238,39 @@ class PvtVerifier {
   /// ChunkedCodec on the source's partition (with_chunking(), suite.h).
   PvtVerifier(ChunkSource source, PvtThresholds thresholds);
 
-  /// Tests 1–3 for one member. Safe to call concurrently.
-  [[nodiscard]] MemberEvaluation evaluate_member(const comp::Codec& codec,
-                                                 std::size_t member) const;
-
-  /// Full verdict: tests 1–3 on `test_members`, bias over all members
-  /// when `run_bias` (compresses the whole ensemble; parallelized).
+  /// The member-major sweep behind every call below. Walks each member's
+  /// chunks once: tests 1–3 on `test_members`, and with `run_bias` the
+  /// reconstructed RMSZ of every other member for the bias test. Each chunk
+  /// is encoded, decoded into one shared reconstruction lane and fed to
+  /// every codec's own accumulators in turn, so each codec folds exactly
+  /// what a pass of its own would. Inside a plan-sharing run
+  /// (plan_run_ends) the chunk's prep plan is built once and reused by the
+  /// run's siblings; a plan-build fault falls back to the direct encode.
+  /// Plans never change a stream byte.
   ///
-  /// The steady-state loop (same verifier, successive codecs) reuses a
-  /// scratch arena: on a resident source it never grows after the first
-  /// call (asserted via the "arena.grow" trace counter). Consequently
-  /// verify() must not run concurrently on one verifier; distinct
-  /// verifiers remain independent.
+  /// One result per codec, in order. A codec whose encode or decode throws
+  /// cesm::Error leaves the pass without disturbing its siblings;
+  /// InvalidArgument, and any error reading the source, propagate.
+  ///
+  /// Members run in parallel. The steady-state loop (same verifier,
+  /// successive calls) reuses a scratch arena: on a resident source it
+  /// never grows after the first call (asserted via the "arena.grow" trace
+  /// counter). Consequently no two calls may run concurrently on one
+  /// verifier, including the one-codec calls below; distinct verifiers
+  /// remain independent.
+  [[nodiscard]] std::vector<SweepResult> verify_all(
+      std::span<const comp::Codec* const> codecs, std::span<const std::size_t> test_members,
+      bool run_bias = true) const;
+
+  /// Full verdict for one codec: verify_all of one codec, rethrowing its
+  /// error.
   [[nodiscard]] VariableVerdict verify(const comp::Codec& codec,
                                        std::span<const std::size_t> test_members,
                                        bool run_bias = true) const;
+
+  /// Tests 1–3 for one member.
+  [[nodiscard]] MemberEvaluation evaluate_member(const comp::Codec& codec,
+                                                 std::size_t member) const;
 
   /// Whether every member of `members` passes tests 1–3 — the GRIB2
   /// tuning probe. Members run in parallel; once one fails, members not
@@ -263,50 +298,44 @@ class PvtVerifier {
   static std::vector<std::size_t> pick_members(std::size_t count, std::size_t member_count,
                                                std::uint64_t seed);
 
-  /// Attach a shared encode-prep plan store (see prep.h): every chunk
-  /// encode this verifier performs is then plan-driven, keyed per
-  /// (member, chunk). The store may be shared across verifiers (it is
-  /// thread-safe); plans never change the produced streams, so verdicts
-  /// are bit-identical with or without one. Null detaches.
-  void set_plan_store(comp::PlanStore* plans) { plans_ = plans; }
-
   [[nodiscard]] const EnsembleView& stats() const { return source_.stats(); }
   [[nodiscard]] const ChunkSource& source() const { return source_; }
   [[nodiscard]] const PvtThresholds& thresholds() const { return thresholds_; }
 
  private:
   /// Scratch of one member in flight: the reconstruction chunk, the
-  /// source's walk buffers and the per-chunk stream sizes.
+  /// source's walk buffers and the per-codec, per-chunk stream sizes.
   struct Lane {
     std::span<float> recon;
     std::span<float> walk;
     std::span<std::size_t> sizes;
   };
 
-  /// One member's stream bytes and reconstructed RMSZ (eq. 7).
-  struct Trip {
-    std::size_t bytes = 0;
-    double rmsz = 0.0;
+  /// What a pass measured of one (codec, member).
+  struct Measured {
+    std::size_t bytes = 0;  ///< the member's stream bytes
+    double rmsz = 0.0;      ///< reconstructed RMSZ (eq. 7); decoding passes
+    stats::kernels::ErrorAccum err;    ///< evaluated members only
+    stats::kernels::CoMomentAccum co;  ///< evaluated members only
   };
 
   template <typename Body>
-  void for_each_member(std::size_t count, const Body& body) const;
-  template <typename Sink>
-  Trip round_trip(const comp::Codec& codec, std::size_t member, const Lane& lane,
-                  const Sink& sink) const;
-  [[nodiscard]] MemberEvaluation evaluate(const comp::Codec& codec, std::size_t member,
-                                          const Lane& lane) const;
-  /// Fill `scores` (one slot per member) with the reconstructed-ensemble
-  /// RMSZ. Members already scored by `known` evaluations (the verify()
-  /// test members) are seeded from eval.rmsz_reconstructed instead of
-  /// being compressed again — codecs are deterministic, so the reused
-  /// score is bit-exact.
-  void bias_scores(const comp::Codec& codec, std::span<double> scores,
-                   std::span<const MemberEvaluation> known) const;
+  void for_each_member(std::size_t count, std::size_t codecs, const Body& body) const;
+  /// The member-major pass: walk members[i] for every i, round-tripping
+  /// each chunk through every live codec (encode only unless `decode`),
+  /// then call done(k, i, measured) for each codec k that completed the
+  /// member. members[0, evaluated) also get the tests 1–3 accumulators.
+  /// A codec that throws cesm::Error records it in errors[k] and leaves
+  /// the pass. Members not yet started are skipped once `*skip` is set.
+  template <typename Done>
+  void sweep(std::span<const comp::Codec* const> codecs, std::span<const std::size_t> members,
+             std::size_t evaluated, bool decode, std::span<std::exception_ptr> errors,
+             const Done& done, const std::atomic<bool>* skip = nullptr) const;
+  /// Tests 1–3 of `member` from what the pass measured.
+  [[nodiscard]] MemberEvaluation evaluation(std::size_t member, const Measured& m) const;
 
   ChunkSource source_;
   PvtThresholds thresholds_;
-  comp::PlanStore* plans_ = nullptr;
   /// Reusable verify-loop scratch (member lanes, bias-sweep scores).
   /// Mutable so the logically-const verify() can recycle capacity.
   mutable util::ScratchArena scratch_;

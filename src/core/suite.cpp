@@ -59,41 +59,32 @@ comp::CodecPtr with_chunking(comp::CodecPtr codec, std::size_t chunk_elems) {
 
 namespace {
 
-/// Scheduler grain for sweeping `n` variants under
-/// SuiteConfig::variant_jobs: 1 -> n (one serial task, catalog order),
-/// 0 -> 1 (one task per variant), N -> about N contiguous tasks.
-std::size_t variant_grain(std::size_t variant_jobs, std::size_t n) {
-  if (n == 0) return 1;
-  if (variant_jobs <= 1) return variant_jobs == 0 ? 1 : n;
-  return (n + variant_jobs - 1) / variant_jobs;
+/// What a failed variant threw: always a cesm::Error, the only exception
+/// the sweep takes a codec out of the pass for.
+std::string error_message(const std::exception_ptr& error) {
+  std::string message;
+  try {
+    std::rethrow_exception(error);
+  } catch (const Error& e) {
+    message = e.what();
+  }
+  return message;
 }
 
-/// verify() one variant. A thrown cesm::Error — or `injected`, an error
-/// the catalog-order failpoint pre-pass already raised for this variant,
-/// in which case the verify is skipped — becomes a codec-error verdict
-/// (never a pass), re-scored under the lossless stand-in when the
-/// fallback policy is on.
-VariableVerdict verify_with_fallback(const PvtVerifier& verifier, const comp::Codec& codec,
-                                     std::optional<float> fill,
-                                     std::span<const std::size_t> test_members,
-                                     const SuiteConfig& config,
-                                     const std::optional<std::string>& injected) {
-  VariableVerdict verdict;
-  if (injected) {
-    verdict.error_message = *injected;
-  } else {
-    try {
-      return verifier.verify(codec, test_members, config.run_bias);
-    } catch (const InvalidArgument&) {
-      throw;  // caller bug, not a codec failure: keep the old contract
-    } catch (const Error& e) {
-      verdict.error_message = e.what();
-    }
-  }
+/// The verdict of a variant whose encode or decode threw — or whose fault
+/// the catalog-order failpoint pre-pass injected: a codec-error verdict
+/// (never a pass), re-scored under the lossless stand-in when the fallback
+/// policy is on.
+VariableVerdict codec_error_verdict(const PvtVerifier& verifier, const comp::Codec& codec,
+                                    std::optional<float> fill,
+                                    std::span<const std::size_t> test_members,
+                                    const SuiteConfig& config, std::string message) {
   trace::counter_add("suite.codec_errors", 1);
+  VariableVerdict verdict;
   verdict.variable = verifier.source().variable();
   verdict.codec = codec.name();
   verdict.codec_error = true;
+  verdict.error_message = std::move(message);
   if (config.lossless_fallback) {
     const comp::CodecPtr stand_in =
         with_chunking(comp::lossless_stand_in(codec.family()).build(0, fill),
@@ -133,29 +124,21 @@ void begin_variable(const climate::VariableSpec& spec, const SuiteConfig& config
 }
 
 VariableResult verify_variable(const climate::VariableSpec& spec, const ChunkSource& source,
-                               const SuiteConfig& config, comp::PlanStore& plans) {
+                               const SuiteConfig& config) {
   VariableResult result;
   result.variable = spec.name;
   result.is_3d = spec.is_3d;
   if (spec.has_fill) result.fill = climate::kFillValue;
   const std::size_t chunk_elems = source.chunk_elems();
 
-  // One verifier and one plan store for the whole variable: the
-  // variant-invariant encode stages (fpzip ordered map, ISABELA sort +
-  // fit, GRIB2 scans and wavelet lift) are computed once per member chunk
-  // and reused across the lossless probe, the GRIB2 tuning ladder and
-  // every variant verify below. Plans are pure memoization — every stream
-  // stays byte-identical (prep.h).
-  PvtVerifier verifier(source, config.thresholds);
-  verifier.set_plan_store(&plans);
+  const PvtVerifier verifier(source, config.thresholds);
   result.test_members = PvtVerifier::pick_members(
       config.test_member_count, source.stats().member_count(),
       hash_combine(config.member_seed, spec.stream));
 
   // Characterization + lossless baselines on the first test member: the
   // summary is the precomputed member summary, the CRs measure the stream
-  // of the source's partition. The probe's fpzip-32 encode seeds the plan
-  // store for the fpzip variants when the variable has no fill value.
+  // of the source's partition.
   const std::size_t probe = result.test_members.front();
   result.character.summary = source.stats().member_summary(probe);
   result.character.lossless_cr = verifier.compression_ratio(
@@ -175,10 +158,12 @@ VariableResult verify_variable(const climate::VariableSpec& spec, const ChunkSou
       comp::paper_variants(result.grib_decimal_scale, result.fill);
 
   // Failpoint pre-pass: hit "suite.verify_variant" once per variant in
-  // catalog order before any verify runs, so stateful triggers (once,
-  // nth, prob) select the same variants at every variant_jobs setting.
-  std::vector<std::optional<std::string>> injected(variants.size());
-  for (std::optional<std::string>& fault : injected) {
+  // catalog order before the sweep, so stateful triggers (once, nth,
+  // prob) select the same variants at every variant_jobs setting. A
+  // variant's failure message, injected here or thrown in the sweep,
+  // turns its verdict into a codec error.
+  std::vector<std::optional<std::string>> failure(variants.size());
+  for (std::optional<std::string>& fault : failure) {
     try {
       CESM_FAILPOINT("suite.verify_variant");
     } catch (const Error& e) {
@@ -186,31 +171,53 @@ VariableResult verify_variable(const climate::VariableSpec& spec, const ChunkSou
     }
   }
 
-  result.verdicts.resize(variants.size());
-  const auto verify_one = [&](const PvtVerifier& v, std::size_t i) {
+  // The sweep covers the variants the pre-pass spared, in catalog order.
+  std::vector<std::size_t> slot;
+  std::vector<const comp::Codec*> bare;
+  std::vector<comp::CodecPtr> wrapped;
+  std::vector<const comp::Codec*> swept;
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    if (failure[i]) continue;
+    slot.push_back(i);
+    bare.push_back(variants[i].get());
+    wrapped.push_back(with_chunking(variants[i], chunk_elems));
+    swept.push_back(wrapped.back().get());
+  }
+  std::vector<SweepResult> outcomes(swept.size());
+  const auto sweep = [&](const PvtVerifier& v, std::size_t lo, std::size_t hi) {
     trace::counter_add("sweep.variant_tasks", 1);
-    const comp::CodecPtr wrapped = with_chunking(variants[i], chunk_elems);
-    result.verdicts[i] = verify_with_fallback(v, *wrapped, result.fill,
-                                              result.test_members, config, injected[i]);
+    std::vector<SweepResult> part = v.verify_all(std::span(swept).subspan(lo, hi - lo),
+                                                 result.test_members, config.run_bias);
+    std::move(part.begin(), part.end(), outcomes.begin() + static_cast<std::ptrdiff_t>(lo));
   };
-  const std::size_t grain = variant_grain(config.variant_jobs, variants.size());
-  if (grain >= variants.size()) {
-    // Serial catalog order (the default): the variable's verifier, whose
-    // scratch arena is already warm, serves every variant.
-    for (std::size_t v = 0; v < variants.size(); ++v) verify_one(verifier, v);
+  if (config.variant_jobs == 1) {
+    // One member-major pass over every variant (the default).
+    sweep(verifier, 0, swept.size());
   } else {
-    // Parallel sweep: verdicts land in fixed catalog-order slots, so the
-    // results are byte-identical to the serial path at any worker count.
-    // verify() must not run concurrently on one verifier (shared scratch
-    // arena), so each task builds its own; they all share `plans`.
-    parallel_for(
-        0, variants.size(),
-        [&](std::size_t v) {
-          PvtVerifier task_verifier(source, config.thresholds);
-          task_verifier.set_plan_store(&plans);
-          verify_one(task_verifier, v);
-        },
-        grain);
+    // One task per plan-sharing run. verify_all must not run concurrently
+    // on one verifier (shared scratch arena), so each task builds its own.
+    const std::vector<std::size_t> ends = plan_run_ends(bare);
+    parallel_for(0, ends.size(), [&](std::size_t r) {
+      const PvtVerifier task_verifier(source, config.thresholds);
+      sweep(task_verifier, r == 0 ? 0 : ends[r - 1], ends[r]);
+    });
+  }
+
+  // Verdicts land in fixed catalog-order slots, so the results are
+  // byte-identical at any variant_jobs setting and worker count; failed
+  // variants get their codec-error verdicts and fallbacks in catalog order.
+  result.verdicts.resize(variants.size());
+  for (std::size_t j = 0; j < slot.size(); ++j) {
+    if (outcomes[j].error) {
+      failure[slot[j]] = error_message(outcomes[j].error);
+    } else {
+      result.verdicts[slot[j]] = std::move(outcomes[j].verdict);
+    }
+  }
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    if (!failure[i]) continue;
+    result.verdicts[i] = codec_error_verdict(verifier, *variants[i], result.fill,
+                                             result.test_members, config, *failure[i]);
   }
   return result;
 }
@@ -250,8 +257,7 @@ VariableResult run_variable(const climate::EnsembleGenerator& ensemble,
   // key. With the cache disabled this is a plain build.
   const std::shared_ptr<const EnsembleStats> stats =
       EnsembleCache::global().stats(ensemble, spec);
-  comp::PlanStore plans(config.plan_cache_bytes);
-  return verify_variable(spec, ChunkSource(*stats, config.chunk_elems), config, plans);
+  return verify_variable(spec, ChunkSource(*stats, config.chunk_elems), config);
 }
 
 std::vector<const climate::VariableSpec*> resolve_suite_specs(

@@ -44,22 +44,14 @@ struct SuiteConfig {
   /// Must be >= 1024 when set (ChunkedCodec's floor).
   std::size_t chunk_elems = 0;
 
-  // --- variant-sweep engine (docs/codecs.md) ---
-  /// Concurrent variant tasks per variable: 1 (the default) runs the
-  /// sweep serially in catalog order — today's schedule, one verifier
-  /// arena warmed across the sweep; 0 spawns one task per variant; N
-  /// splits the sweep into about N tasks. Results land in fixed
-  /// catalog-order slots, so the suite CSV is byte-identical at every
+  // --- variant sweep (docs/codecs.md) ---
+  /// 1 (the default): one member-major pass per variable walks each
+  /// member's chunks once for all nine variants (PvtVerifier::verify_all).
+  /// Any other value: one concurrent task per plan-sharing run of variants
+  /// (plan_run_ends, pvt.h), each with its own verifier. Results land in
+  /// fixed catalog-order slots, so the suite CSV is byte-identical at every
   /// setting and worker count.
   std::size_t variant_jobs = 1;
-  /// Byte cap for the per-variable shared encode-prep plan cache
-  /// (compress/prep.h): the variant-invariant stage of each codec family
-  /// (fpzip ordered map, ISABELA sort + spline fit, GRIB2 bitmap/scan +
-  /// wavelet lift) is computed once per member and reused across the
-  /// family's variants, the GRIB2 tuning ladder, and the lossless
-  /// baselines. Plans never change the emitted streams (bit-identity
-  /// contract). 0 disables plan sharing entirely.
-  std::size_t plan_cache_bytes = 128ull << 20;
 
   // --- robustness policy (exercised by cesm::fail injection) ---
   /// When a lossy variant's verify throws, record a codec-error verdict
@@ -154,10 +146,11 @@ void begin_variable(const climate::VariableSpec& spec, const SuiteConfig& config
 
 /// Everything measured for one variable once its chunk source is ready:
 /// member picks, characterization and lossless baselines, RMSZ-guided
-/// GRIB2 tuning, and one verdict per paper variant (a variant whose
-/// verify throws gets a codec-error verdict).
+/// GRIB2 tuning, and one verdict per paper variant from the member-major
+/// sweep (a variant whose encode or decode throws gets a codec-error
+/// verdict).
 VariableResult verify_variable(const climate::VariableSpec& spec, const ChunkSource& source,
-                               const SuiteConfig& config, comp::PlanStore& plans);
+                               const SuiteConfig& config);
 
 /// The suite's containment policy around one variable run: retry `run`
 /// after a failure (one-shot injected faults clear themselves), and when

@@ -30,6 +30,12 @@ thread_local std::size_t t_worker_index = 0;
 thread_local int t_help_depth = 0;
 constexpr int kMaxHelpDepth = 64;
 
+// Wall time of the tasks this thread ran nested inside the task it is
+// running now (helped in a TaskGroup::wait). run_task subtracts it, so a
+// task books only its exclusive time and busy_ns never counts a nested
+// task twice.
+thread_local std::uint64_t t_nested_ns = 0;
+
 // A parked at-cap waiter escapes (helps anyway, accepting stack growth)
 // after this many consecutive empty timeouts, so "every thread is at the
 // help cap" can never deadlock with runnable tasks still queued.
@@ -243,10 +249,13 @@ struct Scheduler::Impl {
   }
 
   /// Execute one task under its group's exception capture and account its
-  /// wall time to the calling thread's counter slot.
+  /// exclusive wall time (minus the tasks it helped inside a wait) to the
+  /// calling thread's counter slot.
   void run_task(Task* task, bool from_wait) {
     SourceCounters& c = counters_here();
     if (from_wait) c.helped.fetch_add(1, std::memory_order_relaxed);
+    const std::uint64_t enclosing_nested = t_nested_ns;
+    t_nested_ns = 0;
     const std::uint64_t t0 = now_ns();
     TaskGroup* group = task->group;
     try {
@@ -257,7 +266,9 @@ struct Scheduler::Impl {
     } catch (...) {
       group->capture(std::current_exception());
     }
-    c.busy_ns.fetch_add(now_ns() - t0, std::memory_order_relaxed);
+    const std::uint64_t wall = now_ns() - t0;
+    c.busy_ns.fetch_add(wall - t_nested_ns, std::memory_order_relaxed);
+    t_nested_ns = enclosing_nested + wall;
     group->finish_one();
   }
 };

@@ -70,7 +70,9 @@ struct SchedulerStats {
   std::uint64_t injected = 0;  ///< executed from the external-submission queue
   std::uint64_t helped = 0;    ///< executed inside a TaskGroup::wait (help-first join)
   std::uint64_t inline_chunks = 0;  ///< chunks run directly by the spawning thread
-  std::vector<std::uint64_t> worker_busy_ns;  ///< per-worker task execution time
+  /// Per-worker task execution time. Exclusive: a task helped inside
+  /// another task's wait() counts once, not again in the enclosing task.
+  std::vector<std::uint64_t> worker_busy_ns;
   std::uint64_t external_busy_ns = 0;  ///< busy time of helping non-worker threads
 
   /// Fraction of executed tasks that crossed workers via a steal.

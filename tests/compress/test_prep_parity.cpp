@@ -1,28 +1,50 @@
-// The variant-sweep engine's load-bearing contract (compress/prep.h): a
-// plan-driven encode is byte-identical to the direct encode — same stream
-// bytes, same thrown input-validation errors — for every paper variant,
-// over the hostile-field generator zoo. The suite is free to parallelize
-// and cache only because this holds; any divergence here is a correctness
-// bug, not a tuning matter.
+// The variant sweep's load-bearing contract (compress/codec.h, core/pvt.h):
+// a plan-driven encode is byte-identical to the direct encode — same
+// stream bytes, same thrown input-validation errors — for every paper
+// variant, over the hostile-field generator zoo. The sweep may share one
+// chunk's plan across sibling variants only because this holds; any
+// divergence here is a correctness bug, not a tuning matter.
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "compress/codec.h"
-#include "compress/fpz/fpz.h"
 #include "compress/grib2/grib2.h"
 #include "compress/isabela/isabela.h"
-#include "compress/prep.h"
 #include "compress/variants.h"
 #include "support/generators.h"
 #include "util/error.h"
-#include "util/memory.h"
 
 namespace cesm {
 namespace {
+
+/// Plan sharing as the sweep does it over one chunk: the first codec with
+/// a given prep_key() builds the plan, every later one reuses it, and a
+/// codec without a key (or without a plan) encodes directly.
+struct SharedPlans {
+  std::map<std::string, comp::PrepPlanPtr> plans;
+  std::size_t built = 0;
+  std::size_t reused = 0;
+
+  Bytes encode(const comp::Codec& codec, std::span<const float> data,
+               const comp::Shape& shape) {
+    const std::string key = codec.prep_key();
+    if (key.empty()) return codec.encode(data, shape);
+    comp::PrepPlanPtr& plan = plans[key];
+    if (plan != nullptr) {
+      ++reused;
+    } else if ((plan = codec.build_prep(data, shape)) != nullptr) {
+      ++built;
+    } else {
+      return codec.encode(data, shape);
+    }
+    return codec.encode_with_prep(*plan, data, shape);
+  }
+};
 
 struct EncodeOutcome {
   Bytes stream;
@@ -43,12 +65,11 @@ EncodeOutcome direct_encode(const comp::Codec& codec, std::span<const float> dat
   return out;
 }
 
-EncodeOutcome planned_encode(comp::PlanStore& plans, const comp::Codec& codec,
-                             std::span<const float> data, const comp::Shape& shape,
-                             std::uint64_t block) {
+EncodeOutcome planned_encode(SharedPlans& plans, const comp::Codec& codec,
+                             std::span<const float> data, const comp::Shape& shape) {
   EncodeOutcome out;
   try {
-    out.stream = plans.encode(codec, data, shape, block);
+    out.stream = plans.encode(codec, data, shape);
   } catch (const InvalidArgument&) {
     out.threw = out.invalid_argument = true;
   } catch (const Error&) {
@@ -59,19 +80,18 @@ EncodeOutcome planned_encode(comp::PlanStore& plans, const comp::Codec& codec,
 
 /// Plan path == direct path: same success/throw outcome, same error class,
 /// same bytes — both on the build encode and on a reusing encode.
-void expect_parity(comp::PlanStore& plans, const comp::Codec& codec,
-                   std::span<const float> data, const comp::Shape& shape,
-                   std::uint64_t block) {
+void expect_parity(SharedPlans& plans, const comp::Codec& codec, std::span<const float> data,
+                   const comp::Shape& shape) {
   SCOPED_TRACE("codec=" + codec.name());
   const EncodeOutcome direct = direct_encode(codec, data, shape);
-  const EncodeOutcome first = planned_encode(plans, codec, data, shape, block);
+  const EncodeOutcome first = planned_encode(plans, codec, data, shape);
   ASSERT_EQ(direct.threw, first.threw);
   EXPECT_EQ(direct.invalid_argument, first.invalid_argument);
   if (direct.threw) return;
   ASSERT_EQ(direct.stream.size(), first.stream.size());
   EXPECT_TRUE(direct.stream == first.stream);
-  // Second pass hits whatever the store cached for this block.
-  const EncodeOutcome again = planned_encode(plans, codec, data, shape, block);
+  // Second pass reuses the plan the first one built or found.
+  const EncodeOutcome again = planned_encode(plans, codec, data, shape);
   ASSERT_FALSE(again.threw);
   EXPECT_TRUE(direct.stream == again.stream);
 }
@@ -111,11 +131,11 @@ TEST(PrepParity, EveryPaperVariantOverHostileFieldsAndShapes) {
       for (const comp::Shape& shape : shapes) {
         SCOPED_TRACE(field.label + " rank=" + std::to_string(shape.rank()) +
                      (fill ? " fill" : ""));
-        // Fresh store per (field, shape): parity must hold on the very
-        // first (plan-building) encode, not only on warmed reuse.
-        comp::PlanStore plans(256ull << 20);
+        // Fresh plans per (field, shape): parity must hold on the very
+        // first (plan-building) encode, not only on reuse.
+        SharedPlans plans;
         for (const comp::CodecPtr& codec : variants) {
-          expect_parity(plans, *codec, data, shape, 11);
+          expect_parity(plans, *codec, data, shape);
         }
       }
     }
@@ -123,177 +143,86 @@ TEST(PrepParity, EveryPaperVariantOverHostileFieldsAndShapes) {
 }
 
 TEST(PrepParity, NonFiniteInputThrowParityForGrib2) {
-  // GRIB2 rejects NaN/inf at the range scan, which runs inside the plan
-  // build: the planned path must reject with the same error class and
-  // leave the store usable.
+  // GRIB2 rejects NaN/inf at the range scan: the planned path must reject
+  // with the same error class and leave the shared plans usable.
   SCOPED_TRACE(testgen::seed_banner(kSeed));
   std::vector<float> data = testgen::smooth_field(4096, kSeed);
   testgen::salt_specials(data, hash_combine(kSeed, 5));
   const comp::Grib2Codec grib(4);
-  comp::PlanStore plans(64ull << 20);
+  SharedPlans plans;
   const EncodeOutcome direct = direct_encode(grib, data, comp::Shape::d2(32, 128));
-  const EncodeOutcome planned =
-      planned_encode(plans, grib, data, comp::Shape::d2(32, 128), 0);
+  const EncodeOutcome planned = planned_encode(plans, grib, data, comp::Shape::d2(32, 128));
   ASSERT_TRUE(direct.threw);
   EXPECT_TRUE(direct.invalid_argument);
   EXPECT_EQ(direct.threw, planned.threw);
   EXPECT_EQ(direct.invalid_argument, planned.invalid_argument);
-  // The store stays healthy for clean inputs afterwards.
+  // The plans stay healthy for clean inputs afterwards.
   const std::vector<float> clean = testgen::smooth_field(4096, kSeed);
-  expect_parity(plans, grib, clean, comp::Shape::d2(32, 128), 1);
+  expect_parity(plans, grib, clean, comp::Shape::d2(32, 128));
 }
 
 TEST(PrepParity, PlanBuiltByOneVariantIsReusedByItsSiblings) {
   SCOPED_TRACE(testgen::seed_banner(kSeed));
-  const std::vector<float> data = testgen::smooth_field(8192, kSeed);
+  std::vector<float> data = testgen::smooth_field(8192, kSeed);
   const comp::Shape shape = comp::Shape::d2(64, 128);
   {
     // ISABELA: the 0.1% variant builds the sort + spline plan, the 0.5%
     // and 1.0% variants reuse it — their eps only enters the correction
     // stage.
-    comp::PlanStore plans(64ull << 20);
-    expect_parity(plans, comp::IsabelaCodec(0.1), data, shape, 0);
-    const std::uint64_t built = plans.plans_built();
-    expect_parity(plans, comp::IsabelaCodec(0.5), data, shape, 0);
-    expect_parity(plans, comp::IsabelaCodec(1.0), data, shape, 0);
-    EXPECT_EQ(plans.plans_built(), built);
-    EXPECT_GE(plans.plans_reused(), 4u);
+    SharedPlans plans;
+    expect_parity(plans, comp::IsabelaCodec(0.1), data, shape);
+    const std::size_t built = plans.built;
+    expect_parity(plans, comp::IsabelaCodec(0.5), data, shape);
+    expect_parity(plans, comp::IsabelaCodec(1.0), data, shape);
+    EXPECT_EQ(plans.built, built);
+    EXPECT_GE(plans.reused, 4u);
   }
   {
-    // fpzip: one ordered-map plan serves every precision.
-    comp::PlanStore plans(64ull << 20);
-    expect_parity(plans, comp::FpzCodec(32), data, shape, 0);
-    const std::uint64_t built = plans.plans_built();
-    expect_parity(plans, comp::FpzCodec(24), data, shape, 0);
-    expect_parity(plans, comp::FpzCodec(16), data, shape, 0);
-    EXPECT_EQ(plans.plans_built(), built);
-    EXPECT_GE(plans.plans_reused(), 4u);
-  }
-  {
-    // GRIB2: the bitmap/range scan is decimal-scale-invariant, so the
-    // whole tuning ladder shares one plan (the per-scale lift is memoized
-    // inside it).
-    comp::PlanStore plans(64ull << 20);
-    expect_parity(plans, comp::Grib2Codec(2), data, shape, 0);
-    const std::uint64_t built = plans.plans_built();
-    for (int d = 3; d <= 6; ++d) {
-      expect_parity(plans, comp::Grib2Codec(d), data, shape, 0);
-    }
-    EXPECT_EQ(plans.plans_built(), built);
-    EXPECT_GE(plans.plans_reused(), 8u);
+    // With a fill value, the special-value wrapper's patch plan serves
+    // APAX-2/4/5 and fpzip-24/16 (catalog rows 1-5), whose inner codecs
+    // have no plan stage of their own.
+    testgen::apply_fill(data, testgen::fill_mask(data.size(), hash_combine(kSeed, 9)), kFill);
+    const std::vector<comp::CodecPtr> variants = comp::paper_variants(3, kFill);
+    SharedPlans plans;
+    expect_parity(plans, *variants[1], data, shape);
+    const std::size_t built = plans.built;
+    for (std::size_t v = 2; v <= 5; ++v) expect_parity(plans, *variants[v], data, shape);
+    EXPECT_EQ(plans.built, built);
+    EXPECT_GE(plans.reused, 8u);
   }
 }
 
 TEST(PrepParity, TracedAndBareCodecsShareOnePlan) {
-  // The suite's GRIB2 tuning measures a bare Grib2Codec while the variant
-  // catalog wraps it in TracedCodec; both must land on the same plan key
-  // for tuning -> verify reuse to work.
+  // The catalog wraps every variant in TracedCodec; a traced variant and
+  // its bare codec must land on the same plan key.
   const std::vector<float> data = testgen::smooth_field(4096, kSeed);
   const comp::Shape shape = comp::Shape::d2(32, 128);
-  comp::PlanStore plans(64ull << 20);
-  const comp::Grib2Codec bare(4);
-  const comp::CodecPtr traced = comp::traced(std::make_shared<comp::Grib2Codec>(4));
+  SharedPlans plans;
+  const comp::IsabelaCodec bare(0.5);
+  const comp::CodecPtr traced = comp::traced(std::make_shared<comp::IsabelaCodec>(0.5));
   EXPECT_EQ(bare.prep_key(), traced->prep_key());
-  expect_parity(plans, bare, data, shape, 0);
-  const std::uint64_t built = plans.plans_built();
-  expect_parity(plans, *traced, data, shape, 0);
-  EXPECT_EQ(plans.plans_built(), built);
-  EXPECT_GE(plans.plans_reused(), 2u);
+  expect_parity(plans, bare, data, shape);
+  const std::size_t built = plans.built;
+  expect_parity(plans, *traced, data, shape);
+  EXPECT_EQ(plans.built, built);
+  EXPECT_GE(plans.reused, 2u);
 }
 
-TEST(PlanStore, ZeroCapTakesTheDirectPathEntirely) {
-  const std::vector<float> data = testgen::smooth_field(2048, kSeed);
-  comp::PlanStore plans(0);
-  const Bytes direct = comp::FpzCodec(24).encode(data, comp::Shape::d1(2048));
-  const Bytes via = plans.encode(comp::FpzCodec(24), data, comp::Shape::d1(2048), 0);
-  EXPECT_TRUE(direct == via);
-  EXPECT_EQ(plans.plans_built(), 0u);
-  EXPECT_EQ(plans.plans_reused(), 0u);
-  EXPECT_EQ(plans.resident_bytes(), 0u);
-}
-
-TEST(PlanStore, UnplannableCodecIsPassedThrough) {
-  // DeflateCodec has no prep stage (empty prep_key): the store must not
-  // cache anything for it.
+TEST(PrepParity, UnplannableCodecsEncodeDirectly) {
+  // Only ISABELA and the special-value wrapper have a plan stage: GRIB2,
+  // fpzip, APAX and deflate encode directly, and a plan-driven encode of
+  // them is the direct encode.
   const std::vector<float> data = testgen::noisy_field(2048, kSeed);
-  comp::PlanStore plans(64ull << 20);
-  const comp::CodecPtr deflate = comp::make_variant("NetCDF-4");
-  const Bytes direct = deflate->encode(data, comp::Shape::d1(2048));
-  const Bytes via = plans.encode(*deflate, data, comp::Shape::d1(2048), 0);
-  EXPECT_TRUE(direct == via);
-  EXPECT_EQ(plans.plans_built(), 0u);
-  EXPECT_EQ(plans.resident_bytes(), 0u);
-}
-
-TEST(PlanStore, DistinctBlocksGetDistinctPlans) {
-  const std::vector<float> a = testgen::smooth_field(2048, kSeed);
-  const std::vector<float> b = testgen::smooth_field(2048, hash_combine(kSeed, 1));
-  comp::PlanStore plans(64ull << 20);
-  (void)plans.encode(comp::FpzCodec(24), a, comp::Shape::d1(2048), 0);
-  (void)plans.encode(comp::FpzCodec(24), b, comp::Shape::d1(2048), 1);
-  EXPECT_EQ(plans.plans_built(), 2u);
-  EXPECT_EQ(plans.plans_reused(), 0u);
-  EXPECT_GT(plans.resident_bytes(), 0u);
-  plans.clear();
-  EXPECT_EQ(plans.resident_bytes(), 0u);
-}
-
-TEST(PlanStore, LruEvictionUnderTightCapKeepsOutputsExact) {
-  const std::vector<float> a = testgen::smooth_field(4096, kSeed);
-  const std::vector<float> b = testgen::smooth_field(4096, hash_combine(kSeed, 2));
-  const comp::FpzCodec fpz(24);
-  const comp::Shape shape = comp::Shape::d1(4096);
-
-  // Size the cap off a probe store so it holds exactly one plan.
-  std::size_t one_plan = 0;
-  {
-    comp::PlanStore probe(256ull << 20);
-    (void)probe.encode(fpz, a, shape, 0);
-    one_plan = probe.resident_bytes();
-    ASSERT_GT(one_plan, 0u);
+  const comp::Shape shape = comp::Shape::d1(2048);
+  for (const char* name : {"GRIB2:3", "fpzip-24", "fpzip-16", "APAX-4", "NetCDF-4"}) {
+    SCOPED_TRACE(name);
+    const comp::CodecPtr codec = comp::make_variant(name);
+    EXPECT_TRUE(codec->prep_key().empty());
+    EXPECT_EQ(codec->build_prep(data, shape), nullptr);
+    SharedPlans plans;
+    expect_parity(plans, *codec, data, shape);
+    EXPECT_EQ(plans.built, 0u);
   }
-
-  comp::PlanStore plans(one_plan + one_plan / 2);
-  const Bytes a0 = plans.encode(fpz, a, shape, 0);
-  const Bytes b0 = plans.encode(fpz, b, shape, 1);  // evicts block 0
-  EXPECT_LE(plans.resident_bytes(), one_plan + one_plan / 2);
-  const Bytes a1 = plans.encode(fpz, a, shape, 0);  // rebuilt, not corrupt
-  EXPECT_EQ(plans.plans_built(), 3u);
-  EXPECT_TRUE(a0 == a1);
-  EXPECT_TRUE(b0 == plans.encode(fpz, b, shape, 1));
-}
-
-TEST(PlanStore, PlanTooBigForCapIsUsedOnceUncached) {
-  const std::vector<float> data = testgen::smooth_field(4096, kSeed);
-  comp::PlanStore plans(1);  // nonzero: planning enabled, nothing fits
-  const Bytes direct = comp::FpzCodec(24).encode(data, comp::Shape::d1(4096));
-  EXPECT_TRUE(direct == plans.encode(comp::FpzCodec(24), data, comp::Shape::d1(4096), 0));
-  EXPECT_TRUE(direct == plans.encode(comp::FpzCodec(24), data, comp::Shape::d1(4096), 0));
-  EXPECT_EQ(plans.plans_built(), 2u);  // never cached, rebuilt per call
-  EXPECT_EQ(plans.plans_reused(), 0u);
-  EXPECT_EQ(plans.resident_bytes(), 0u);
-}
-
-TEST(PlanStore, BudgetRejectionMeansUncachedNotFailure) {
-  const std::vector<float> data = testgen::smooth_field(4096, kSeed);
-  util::MemoryBudget budget(16);  // nothing real fits
-  comp::PlanStore plans(64ull << 20, &budget);
-  const Bytes direct = comp::FpzCodec(24).encode(data, comp::Shape::d1(4096));
-  EXPECT_TRUE(direct == plans.encode(comp::FpzCodec(24), data, comp::Shape::d1(4096), 0));
-  EXPECT_EQ(plans.resident_bytes(), 0u);
-  EXPECT_EQ(budget.charged_bytes(), 0u);
-}
-
-TEST(PlanStore, BudgetChargesTrackResidencyAndRelease) {
-  const std::vector<float> data = testgen::smooth_field(4096, kSeed);
-  util::MemoryBudget budget(0);  // account-only
-  {
-    comp::PlanStore plans(64ull << 20, &budget);
-    (void)plans.encode(comp::FpzCodec(24), data, comp::Shape::d1(4096), 0);
-    EXPECT_EQ(budget.charged_bytes(), plans.resident_bytes());
-    EXPECT_GT(budget.charged_bytes(), 0u);
-  }
-  EXPECT_EQ(budget.charged_bytes(), 0u);  // destructor released everything
 }
 
 }  // namespace

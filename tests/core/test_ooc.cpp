@@ -332,6 +332,39 @@ std::map<std::string, std::uint64_t> traced_counters(Fn&& fn) {
   return counters;
 }
 
+TEST_F(OocTest, SweepReadsEachChunkOnceAndBuildsOnePlanPerIsabelaChunk) {
+  // The member-major sweep walks each (member, chunk) of the store once
+  // for all nine variants, and builds each chunk's ISABELA plan once for
+  // the three ISA variants. One test member keeps the GRIB2 tuning probe
+  // free of early breaks, so every read is accounted for exactly.
+  OocConfig cfg = ooc_config();
+  cfg.suite.test_member_count = 1;
+  ASSERT_TRUE(cfg.suite.run_bias);
+  const climate::VariableSpec& spec = ensemble_->variable("U");
+  ASSERT_FALSE(spec.has_fill);  // no fill: ISABELA is the only plan-sharing run
+  const climate::Grid& grid = ensemble_->grid();
+  const comp::Shape shape = spec.is_3d ? comp::Shape::d2(grid.levels(), grid.columns())
+                                       : comp::Shape::d1(grid.columns());
+  const std::uint64_t chunks = chunk_partition(shape, cfg.chunk_elems).size() - 1;
+  const std::uint64_t members = ensemble_->members();
+  ASSERT_GT(chunks, 1u);
+
+  const auto counters = traced_counters(
+      [&] { (void)run_variable_streaming(*ensemble_, spec, cfg); });
+  const auto count = [&](const char* key) {
+    return counters.count(key) != 0 ? counters.at(key) : std::uint64_t{0};
+  };
+
+  // Reads: two stats passes over every member, the Deflate and fpzip-32
+  // probes of one member, one test member per GRIB2 tuning attempt, and
+  // the sweep — once per member, not once per variant.
+  const std::uint64_t attempts = count("grib.tune_attempts");
+  ASSERT_GT(attempts, 0u);
+  EXPECT_EQ(count("ooc.chunks_read"), chunks * (2 * members + 2 + attempts + members));
+  EXPECT_EQ(count("prep.plan_built"), members * chunks);
+  EXPECT_EQ(count("prep.plan_reused"), 2 * members * chunks);
+}
+
 TEST_F(OocTest, SpillReuseWarmRunSkipsSynthesisAndMatchesBitwise) {
   OocConfig cfg = ooc_config();
   cfg.reuse_spill = true;

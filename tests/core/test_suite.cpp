@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "compress/variants.h"
+#include "core/ensemble_cache.h"
 #include "core/export.h"
 #include "core/hybrid.h"
 #include "util/trace.h"
@@ -159,32 +161,42 @@ TEST(SuiteSingleVariable, RunVariableMatchesSuiteEntry) {
 }
 
 TEST(SuiteSingleVariable, ChunkedInCoreRunSharesPlansAndMatchesPlanFreeRun) {
-  // The in-core leg cuts resident members on the chunk partition and
-  // encodes chunk by chunk through the plan store, so a chunked run shares
-  // encode-prep plans across variants exactly as an unchunked one does.
+  // The in-core leg cuts resident members on the chunk partition and the
+  // sweep shares each chunk's encode-prep plan across sibling variants, so
+  // a chunked run shares plans exactly as an unchunked one does. Verifying
+  // each variant in a pass of its own (no sibling, no plan) must give the
+  // same CSV.
   climate::EnsembleSpec spec = tiny_spec();
   spec.grid = climate::GridSpec{16, 128, 4};  // U: 8192 points, two 4096-element chunks
   const climate::EnsembleGenerator ens(spec);
   SuiteConfig cfg = fast_config();
   cfg.chunk_elems = 4096;
-  const auto csv_of = [&](const SuiteConfig& c) {
+  const auto csv_of = [&](const VariableResult& var) {
     SuiteResults results;
-    results.variables.push_back(run_variable(ens, ens.variable("U"), c));
+    results.variables.push_back(var);
     derive_variant_names(results);
     return suite_results_csv(results);
   };
 
   trace::set_enabled(true);
   trace::reset();
-  const std::string planned = csv_of(cfg);
+  const VariableResult planned = run_variable(ens, ens.variable("U"), cfg);
   const auto counters = trace::counters();
   trace::set_enabled(false);
   const auto reused = counters.find("prep.plan_reused");
   ASSERT_NE(reused, counters.end());
   EXPECT_GT(reused->second, 0u);
 
-  cfg.plan_cache_bytes = 0;
-  EXPECT_EQ(csv_of(cfg), planned);
+  VariableResult plan_free = planned;
+  const auto stats = EnsembleCache::global().stats(ens, ens.variable("U"));
+  const PvtVerifier verifier(ChunkSource(*stats, cfg.chunk_elems), cfg.thresholds);
+  const std::vector<comp::CodecPtr> variants =
+      comp::paper_variants(planned.grib_decimal_scale, planned.fill);
+  for (std::size_t v = 0; v < variants.size(); ++v) {
+    plan_free.verdicts[v] = verifier.verify(*with_chunking(variants[v], cfg.chunk_elems),
+                                            planned.test_members, cfg.run_bias);
+  }
+  EXPECT_EQ(csv_of(plan_free), csv_of(planned));
 }
 
 }  // namespace

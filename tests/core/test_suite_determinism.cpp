@@ -17,6 +17,8 @@
 #include <cstdint>
 #include <thread>
 
+#include "compress/variants.h"
+#include "core/ensemble_cache.h"
 #include "util/scheduler.h"
 
 namespace cesm::core {
@@ -126,10 +128,9 @@ TEST(SuiteDeterminism, RepeatedWideRunsAgree) {
 }
 
 TEST(SuiteDeterminism, BitIdenticalAcrossVariantJobsSettings) {
-  // The variant-sweep engine's scheduling knob must be invisible in the
-  // results: serial catalog order (jobs=1), about-4-task splitting
-  // (jobs=4) and one-task-per-variant (jobs=0) all land verdicts in the
-  // same fixed slots with the same bits.
+  // The variant sweep's scheduling knob must be invisible in the results:
+  // one member-major pass (jobs=1) and one task per plan-sharing run (any
+  // other value) land verdicts in the same fixed slots with the same bits.
   const SuiteResults serial = run_with_threads(4);  // variant_jobs = 1 default
   SuiteConfig four = fast_config();
   four.variant_jobs = 4;
@@ -139,17 +140,26 @@ TEST(SuiteDeterminism, BitIdenticalAcrossVariantJobsSettings) {
   expect_identical(serial, run_with_threads(4, full));
 }
 
-TEST(SuiteDeterminism, BitIdenticalWithPlanCacheDisabled) {
-  // Shared encode-prep plans are pure memoization: a run with the plan
-  // cache off (every encode direct) must be bit-identical to the default.
-  const SuiteResults planned = run_with_threads(2);
-  SuiteConfig direct = fast_config();
-  direct.plan_cache_bytes = 0;
-  expect_identical(planned, run_with_threads(2, direct));
-  // And the parallel sweep with plans matches the direct serial run too.
-  SuiteConfig parallel_planned = fast_config();
-  parallel_planned.variant_jobs = 0;
-  expect_identical(planned, run_with_threads(2, parallel_planned));
+TEST(SuiteDeterminism, BitIdenticalToOneVariantAtATime) {
+  // The member-major sweep shares each chunk's encode-prep plan across
+  // sibling variants and one reconstruction lane across all nine; neither
+  // may change a bit. Re-verify every variant in a pass of its own — no
+  // sibling, so no plan — and compare.
+  ScopedScheduler scoped(2);
+  const climate::EnsembleGenerator ensemble(tiny_spec());
+  const SuiteConfig cfg = fast_config();
+  const SuiteResults swept = run_suite(ensemble, cfg, {"U", "SST", "CLDLOW"});
+  SuiteResults alone = swept;
+  for (VariableResult& var : alone.variables) {
+    const auto stats = EnsembleCache::global().stats(ensemble, ensemble.variable(var.variable));
+    const PvtVerifier verifier(*stats, cfg.thresholds);
+    const std::vector<comp::CodecPtr> variants =
+        comp::paper_variants(var.grib_decimal_scale, var.fill);
+    for (std::size_t v = 0; v < variants.size(); ++v) {
+      var.verdicts[v] = verifier.verify(*variants[v], var.test_members, cfg.run_bias);
+    }
+  }
+  expect_identical(swept, alone);
 }
 
 }  // namespace

@@ -24,7 +24,6 @@
 #include "compress/fpz/fpz.h"
 #include "compress/grib2/grib2.h"
 #include "compress/isabela/isabela.h"
-#include "compress/prep.h"
 #include "compress/special.h"
 #include "core/ensemble_cache.h"
 #include "core/export.h"
@@ -117,16 +116,29 @@ const std::map<std::string, std::function<void()>>& site_scenarios() {
        }},
       {"comp.prep_plan",
        [] {
-         // Absorbed by the plan store: a fault during plan build falls
+         // Absorbed by the sweep: a fault during a chunk's plan build falls
          // back to the direct encode, so the scenario completes and the
-         // stream must still come out byte-exact.
-         comp::PlanStore plans(1 << 20);
-         const comp::FpzCodec fpz(24);
-         const auto data = testgen::smooth_field(4096, 0xFA17ull);
-         const Bytes direct = fpz.encode(data, comp::Shape::d2(4, 1024));
-         const Bytes planned = plans.encode(fpz, data, comp::Shape::d2(4, 1024), 0);
-         if (planned != direct) {
-           throw Error("prep-plan stream diverged from direct encode");
+         // sibling run must measure exactly what unplanned one-codec
+         // verifies do.
+         const auto& ens = shared_ensemble();
+         const auto stats = core::EnsembleCache::global().stats(ens, ens.variable("U"));
+         const core::PvtVerifier verifier(*stats);
+         const comp::IsabelaCodec fine(0.1);
+         const comp::IsabelaCodec coarse(0.5);
+         const comp::Codec* const run[] = {&fine, &coarse};
+         const std::size_t members[] = {0, 1};
+         const std::vector<core::SweepResult> swept =
+             verifier.verify_all(run, members, /*run_bias=*/false);
+         for (std::size_t k = 0; k < 2; ++k) {
+           if (swept[k].error) std::rethrow_exception(swept[k].error);
+           const core::VariableVerdict alone = verifier.verify(*run[k], members, false);
+           for (std::size_t i = 0; i < 2; ++i) {
+             const core::MemberEvaluation& a = swept[k].verdict.members[i];
+             const core::MemberEvaluation& b = alone.members[i];
+             if (a.cr != b.cr || a.rmsz_reconstructed != b.rmsz_reconstructed) {
+               throw Error("planned sweep diverged from direct encodes");
+             }
+           }
          }
        }},
       {"deflate.decode", [] { decode_roundtrip(comp::DeflateCodec()); }},
@@ -272,6 +284,29 @@ INSTANTIATE_TEST_SUITE_P(AllRegisteredSites, FailpointSite,
 // Acceptance: run_suite survives injected faults (ISSUE 4 criteria).
 // ---------------------------------------------------------------------------
 
+/// Field-by-field equality of two verdicts, exact on every double.
+void expect_same_verdict(const core::VariableVerdict& a, const core::VariableVerdict& b) {
+  SCOPED_TRACE(a.variable + " " + a.codec);
+  EXPECT_EQ(a.codec, b.codec);
+  EXPECT_EQ(a.codec_error, b.codec_error);
+  EXPECT_EQ(a.mean_cr, b.mean_cr);
+  EXPECT_EQ(a.all_pass(), b.all_pass());
+  EXPECT_EQ(a.bias_evaluated, b.bias_evaluated);
+  EXPECT_EQ(a.bias.fit.slope, b.bias.fit.slope);
+  ASSERT_EQ(a.members.size(), b.members.size());
+  for (std::size_t i = 0; i < a.members.size(); ++i) {
+    const core::MemberEvaluation& x = a.members[i];
+    const core::MemberEvaluation& y = b.members[i];
+    EXPECT_EQ(x.member, y.member);
+    EXPECT_EQ(x.cr, y.cr);
+    EXPECT_EQ(x.metrics.rmse, y.metrics.rmse);
+    EXPECT_EQ(x.metrics.e_nmax, y.metrics.e_nmax);
+    EXPECT_EQ(x.metrics.pearson, y.metrics.pearson);
+    EXPECT_EQ(x.rmsz_reconstructed, y.rmsz_reconstructed);
+    EXPECT_EQ(x.enmax_ratio, y.enmax_ratio);
+  }
+}
+
 class SuiteRobustness : public ::testing::Test {
  protected:
   void SetUp() override { fail::reset(); }
@@ -287,6 +322,8 @@ TEST_F(SuiteRobustness, LossyDecodeFailureGetsCodecErrorVerdictWithLosslessFallb
     const char* variant;
     const char* fallback;
   };
+  const core::SuiteResults clean =
+      core::run_suite(shared_ensemble(), fast_config(), {"U", "FSDSC"});
   for (const Case& c : {Case{"fpz.decode", "fpzip-24", "fpzip-32"},
                         Case{"apax.decode", "APAX-2", "NetCDF-4"},
                         Case{"isabela.decode", "ISA-0.1", "NetCDF-4"}}) {
@@ -323,6 +360,15 @@ TEST_F(SuiteRobustness, LossyDecodeFailureGetsCodecErrorVerdictWithLosslessFallb
       }
     }
     EXPECT_EQ(codec_errors, 1u);
+
+    // Sibling isolation: the variants swept in the same pass as the one
+    // that threw measured exactly what a fault-free run does.
+    for (std::size_t x = 0; x < results.variables.size(); ++x) {
+      for (std::size_t v = 0; v < results.variables[x].verdicts.size(); ++v) {
+        const core::VariableVerdict& got = results.variables[x].verdicts[v];
+        if (!got.codec_error) expect_same_verdict(got, clean.variables[x].verdicts[v]);
+      }
+    }
 
     // The table layer reports the event instead of choking on it: the
     // codec_error flag, the fallback codec, and the thrown message all

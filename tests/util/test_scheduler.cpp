@@ -309,5 +309,34 @@ TEST(SchedulerStats, StealRatioAndBusyTimeArePopulated) {
   EXPECT_LE(stats.steal_ratio(), 1.0);
 }
 
+TEST(SchedulerStats, NestedHelpedTasksAreNotCountedTwice) {
+  // Three nested parallel_for levels: every waiting task helps run
+  // descendants inside its own wait(). Booking each task's whole wall time
+  // would count a helped task again in every task enclosing it; exclusive
+  // time keeps the sum within (workers + the helping caller) x the wall.
+  constexpr std::size_t kWorkers = 4;
+  ScopedScheduler scoped(kWorkers);
+  Scheduler& sched = scoped.scheduler();
+  sched.reset_stats();
+  std::atomic<int> leaves{0};
+  const auto t0 = std::chrono::steady_clock::now();
+  parallel_for(0, 8, [&](std::size_t) {
+    parallel_for(0, 8, [&](std::size_t) {
+      parallel_for(0, 8, [&](std::size_t) {
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+        leaves.fetch_add(1);
+      });
+    });
+  });
+  const auto wall_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
+  EXPECT_EQ(leaves.load(), 512);
+  const SchedulerStats stats = sched.stats();
+  EXPECT_GT(stats.helped, 0u);
+  EXPECT_LE(stats.total_busy_ns(), (kWorkers + 1) * wall_ns);
+}
+
 }  // namespace
 }  // namespace cesm

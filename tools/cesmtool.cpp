@@ -56,9 +56,10 @@ int usage() {
                "    content-addresses spill files so a later run skips synthesis\n"
                "    under the CESM_MEM_MB logical budget; verdicts are bitwise\n"
                "    identical to the in-core pipeline on the same chunk partition\n"
-               "    --variant-jobs=N sweeps N codec variants concurrently per\n"
-               "    variable (1 = serial, 0 = one task per variant); the CSV is\n"
-               "    byte-identical at every setting\n");
+               "    --variant-jobs=N picks the variant-sweep schedule per variable\n"
+               "    (1 = one member-major pass over all variants, any other value\n"
+               "    = one task per plan-sharing run); the CSV is byte-identical at\n"
+               "    every setting\n");
   return 2;
 }
 
