@@ -75,9 +75,8 @@ std::vector<float> cam_like_field(std::size_t n) {
 
 void write_json(std::ofstream& out, const std::vector<CodecResult>& results,
                 std::size_t n, bool quick, bool parity, double suite_seconds) {
-  // Codec encode/decode is single-threaded; the worker fields exist so this
-  // file shares a schema with BENCH_suite.json and stays honest if a future
-  // harness ever threads the loop.
+  // Codec encode/decode is single-threaded; the worker fields keep the file
+  // honest if a future harness ever threads the loop.
   const unsigned hw = std::thread::hardware_concurrency();
   const std::size_t threads = 1;
   out << "{\n"

@@ -22,8 +22,7 @@ namespace {
 [[noreturn]] void usage_and_exit(const char* prog) {
   std::printf(
       "usage: %s [--scale=reduced|paper] [--members=N] [--vars=N] [--no-bias] [--seed=N]\n"
-      "          [--threads=N] [--variant-jobs=N] [--quick] [--full-grid] [--out=PATH]\n"
-      "          [--profile=out.json]\n"
+      "          [--threads=N] [--quick] [--out=PATH] [--profile=out.json]\n"
       "  --scale=reduced  3,456 columns x 8 levels (default for ensemble benches)\n"
       "  --scale=paper    48,672 columns x 30 levels (the paper's ne30-scale grid)\n"
       "  --members=N      perturbation ensemble size (paper: 101)\n"
@@ -32,14 +31,7 @@ namespace {
       "  --seed=N         seed for the random test-member choice\n"
       "  --threads=N      scheduler worker count (default: CESM_THREADS env,\n"
       "                   then hardware concurrency; clamped to the hardware)\n"
-      "  --variant-jobs=N variant-sweep schedule per variable (1 = one\n"
-      "                   member-major pass over all variants [default], any\n"
-      "                   other value = one task per plan-sharing run of\n"
-      "                   variants; results are bit-identical at any setting)\n"
       "  --quick          CI smoke mode (shrinks the bench's workload)\n"
-      "  --full-grid      (bench_suite) out-of-core full-grid leg: stream one\n"
-      "                   paper-scale variable under the CESM_MEM_MB budget and\n"
-      "                   cross-check it bitwise against the in-core pipeline\n"
       "  --out=PATH       override the bench's JSON output path\n"
       "  --profile=PATH   enable per-stage tracing; write the JSON span tree\n"
       "                   to PATH and a readable tree to stderr\n",
@@ -71,13 +63,8 @@ Options Options::parse(int argc, char** argv, bool default_paper_scale) {
     } else if (arg.rfind("--threads=", 0) == 0) {
       o.threads = static_cast<std::size_t>(std::strtoull(arg.c_str() + 10, nullptr, 10));
       if (o.threads == 0) usage_and_exit(argv[0]);
-    } else if (arg.rfind("--variant-jobs=", 0) == 0) {
-      o.variant_jobs =
-          static_cast<std::size_t>(std::strtoull(arg.c_str() + 15, nullptr, 10));
     } else if (arg == "--quick") {
       o.quick = true;
-    } else if (arg == "--full-grid") {
-      o.full_grid = true;
     } else if (arg.rfind("--out=", 0) == 0) {
       o.out_path = arg.substr(6);
       if (o.out_path.empty()) usage_and_exit(argv[0]);
@@ -164,7 +151,6 @@ core::SuiteConfig suite_config(const Options& options) {
   core::SuiteConfig cfg;
   cfg.run_bias = options.run_bias;
   cfg.member_seed = options.seed;
-  cfg.variant_jobs = options.variant_jobs;
   return cfg;
 }
 

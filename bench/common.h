@@ -31,9 +31,7 @@ struct Options {
   bool run_bias = true;
   std::uint64_t seed = 0x73575eedull;
   std::size_t threads = 0;   ///< 0 = CESM_THREADS env, then hardware concurrency
-  std::size_t variant_jobs = 1;  ///< SuiteConfig::variant_jobs (1 = member-major pass)
   bool quick = false;        ///< CI smoke mode
-  bool full_grid = false;    ///< bench_suite: run the out-of-core full-grid leg
   std::string out_path;      ///< empty = the bench's default output file
   std::string profile_path;  ///< empty = tracing stays disabled
 

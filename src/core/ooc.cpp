@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -22,12 +21,6 @@
 namespace cesm::core {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 /// The chunk partition of one variable's spill: the ChunkedCodec partition
 /// every downstream phase (stats, round-trips, packed_stream_bytes) reuses.
@@ -144,7 +137,7 @@ std::string spill_path(const std::string& dir, const std::string& variable,
   return (std::filesystem::path(dir) / (variable + "-" + hex + ".cnk1")).string();
 }
 
-SpillSession::SpillSession(const std::string& base_dir, bool keep) : keep_(keep) {
+SpillSession::SpillSession(const std::string& base_dir) {
   static std::atomic<std::uint64_t> seq{0};
   static const std::uint64_t salt = [] {
     std::random_device rd;
@@ -163,10 +156,8 @@ SpillSession::SpillSession(const std::string& base_dir, bool keep) : keep_(keep)
 }
 
 SpillSession::~SpillSession() {
-  if (!keep_) {
-    std::error_code ec;
-    std::filesystem::remove_all(dir_, ec);  // best effort, incl. unwind paths
-  }
+  std::error_code ec;
+  std::filesystem::remove_all(dir_, ec);  // best effort, incl. unwind paths
 }
 
 std::uint64_t ooc_working_set_bytes(const climate::EnsembleGenerator& ensemble,
@@ -190,7 +181,7 @@ std::uint64_t ooc_working_set_bytes(const climate::EnsembleGenerator& ensemble,
 
 VariableResult run_variable_streaming(const climate::EnsembleGenerator& ensemble,
                                       const climate::VariableSpec& spec,
-                                      const OocConfig& config, OocPhaseStats* phases,
+                                      const OocConfig& config,
                                       util::MemoryBudget* shared) {
   trace::Span span("ooc.variable");
   begin_variable(spec, config.suite);
@@ -213,7 +204,6 @@ VariableResult run_variable_streaming(const climate::EnsembleGenerator& ensemble
   // a previous run's spill. A reuse candidate is only trusted after its
   // header and checksum table validate; anything less is deleted, counted
   // and restaged.
-  const Clock::time_point t_stage = Clock::now();
   std::string path;
   std::optional<SpillSession> session;
   if (config.reuse_spill) {
@@ -221,7 +211,7 @@ VariableResult run_variable_streaming(const climate::EnsembleGenerator& ensemble
     path = spill_path(config.spill_dir, spec.name,
                       spill_key(ensemble.spec(), spec, config.chunk_elems));
   } else {
-    session.emplace(config.spill_dir, config.keep_spill);
+    session.emplace(config.spill_dir);
     path = (std::filesystem::path(session->dir()) / (spec.name + ".cnk1")).string();
   }
   std::optional<ncio::ChunkStoreReader> store_slot;
@@ -251,7 +241,6 @@ VariableResult run_variable_streaming(const climate::EnsembleGenerator& ensemble
     store_slot.emplace(path);
   }
   const ncio::ChunkStoreReader& store = *store_slot;
-  const double stage_seconds = seconds_since(t_stage);
 
   // From here on, a failure while running over a *reused* spill must
   // invalidate it: delete the file and count it, so the error propagates
@@ -260,13 +249,10 @@ VariableResult run_variable_streaming(const climate::EnsembleGenerator& ensemble
   const ReusedSpillInvalidator invalidator{path, reused};
 
   // Phase 2: the ensemble view in two read passes.
-  const Clock::time_point t_stats = Clock::now();
   const StreamingStats stats(store, budget);
-  const double stats_seconds = seconds_since(t_stats);
 
   // Phase 3: tuning + verdicts through the one verifier, walking the
   // store chunk by chunk; a member task's buffers live while it runs.
-  const Clock::time_point t_verify = Clock::now();
   const std::uint64_t verify_bytes =
       static_cast<std::uint64_t>(buffer_lanes()) *
       roundtrip_bytes_per_lane(max_chunk_elems(store.chunk_offsets()));
@@ -286,16 +272,6 @@ VariableResult run_variable_streaming(const climate::EnsembleGenerator& ensemble
     if (evicted.files_removed > 0) {
       trace::counter_add("ooc.spill_evicted", evicted.files_removed);
     }
-  }
-
-  if (phases != nullptr) {
-    phases->stage_seconds = stage_seconds;
-    phases->stats_seconds = stats_seconds;
-    phases->verify_seconds = seconds_since(t_verify);
-    phases->bytes_spilled = static_cast<std::uint64_t>(store.total_elems()) *
-                            store.member_count() * sizeof(float);
-    phases->peak_logical_bytes = budget.peak_logical_bytes();
-    phases->budget_cap_bytes = budget.cap_bytes();
   }
   return result;
 }
@@ -327,7 +303,7 @@ SuiteResults run_suite_streaming(const climate::EnsembleGenerator& ensemble,
   results.variables.resize(specs.size());
   const auto run_one = [&](std::size_t i) {
     results.variables[i] = run_guarded(*specs[i], config.suite, [&] {
-      return run_variable_streaming(ensemble, *specs[i], config, nullptr, &shared);
+      return run_variable_streaming(ensemble, *specs[i], config, &shared);
     });
   };
   if (jobs == 1) {

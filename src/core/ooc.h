@@ -49,8 +49,6 @@ struct OocConfig {
   /// Logical working-set cap in bytes; 0 means "account only". Callers
   /// usually seed this from util::memory_budget_bytes() (CESM_MEM_MB).
   std::uint64_t memory_budget_bytes = 0;
-  /// Keep the spill file after the variable finishes (debugging).
-  bool keep_spill = false;
   /// Concurrent variable jobs in run_suite_streaming: 0 = auto (one job
   /// per scheduler worker), 1 = serial, N = exactly N jobs. All jobs
   /// charge one shared MemoryBudget via working-set reservations.
@@ -65,7 +63,7 @@ struct OocConfig {
   std::uint64_t spill_budget_bytes = 0;
   /// Caller-owned shared admission budget for run_suite_streaming; when
   /// null the suite builds its own from memory_budget_bytes. Exposed so
-  /// tests and benches can observe peak/waits across a run.
+  /// tests can observe peak/waits across a run.
   util::MemoryBudget* shared_budget = nullptr;
   /// Everything else (thresholds, member picks, bias policy, retries).
   /// `suite.chunk_elems` is ignored here: the streaming leg always uses
@@ -94,14 +92,14 @@ std::string spill_path(const std::string& dir, const std::string& variable,
                        std::uint64_t key);
 
 /// Unique per-run spill subdirectory ("<base>/cesm-spill-<pid>-<token>"),
-/// created on construction and removed recursively on destruction unless
-/// asked to keep it. The fix for concurrent processes sharing one
-/// spill_dir: per-(member, variable) filenames only ever collide inside a
-/// single run's private directory, and unwinding (including a signal
-/// drain) cleans the whole directory up.
+/// created on construction and removed recursively on destruction. The
+/// fix for concurrent processes sharing one spill_dir: per-(member,
+/// variable) filenames only ever collide inside a single run's private
+/// directory, and unwinding (including a signal drain) cleans the whole
+/// directory up.
 class SpillSession {
  public:
-  explicit SpillSession(const std::string& base_dir, bool keep = false);
+  explicit SpillSession(const std::string& base_dir);
   ~SpillSession();
 
   SpillSession(const SpillSession&) = delete;
@@ -111,18 +109,6 @@ class SpillSession {
 
  private:
   std::string dir_;
-  bool keep_ = false;
-};
-
-/// Phase breakdown and I/O counters of one streaming variable run — the
-/// BENCH_suite.json streaming-phase record.
-struct OocPhaseStats {
-  double stage_seconds = 0.0;   ///< synthesis -> spill store
-  double stats_seconds = 0.0;   ///< StreamingStats two-pass build
-  double verify_seconds = 0.0;  ///< tuning + all variant verdicts
-  std::uint64_t bytes_spilled = 0;        ///< CNK1 payload written
-  std::uint64_t peak_logical_bytes = 0;   ///< MemoryBudget high-water mark
-  std::uint64_t budget_cap_bytes = 0;     ///< the cap charged against (0 = none)
 };
 
 /// Synthesize one variable's full ensemble into a CNK1 store at `path`
@@ -146,8 +132,8 @@ std::string stage_variable(const climate::EnsembleGenerator& ensemble,
 /// (suite.h) on the store's chunk source — same seeds, same thresholds,
 /// same codecs (chunk-wrapped), bit-identical VariableResult to an
 /// in-core run with SuiteConfig::chunk_elems == config.chunk_elems, under
-/// a working set of chunks instead of members. `phases`, when non-null,
-/// receives the phase breakdown.
+/// a working set of chunks instead of members. Its phases run under the
+/// "ooc.stage" and "ooc.stats" spans (the rest is verification).
 ///
 /// `shared`, when non-null, is a suite-level admission budget: the
 /// variable reserves its full ooc_working_set_bytes on it (parking under
@@ -159,7 +145,6 @@ std::string stage_variable(const climate::EnsembleGenerator& ensemble,
 VariableResult run_variable_streaming(const climate::EnsembleGenerator& ensemble,
                                       const climate::VariableSpec& spec,
                                       const OocConfig& config,
-                                      OocPhaseStats* phases = nullptr,
                                       util::MemoryBudget* shared = nullptr);
 
 /// run_suite over CNK1 spills: variables stream as concurrent jobs

@@ -4,7 +4,7 @@
 // No binary in the tree used to install any signal handler, so Ctrl-C
 // mid-run could kill a process between the open() and the final write()
 // of a suite CSV or bench JSON, leaving a half-written file behind. This
-// helper gives every long-running binary (cesmd, cesmtool, bench_suite)
+// helper gives every long-running binary (cesmd, cesmtool, bench_serving)
 // the same drain discipline the DiskCache already applies to its entries:
 //
 //   * install_signal_drain() registers an async-signal-safe handler for

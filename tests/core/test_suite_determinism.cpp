@@ -13,12 +13,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
-#include <cstdint>
 #include <thread>
 
 #include "compress/variants.h"
 #include "core/ensemble_cache.h"
+#include "support/suite_equal.h"
 #include "util/scheduler.h"
 
 namespace cesm::core {
@@ -41,65 +40,7 @@ SuiteConfig fast_config() {
   return cfg;
 }
 
-/// Bitwise double comparison with a location message.
-#define EXPECT_SAME_BITS(a, b)                                        \
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(static_cast<double>(a)),     \
-            std::bit_cast<std::uint64_t>(static_cast<double>(b)))     \
-      << #a " differs from " #b
-
-void expect_identical(const SuiteResults& x, const SuiteResults& y) {
-  ASSERT_EQ(x.variant_names, y.variant_names);
-  ASSERT_EQ(x.variables.size(), y.variables.size());
-  for (std::size_t i = 0; i < x.variables.size(); ++i) {
-    const VariableResult& a = x.variables[i];
-    const VariableResult& b = y.variables[i];
-    EXPECT_EQ(a.variable, b.variable);
-    EXPECT_EQ(a.test_members, b.test_members);
-    EXPECT_EQ(a.grib_decimal_scale, b.grib_decimal_scale);
-    EXPECT_EQ(a.grib_tuning_passed, b.grib_tuning_passed);
-    EXPECT_SAME_BITS(a.netcdf4_cr, b.netcdf4_cr);
-    EXPECT_SAME_BITS(a.fpzip32_cr, b.fpzip32_cr);
-    ASSERT_EQ(a.verdicts.size(), b.verdicts.size());
-    for (std::size_t v = 0; v < a.verdicts.size(); ++v) {
-      const VariableVerdict& va = a.verdicts[v];
-      const VariableVerdict& vb = b.verdicts[v];
-      EXPECT_EQ(va.codec, vb.codec);
-      EXPECT_EQ(va.rho_pass, vb.rho_pass);
-      EXPECT_EQ(va.rmsz_pass, vb.rmsz_pass);
-      EXPECT_EQ(va.enmax_pass, vb.enmax_pass);
-      EXPECT_EQ(va.bias_pass, vb.bias_pass);
-      EXPECT_SAME_BITS(va.mean_cr, vb.mean_cr);
-      ASSERT_EQ(va.members.size(), vb.members.size());
-      for (std::size_t m = 0; m < va.members.size(); ++m) {
-        const MemberEvaluation& ma = va.members[m];
-        const MemberEvaluation& mb = vb.members[m];
-        EXPECT_EQ(ma.member, mb.member);
-        EXPECT_SAME_BITS(ma.cr, mb.cr);
-        EXPECT_SAME_BITS(ma.metrics.pearson, mb.metrics.pearson);
-        EXPECT_SAME_BITS(ma.metrics.e_nmax, mb.metrics.e_nmax);
-        EXPECT_SAME_BITS(ma.rmsz_original, mb.rmsz_original);
-        EXPECT_SAME_BITS(ma.rmsz_reconstructed, mb.rmsz_reconstructed);
-        EXPECT_SAME_BITS(ma.enmax_ratio, mb.enmax_ratio);
-        EXPECT_EQ(ma.rho_pass, mb.rho_pass);
-        EXPECT_EQ(ma.rmsz_pass, mb.rmsz_pass);
-        EXPECT_EQ(ma.enmax_pass, mb.enmax_pass);
-      }
-    }
-  }
-  // Tallies are derived, but compare them anyway: they are the paper's
-  // Table 6 and the most visible output.
-  const auto tx = x.tally();
-  const auto ty = y.tally();
-  ASSERT_EQ(tx.size(), ty.size());
-  for (std::size_t i = 0; i < tx.size(); ++i) {
-    EXPECT_EQ(tx[i].codec, ty[i].codec);
-    EXPECT_EQ(tx[i].all, ty[i].all);
-    EXPECT_EQ(tx[i].rho, ty[i].rho);
-    EXPECT_EQ(tx[i].rmsz, ty[i].rmsz);
-    EXPECT_EQ(tx[i].enmax, ty[i].enmax);
-    EXPECT_EQ(tx[i].bias, ty[i].bias);
-  }
-}
+using testsupport::expect_identical;
 
 SuiteResults run_with_threads(std::size_t threads, const SuiteConfig& cfg = fast_config()) {
   ScopedScheduler scoped(threads);
