@@ -67,6 +67,12 @@ CodecPtr VariantRow::build(int grib_decimal_scale, std::optional<float> fill) co
 
 std::span<const VariantRow> variant_catalog() { return kCatalog; }
 
+const VariantRow& variant_row(std::string_view name) {
+  const VariantRow* row = find_row(name);
+  if (row == nullptr) throw InvalidArgument("unknown codec variant: " + std::string(name));
+  return *row;
+}
+
 std::vector<CodecPtr> paper_variants(int grib_decimal_scale,
                                      std::optional<float> fill_value) {
   std::vector<CodecPtr> v;
@@ -100,7 +106,7 @@ const VariantRow& lossless_stand_in(std::string_view family) {
     known = true;
   }
   if (!known) throw InvalidArgument("unknown codec family: " + std::string(family));
-  return *find_row("NetCDF-4");
+  return variant_row("NetCDF-4");
 }
 
 CodecPtr make_variant(const std::string& name, std::optional<float> fill_value) {
@@ -115,7 +121,7 @@ CodecPtr make_variant(const std::string& name, std::optional<float> fill_value) 
     int d = 0;
     auto [p, ec] = std::from_chars(name.data() + 6, end, d);
     if (ec != std::errc{} || p != end) throw InvalidArgument("bad GRIB2 variant: " + name);
-    return find_row("GRIB2")->build(d, fill_value);
+    return variant_row("GRIB2").build(d, fill_value);
   }
   if (name.rfind("APAX-q", 0) == 0) {
     unsigned bits = 0;

@@ -46,6 +46,10 @@ struct VariantRow {
 /// The whole table, in table order.
 std::span<const VariantRow> variant_catalog();
 
+/// The row named `name` (a table name, e.g. "GRIB2"); throws
+/// InvalidArgument for a name no row has.
+const VariantRow& variant_row(std::string_view name);
+
 /// The nine lossy variants of Figure 1 / Tables 3-6, in table order.
 std::vector<CodecPtr> paper_variants(int grib_decimal_scale,
                                      std::optional<float> fill_value = std::nullopt);

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "compress/grib2/grib2.h"
+#include "compress/variants.h"
 #include "core/suite.h"
 #include "util/error.h"
 #include "util/trace.h"
@@ -13,31 +14,31 @@ GribTuning tune_decimal_scale(const PvtVerifier& verifier, std::optional<float> 
                               std::span<const std::size_t> test_members,
                               int significant_digits, int max_extra_digits) {
   CESM_REQUIRE(!test_members.empty());
+  CESM_REQUIRE(max_extra_digits >= 0);
   trace::Span span("grib.tune");
   // Magnitude-based starting point from the probe member's range.
   const stats::Summary& summary = verifier.stats().member_summary(test_members.front());
   const int d0 = comp::choose_decimal_scale(summary.min, summary.max, significant_digits);
+  const comp::VariantRow& grib = comp::variant_row("GRIB2");
 
   GribTuning tuning;
-  tuning.decimal_scale = d0;
-  for (int extra = 0; extra <= max_extra_digits; ++extra) {
+  for (int extra = 0;; ++extra) {
     const int d = std::min(30, d0 + extra);
-    const comp::CodecPtr codec = with_chunking(std::make_shared<comp::Grib2Codec>(d, fill),
-                                               verifier.source().chunk_elems());
+    // No D passed by the last rung: keep the finest attempted (the paper
+    // likewise reports GRIB2 failures on large-range variables despite
+    // tuning).
+    const bool last = extra == max_extra_digits || d == 30;
+    const comp::CodecPtr codec =
+        with_chunking(grib.build(d, fill), verifier.source().chunk_elems());
     ++tuning.attempts;
     trace::counter_add("grib.tune_attempts", 1);
-    if (verifier.members_pass(*codec, test_members)) {
-      tuning.decimal_scale = d;
-      tuning.passed = true;
-      return tuning;
-    }
-    if (d == 30) break;
+    tuning.members = verifier.members_pass(*codec, test_members, /*early_skip=*/!last);
+    tuning.decimal_scale = d;
+    tuning.passed = tuning.members.size() == test_members.size() &&
+                    std::all_of(tuning.members.begin(), tuning.members.end(),
+                                [](const MemberEvaluation& e) { return e.passes(); });
+    if (tuning.passed || last) return tuning;
   }
-  // No D passed: keep the finest attempted (the paper likewise reports
-  // GRIB2 failures on large-range variables despite tuning).
-  tuning.decimal_scale = std::min(30, d0 + max_extra_digits);
-  tuning.passed = false;
-  return tuning;
 }
 
 GribTuning rmsz_guided_decimal_scale(const EnsembleStats& stats,

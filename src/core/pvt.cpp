@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <mutex>
+#include <optional>
 
 #include "compress/chunked.h"
 #include "compress/deflate/deflate.h"
@@ -134,10 +135,12 @@ template <typename Done>
 void PvtVerifier::sweep(std::span<const comp::Codec* const> codecs,
                         std::span<const std::size_t> members, std::size_t evaluated,
                         bool decode, std::span<std::exception_ptr> errors, const Done& done,
-                        const std::atomic<bool>* skip) const {
+                        const std::atomic<bool>* skip,
+                        std::span<const std::uint8_t> known) const {
   const std::size_t n = codecs.size();
   CESM_REQUIRE(errors.size() == n);
-  if (n == 0) return;  // nothing to measure: skip the walk
+  CESM_REQUIRE(known.empty() || known.size() == n);
+  if (n == 0 || members.empty()) return;  // nothing to measure: skip the walk
   // On a chunked source the chunks go through each ChunkedCodec's inner
   // codec and a member's size is the container size encode() would
   // produce; on an unchunked source the codec sees the whole member.
@@ -184,6 +187,16 @@ void PvtVerifier::sweep(std::span<const comp::Codec* const> codecs,
     if (skip != nullptr && skip->load()) return;
     const std::size_t member = members[i];
     const bool evaluate = i < evaluated;
+    // Codecs still in this member's pass: one that left (here or in a
+    // sibling member) skips the member's remaining chunks, and one whose
+    // evaluation is known skips the member altogether.
+    std::vector<std::uint8_t> live(n);
+    bool any_live = false;
+    for (std::size_t k = 0; k < n; ++k) {
+      live[k] = dead[k].load() || (evaluate && !known.empty() && known[k] != 0) ? 0 : 1;
+      any_live = any_live || live[k] != 0;
+    }
+    if (!any_live) return;
     std::vector<Slot> slots;
     slots.reserve(n);
     for (std::size_t k = 0; k < n; ++k) {
@@ -192,10 +205,6 @@ void PvtVerifier::sweep(std::span<const comp::Codec* const> codecs,
                        stats::kernels::ErrorNormStream(masked),
                        stats::kernels::CoMomentStream(masked)});
     }
-    // Codecs still in this member's pass: one that left (here or in a
-    // sibling member) skips the member's remaining chunks.
-    std::vector<std::uint8_t> live(n);
-    for (std::size_t k = 0; k < n; ++k) live[k] = dead[k].load() ? 0 : 1;
 
     source_.walk(member, lane.walk, [&](std::size_t c, std::span<const float> x) {
       const comp::Shape shape =
@@ -253,8 +262,8 @@ void PvtVerifier::sweep(std::span<const comp::Codec* const> codecs,
       Measured m;
       m.bytes = chunked[k] != nullptr ? chunked[k]->packed_stream_bytes(source_.shape(), sizes)
                                       : sizes[0];
+      trace::counter_add(decode ? "pvt.member_roundtrips" : "pvt.member_encodes", 1);
       if (decode) {
-        trace::counter_add("pvt.member_roundtrips", 1);
         m.rmsz = rmsz_from_accum(slots[k].zs.finish());
         if (evaluate) {
           m.err = slots[k].err.finish();
@@ -303,15 +312,30 @@ void rethrow_if(const std::exception_ptr& error) {
 
 }  // namespace
 
-std::vector<SweepResult> PvtVerifier::verify_all(std::span<const comp::Codec* const> codecs,
-                                                 std::span<const std::size_t> test_members,
-                                                 bool run_bias) const {
+std::vector<SweepResult> PvtVerifier::verify_all(
+    std::span<const comp::Codec* const> codecs, std::span<const std::size_t> test_members,
+    bool run_bias, std::span<const std::span<const MemberEvaluation>> known) const {
   CESM_REQUIRE(!test_members.empty());
   trace::Span span("pvt.verify");
   const std::size_t n = codecs.size();
   const std::size_t m_count = stats().member_count();
   const std::size_t tests = test_members.size();
   for (const std::size_t m : test_members) CESM_REQUIRE(m < m_count);
+  CESM_REQUIRE(known.empty() || known.size() == n);
+
+  // Codecs whose test-member evaluations the caller already measured are
+  // not live on the test members; when every codec's are known, the walk
+  // skips the test members.
+  std::vector<std::uint8_t> is_known(n);
+  std::size_t known_count = 0;
+  for (std::size_t k = 0; k < known.size(); ++k) {
+    if (known[k].empty()) continue;
+    CESM_REQUIRE(known[k].size() == tests);
+    for (std::size_t i = 0; i < tests; ++i) CESM_REQUIRE(known[k][i].member == test_members[i]);
+    is_known[k] = 1;
+    ++known_count;
+  }
+  const std::size_t evaluated = known_count == n ? 0 : tests;
 
   // The pass walks the test members, then — for the bias sweep — every
   // member no test member already covers: the codecs are deterministic,
@@ -326,7 +350,7 @@ std::vector<SweepResult> PvtVerifier::verify_all(std::span<const comp::Codec* co
   const std::span<std::size_t> members =
       scratch_.get<std::size_t>(kPendingSlot, tests + m_count);
   std::copy(test_members.begin(), test_members.end(), members.begin());
-  std::size_t count = tests;
+  std::size_t count = evaluated;
   for (std::size_t m = 0; run_bias && m < m_count; ++m) {
     if (seeded[m] == 0) members[count++] = m;
   }
@@ -335,15 +359,23 @@ std::vector<SweepResult> PvtVerifier::verify_all(std::span<const comp::Codec* co
 
   std::vector<SweepResult> results(n);
   std::vector<std::exception_ptr> errors(n);
-  for (SweepResult& r : results) r.verdict.members.resize(tests);
-  sweep(codecs, members.first(count), tests, /*decode=*/true, errors,
-        [&](std::size_t k, std::size_t i, const Measured& m) {
-          if (i < tests) {
-            results[k].verdict.members[i] = evaluation(members[i], m);
-          } else {
-            scores[k * m_count + members[i]] = m.rmsz;
-          }
-        });
+  for (std::size_t k = 0; k < n; ++k) {
+    if (is_known[k] == 0) {
+      results[k].verdict.members.resize(tests);
+    } else {
+      results[k].verdict.members.assign(known[k].begin(), known[k].end());
+    }
+  }
+  sweep(
+      codecs, members.first(count), evaluated, /*decode=*/true, errors,
+      [&](std::size_t k, std::size_t i, const Measured& m) {
+        if (i < evaluated) {
+          results[k].verdict.members[i] = evaluation(members[i], m);
+        } else {
+          scores[k * m_count + members[i]] = m.rmsz;
+        }
+      },
+      nullptr, is_known);
 
   // Per codec, the pass flags and CR mean fold serially in member order —
   // the same results, bit for bit, at any thread count.
@@ -413,21 +445,27 @@ double PvtVerifier::compression_ratio(const comp::Codec& codec, std::size_t memb
   return comp::compression_ratio(bytes, source_.total_elems());
 }
 
-bool PvtVerifier::members_pass(const comp::Codec& codec,
-                               std::span<const std::size_t> members) const {
+std::vector<MemberEvaluation> PvtVerifier::members_pass(
+    const comp::Codec& codec, std::span<const std::size_t> members, bool early_skip) const {
   for (const std::size_t m : members) CESM_REQUIRE(m < stats().member_count());
   const comp::Codec* const one[] = {&codec};
   std::exception_ptr error[1];
+  std::vector<std::optional<MemberEvaluation>> evals(members.size());
   std::atomic<bool> failed{false};
   sweep(
       one, members, members.size(), /*decode=*/true, error,
       [&](std::size_t, std::size_t i, const Measured& m) {
-        const MemberEvaluation eval = evaluation(members[i], m);
-        if (!(eval.rho_pass && eval.rmsz_pass && eval.enmax_pass)) failed.store(true);
+        evals[i] = evaluation(members[i], m);
+        if (!evals[i]->passes()) failed.store(true);
       },
-      &failed);
+      early_skip ? &failed : nullptr);
   rethrow_if(error[0]);
-  return !failed.load();
+  std::vector<MemberEvaluation> ran;
+  ran.reserve(members.size());
+  for (std::optional<MemberEvaluation>& eval : evals) {
+    if (eval) ran.push_back(std::move(*eval));
+  }
+  return ran;
 }
 
 std::vector<double> PvtVerifier::reconstructed_rmsz(const comp::Codec& codec) const {

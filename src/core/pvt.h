@@ -63,6 +63,9 @@ struct MemberEvaluation {
   bool rho_pass = false;
   bool rmsz_pass = false;
   bool enmax_pass = false;
+
+  /// Tests 1–3 all pass.
+  [[nodiscard]] bool passes() const { return rho_pass && rmsz_pass && enmax_pass; }
 };
 
 /// Verdict for one (variable, codec) pair — one cell of Table 6.
@@ -248,6 +251,13 @@ class PvtVerifier {
   /// run's siblings; a plan-build fault falls back to the direct encode.
   /// Plans never change a stream byte.
   ///
+  /// `known` is empty or holds one span per codec: a non-empty span is
+  /// that codec's test-member evaluations, already measured by the caller
+  /// (GRIB2's come from tune_decimal_scale), in `test_members` order. Such
+  /// a codec is not live on the test members: its verdict members are the
+  /// known ones and its bias sweep is seeded from their reconstructed
+  /// RMSZ. A member that no live codec needs is not walked.
+  ///
   /// One result per codec, in order. A codec whose encode or decode throws
   /// cesm::Error leaves the pass without disturbing its siblings;
   /// InvalidArgument, and any error reading the source, propagate.
@@ -260,7 +270,8 @@ class PvtVerifier {
   /// remain independent.
   [[nodiscard]] std::vector<SweepResult> verify_all(
       std::span<const comp::Codec* const> codecs, std::span<const std::size_t> test_members,
-      bool run_bias = true) const;
+      bool run_bias = true,
+      std::span<const std::span<const MemberEvaluation>> known = {}) const;
 
   /// Full verdict for one codec: verify_all of one codec, rethrowing its
   /// error.
@@ -272,11 +283,14 @@ class PvtVerifier {
   [[nodiscard]] MemberEvaluation evaluate_member(const comp::Codec& codec,
                                                  std::size_t member) const;
 
-  /// Whether every member of `members` passes tests 1–3 — the GRIB2
-  /// tuning probe. Members run in parallel; once one fails, members not
-  /// yet started are skipped, so one worker keeps the serial early break.
-  [[nodiscard]] bool members_pass(const comp::Codec& codec,
-                                  std::span<const std::size_t> members) const;
+  /// Tests 1–3 on every member of `members` — one GRIB2 tuning rung.
+  /// Returns the evaluations of the members that ran, in `members` order.
+  /// Members run in parallel; with `early_skip`, once one fails, members
+  /// not yet started are skipped (so one worker keeps the serial early
+  /// break) and are missing from the result.
+  [[nodiscard]] std::vector<MemberEvaluation> members_pass(
+      const comp::Codec& codec, std::span<const std::size_t> members,
+      bool early_skip = true) const;
 
   /// Compression ratio of member m's stream (encode only) — the lossless
   /// baselines of the characterization.
@@ -324,13 +338,16 @@ class PvtVerifier {
   /// The member-major pass: walk members[i] for every i, round-tripping
   /// each chunk through every live codec (encode only unless `decode`),
   /// then call done(k, i, measured) for each codec k that completed the
-  /// member. members[0, evaluated) also get the tests 1–3 accumulators.
-  /// A codec that throws cesm::Error records it in errors[k] and leaves
-  /// the pass. Members not yet started are skipped once `*skip` is set.
+  /// member. members[0, evaluated) also get the tests 1–3 accumulators,
+  /// except for the codecs with known[k] set, which are not live on them.
+  /// A member with no live codec is not walked. A codec that throws
+  /// cesm::Error records it in errors[k] and leaves the pass. Members not
+  /// yet started are skipped once `*skip` is set.
   template <typename Done>
   void sweep(std::span<const comp::Codec* const> codecs, std::span<const std::size_t> members,
              std::size_t evaluated, bool decode, std::span<std::exception_ptr> errors,
-             const Done& done, const std::atomic<bool>* skip = nullptr) const;
+             const Done& done, const std::atomic<bool>* skip = nullptr,
+             std::span<const std::uint8_t> known = {}) const;
   /// Tests 1–3 of `member` from what the pass measured.
   [[nodiscard]] MemberEvaluation evaluation(std::size_t member, const Measured& m) const;
 

@@ -9,6 +9,8 @@
 // squares), so scoring any member is O(N) rather than O(N·M).
 
 #include <cmath>
+#include <map>
+#include <mutex>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -38,6 +40,13 @@ inline double rmsz_from_accum(const stats::kernels::ZScoreAccum& acc) {
   if (acc.used == 0) return 0.0;
   return std::sqrt(acc.sum_z2 / static_cast<double>(acc.used));
 }
+
+/// The lossless baselines of one probe member: its Deflate (NetCDF-4) and
+/// fpzip-32 compression ratios.
+struct ProbeRatios {
+  double lossless_cr = 1.0;
+  double fpzip32_cr = 1.0;
+};
 
 /// The derived statistics of one variable's ensemble — everything the
 /// verifier reads: the per-point sufficient statistics, the shared
@@ -92,6 +101,26 @@ class EnsembleView {
   [[nodiscard]] double global_mean(std::size_t m) const { return member_summary_[m].mean; }
   [[nodiscard]] std::vector<double> global_means() const;
 
+  /// The probe ratios of `member` on the `chunk_elems` partition, computed
+  /// by `compute()` on first use and memoized on this view, so every run
+  /// the ensemble cache serves this view to reuses them. The memo lives in
+  /// memory only (never serialized). Thread-safe; concurrent first uses
+  /// may both compute, and the first insert wins — the probes are
+  /// deterministic, so both computed the same ratios.
+  template <typename Compute>
+  [[nodiscard]] ProbeRatios probe_ratios(std::size_t member, std::size_t chunk_elems,
+                                         const Compute& compute) const {
+    const std::pair<std::size_t, std::size_t> key{member, chunk_elems};
+    {
+      const std::lock_guard<std::mutex> lock(probe_memo_.mu);
+      const auto it = probe_memo_.ratios.find(key);
+      if (it != probe_memo_.ratios.end()) return it->second;
+    }
+    const ProbeRatios computed = compute();
+    const std::lock_guard<std::mutex> lock(probe_memo_.mu);
+    return probe_memo_.ratios.emplace(key, computed).first->second;
+  }
+
  protected:
   /// Fill every derived array, in two passes, from `members` members cut
   /// on `offsets`; the partition cannot change a bit of the result.
@@ -123,6 +152,22 @@ class EnsembleView {
   std::vector<double> enmax_dist_;
   double rmsz_min_ = 0.0;
   double rmsz_max_ = 0.0;
+
+ private:
+  /// The probe_ratios() memo. A copy starts empty: the memo only holds
+  /// what the view's data determines, and the copy recomputes it.
+  struct ProbeMemo {
+    ProbeMemo() = default;
+    ProbeMemo(const ProbeMemo&) {}
+    ProbeMemo& operator=(const ProbeMemo&) {
+      const std::lock_guard<std::mutex> lock(mu);
+      ratios.clear();
+      return *this;
+    }
+    std::mutex mu;
+    std::map<std::pair<std::size_t, std::size_t>, ProbeRatios> ratios;
+  };
+  mutable ProbeMemo probe_memo_;
 };
 
 /// The ensemble view built from resident members, which it also keeps

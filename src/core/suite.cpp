@@ -120,6 +120,16 @@ void begin_variable(const climate::VariableSpec& spec, const SuiteConfig& config
     throw InvalidArgument("SuiteConfig::test_member_count must be >= 1 (variable " +
                           spec.name + ")");
   }
+  // The GRIB2 ladder runs at least one rung: its last rung's evaluations
+  // are the GRIB2 verdict's test members.
+  if (config.grib_max_extra_digits < 0) {
+    throw InvalidArgument("SuiteConfig::grib_max_extra_digits must be >= 0 (variable " +
+                          spec.name + ")");
+  }
+  if (config.grib_significant_digits < 1 || config.grib_significant_digits > 12) {
+    throw InvalidArgument("SuiteConfig::grib_significant_digits must be in [1, 12] (variable " +
+                          spec.name + ")");
+  }
   CESM_FAILPOINT("suite.variable");
 }
 
@@ -138,16 +148,22 @@ VariableResult verify_variable(const climate::VariableSpec& spec, const ChunkSou
 
   // Characterization + lossless baselines on the first test member: the
   // summary is the precomputed member summary, the CRs measure the stream
-  // of the source's partition.
+  // of the source's partition and are memoized with the stats.
   const std::size_t probe = result.test_members.front();
   result.character.summary = source.stats().member_summary(probe);
-  result.character.lossless_cr = verifier.compression_ratio(
-      *with_chunking(std::make_shared<comp::DeflateCodec>(), chunk_elems), probe);
-  result.netcdf4_cr = result.character.lossless_cr;
-  result.fpzip32_cr = verifier.compression_ratio(
-      *with_chunking(std::make_shared<comp::FpzCodec>(32), chunk_elems), probe);
+  const ProbeRatios probes = source.stats().probe_ratios(probe, chunk_elems, [&] {
+    return ProbeRatios{
+        verifier.compression_ratio(
+            *with_chunking(std::make_shared<comp::DeflateCodec>(), chunk_elems), probe),
+        verifier.compression_ratio(
+            *with_chunking(std::make_shared<comp::FpzCodec>(32), chunk_elems), probe)};
+  });
+  result.character.lossless_cr = probes.lossless_cr;
+  result.netcdf4_cr = probes.lossless_cr;
+  result.fpzip32_cr = probes.fpzip32_cr;
 
-  // RMSZ-guided GRIB2 decimal scale (§5.4).
+  // RMSZ-guided GRIB2 decimal scale (§5.4). The chosen rung's test-member
+  // evaluations are the GRIB2 verdict's: the sweep takes them as known.
   const GribTuning tuning =
       tune_decimal_scale(verifier, result.fill, result.test_members,
                          config.grib_significant_digits, config.grib_max_extra_digits);
@@ -176,18 +192,22 @@ VariableResult verify_variable(const climate::VariableSpec& spec, const ChunkSou
   std::vector<const comp::Codec*> bare;
   std::vector<comp::CodecPtr> wrapped;
   std::vector<const comp::Codec*> swept;
+  std::vector<std::span<const MemberEvaluation>> known;
   for (std::size_t i = 0; i < variants.size(); ++i) {
     if (failure[i]) continue;
     slot.push_back(i);
     bare.push_back(variants[i].get());
     wrapped.push_back(with_chunking(variants[i], chunk_elems));
     swept.push_back(wrapped.back().get());
+    known.push_back(variants[i]->name() == "GRIB2" ? std::span(tuning.members)
+                                                   : std::span<const MemberEvaluation>{});
   }
   std::vector<SweepResult> outcomes(swept.size());
   const auto sweep = [&](const PvtVerifier& v, std::size_t lo, std::size_t hi) {
     trace::counter_add("sweep.variant_tasks", 1);
-    std::vector<SweepResult> part = v.verify_all(std::span(swept).subspan(lo, hi - lo),
-                                                 result.test_members, config.run_bias);
+    std::vector<SweepResult> part =
+        v.verify_all(std::span(swept).subspan(lo, hi - lo), result.test_members,
+                     config.run_bias, std::span(known).subspan(lo, hi - lo));
     std::move(part.begin(), part.end(), outcomes.begin() + static_cast<std::ptrdiff_t>(lo));
   };
   if (config.variant_jobs == 1) {

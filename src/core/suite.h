@@ -140,15 +140,18 @@ comp::CodecPtr with_chunking(comp::CodecPtr codec, std::size_t chunk_elems);
 // --- per-variable steps shared by run_variable and run_variable_streaming,
 // which differ only in the chunk source they build ---
 
-/// Count the variable, reject a zero test_member_count and hit the
-/// "suite.variable" failpoint — before any work on the variable.
+/// Count the variable, reject a zero test_member_count, a negative
+/// grib_max_extra_digits or a grib_significant_digits outside [1, 12]
+/// (InvalidArgument), and hit the "suite.variable" failpoint — before any
+/// work on the variable.
 void begin_variable(const climate::VariableSpec& spec, const SuiteConfig& config);
 
 /// Everything measured for one variable once its chunk source is ready:
-/// member picks, characterization and lossless baselines, RMSZ-guided
-/// GRIB2 tuning, and one verdict per paper variant from the member-major
-/// sweep (a variant whose encode or decode throws gets a codec-error
-/// verdict).
+/// member picks, characterization and lossless baselines (memoized on the
+/// source's stats, EnsembleView::probe_ratios), RMSZ-guided GRIB2 tuning,
+/// and one verdict per paper variant from the member-major sweep, which
+/// takes GRIB2's test-member evaluations from the tuning (a variant whose
+/// encode or decode throws gets a codec-error verdict).
 VariableResult verify_variable(const climate::VariableSpec& spec, const ChunkSource& source,
                                const SuiteConfig& config);
 

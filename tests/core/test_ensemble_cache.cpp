@@ -16,6 +16,7 @@
 #include "climate/ensemble.h"
 #include "core/export.h"
 #include "core/suite.h"
+#include "util/rng.h"
 #include "util/scheduler.h"
 #include "util/trace.h"
 
@@ -294,6 +295,88 @@ TEST_F(EnsembleCacheTest, SuiteParityAcrossDiskTierReload) {
   EXPECT_GE(counter(counters, "cache.disk_hit"), 2u);
   EXPECT_EQ(spans.count("ensemble.synthesize"), 0u);
   EXPECT_EQ(spans.count("stats.build"), 0u);
+}
+
+// The Deflate and fpzip-32 probes are memoized on the cached stats, keyed
+// by (probe member, chunk_elems): a warm run encodes no probe and writes
+// the same bytes; another probe member, another partition or the cache
+// off recompute. Each probe encode of a whole member is one
+// pvt.member_encodes (no other path encodes without decoding).
+TEST_F(EnsembleCacheTest, ProbeRatiosAreMemoizedWithTheStats) {
+  const climate::EnsembleGenerator ens(tiny_spec());
+  const auto run = [&](const SuiteConfig& cfg, std::string* csv) {
+    trace::set_enabled(true);
+    trace::reset();
+    *csv = suite_results_csv(run_suite(ens, cfg, {"U"}));
+    const auto counters = trace::counters();
+    trace::set_enabled(false);
+    return counter(counters, "pvt.member_encodes");
+  };
+  SuiteConfig cfg = fast_config();
+  cfg.run_bias = false;
+  std::string cold;
+  std::string warm;
+  std::string again;
+
+  EnsembleCache::global().configure(disabled());
+  EXPECT_EQ(run(cfg, &cold), 2u) << "cache off: both probes encode";
+  EXPECT_EQ(run(cfg, &again), 2u) << "cache off: a fresh view recomputes";
+  EXPECT_EQ(again, cold);
+
+  EnsembleCache::global().configure(memory_only());
+  EXPECT_EQ(run(cfg, &again), 2u) << "cold cache";
+  EXPECT_EQ(again, cold);
+  EXPECT_EQ(run(cfg, &warm), 0u) << "warm run re-encoded a memoized probe";
+  EXPECT_EQ(warm, cold);
+
+  // Another probe member: a member seed whose first pick differs.
+  const climate::VariableSpec& u = ens.variable("U");
+  const auto probe_of = [&](std::uint64_t seed) {
+    return PvtVerifier::pick_members(cfg.test_member_count, tiny_spec().members,
+                                     hash_combine(seed, u.stream))
+        .front();
+  };
+  SuiteConfig other_probe = cfg;
+  while (probe_of(other_probe.member_seed) == probe_of(cfg.member_seed)) {
+    ++other_probe.member_seed;
+  }
+  EXPECT_EQ(run(other_probe, &again), 2u) << "another probe member";
+  EXPECT_EQ(run(other_probe, &again), 0u);
+
+  // Another partition of the same member.
+  SuiteConfig chunked = cfg;
+  chunked.chunk_elems = 1024;
+  EXPECT_EQ(run(chunked, &again), 2u) << "another chunk_elems";
+  EXPECT_EQ(run(chunked, &again), 0u);
+  EXPECT_EQ(run(cfg, &again), 0u) << "the unchunked ratios are still memoized";
+  EXPECT_EQ(again, cold);
+}
+
+// Concurrent variables on one cached view race to fill its probe memo
+// (the first insert wins): every row still equals the cache-off run.
+TEST_F(EnsembleCacheTest, ConcurrentRunsShareTheProbeMemo) {
+  const climate::EnsembleGenerator ens(tiny_spec());
+  SuiteConfig cfg = fast_config();
+  cfg.run_bias = false;
+  const std::vector<std::string> repeated = {"U", "FSDSC", "U", "FSDSC", "U", "FSDSC"};
+
+  EnsembleCache::global().configure(disabled());
+  const SuiteResults baseline = run_suite(ens, cfg, {"U", "FSDSC"});
+
+  ScopedScheduler scoped(4);
+  EnsembleCache::global().configure(memory_only());
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE(pass == 0 ? "cold" : "warm");
+    const SuiteResults results = run_suite(ens, cfg, repeated);
+    ASSERT_EQ(results.variables.size(), repeated.size());
+    for (std::size_t i = 0; i < repeated.size(); ++i) {
+      const VariableResult& got = results.variables[i];
+      const VariableResult& want = baseline.variable(repeated[i]);
+      EXPECT_EQ(got.netcdf4_cr, want.netcdf4_cr) << repeated[i];
+      EXPECT_EQ(got.fpzip32_cr, want.fpzip32_cr) << repeated[i];
+      EXPECT_EQ(got.character.lossless_cr, want.character.lossless_cr) << repeated[i];
+    }
+  }
 }
 
 }  // namespace

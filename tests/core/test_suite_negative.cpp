@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "core/hybrid.h"
 #include "core/suite.h"
+#include "util/trace.h"
 
 namespace cesm::core {
 namespace {
@@ -162,6 +166,39 @@ TEST(SuiteNegative, ZeroTestMembersThrowsInvalidArgument) {
   cfg.run_bias = false;
   EXPECT_THROW(run_variable(ens, ens.variable("U"), cfg), InvalidArgument);
   EXPECT_THROW(run_suite(ens, cfg, {"U"}), InvalidArgument);
+}
+
+TEST(SuiteNegative, BadGribTuningConfigThrowsBeforeTheProbes) {
+  // A negative grib_max_extra_digits used to run zero ladder rungs and
+  // verify GRIB2 at a D that was never tried; significant digits outside
+  // [1, 12] only threw inside the magnitude heuristic, after the probes.
+  climate::EnsembleSpec spec;
+  spec.grid = climate::GridSpec{8, 24, 2};
+  spec.members = 4;
+  spec.latent.k = 48;
+  spec.latent.spinup_steps = 100;
+  spec.latent.average_steps = 200;
+  const climate::EnsembleGenerator ens(spec);
+  for (const auto& [extra, digits] : {std::pair{-1, 4}, std::pair{-7, 4}, std::pair{2, 0},
+                                      std::pair{2, 13}, std::pair{2, -3}}) {
+    SCOPED_TRACE("extra " + std::to_string(extra) + ", digits " + std::to_string(digits));
+    SuiteConfig cfg;
+    cfg.run_bias = false;
+    cfg.grib_max_extra_digits = extra;
+    cfg.grib_significant_digits = digits;
+    trace::set_enabled(true);
+    trace::reset();
+    EXPECT_THROW(run_suite(ens, cfg, {"U"}), InvalidArgument);
+    const auto counters = trace::counters();
+    trace::set_enabled(false);
+    EXPECT_EQ(counters.count("pvt.member_encodes"), 0u) << "a probe ran first";
+  }
+  SuiteConfig edge;
+  edge.run_bias = false;
+  edge.grib_max_extra_digits = 0;
+  edge.grib_significant_digits = 12;
+  const SuiteResults ok = run_suite(ens, edge, {"U"});
+  EXPECT_EQ(ok.failed_variable_count(), 0u);
 }
 
 TEST(SuiteNegative, VariantNamesMatchRecordedVerdicts) {

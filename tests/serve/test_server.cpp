@@ -22,6 +22,7 @@
 #include <filesystem>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "climate/ensemble.h"
@@ -260,6 +261,25 @@ TEST(Serve, UnknownVariableIsBadRequest) {
   } catch (const RemoteError& e) {
     EXPECT_EQ(e.code(), ErrorCode::kBadRequest);
   }
+}
+
+TEST(Serve, BadGribTuningConfigIsBadRequest) {
+  // The wire carries both GRIB2 tuning fields as raw i32s.
+  TcpServer s;
+  Client client = s.client();
+  for (const auto& [extra, digits] : {std::pair{-1, 4}, std::pair{2, 0}, std::pair{2, 13}}) {
+    VerifyRequest request = tiny_request("U");
+    request.config.grib_max_extra_digits = extra;
+    request.config.grib_significant_digits = digits;
+    try {
+      (void)client.verify(request);
+      ADD_FAILURE() << "expected RemoteError(kBadRequest) for extra " << extra << ", digits "
+                    << digits;
+    } catch (const RemoteError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kBadRequest) << e.what();
+    }
+  }
+  client.ping();  // a bad request is an answer: the connection still works
 }
 
 // --- protocol hostility, straight onto the socket ---------------------------
