@@ -1,12 +1,15 @@
 // Codec conformance digests: the FNV-1a hash of the encoded stream and of
 // the decoded floats for every paper variant, plus fpzip-32 and NetCDF-4,
-// on two fixed fields. The round-trip tests only check bounds, so they
+// on six fixed fields. The round-trip tests only check bounds, so they
 // would not notice a decoder that reconstructs a different last bit or an
 // encoder that emits a different (still decodable) stream; these pins do.
 //
-// The second field carries fill values, so GRIB2 decodes its native
+// The filled field carries fill values, so GRIB2 decodes its native
 // validity bitmap and every other variant decodes the SpecialValueCodec
-// bitmap ahead of its payload.
+// bitmap ahead of its payload. The odd 1-D length (1021) leaves a partial
+// vector tail in every kernel; the subnormal fields (1-D and 4 x 1024)
+// reach the exponent corners of every float transform; the 3-D field takes
+// fpzip down the 3-D Lorenzo path.
 //
 // Only an intended format or reconstruction change may update the
 // constants; the test prints the new values on failure.
@@ -20,6 +23,7 @@
 #include <vector>
 
 #include "compress/variants.h"
+#include "support/generators.h"
 #include "util/cache.h"
 #include "util/rng.h"
 
@@ -74,15 +78,15 @@ std::vector<float> filled_field() {
   return v;
 }
 
-std::vector<std::string> digests(const std::vector<float>& field,
-                                 std::optional<float> fill) {
+std::vector<std::string> digests(const std::vector<float>& field, const Shape& shape,
+                                 std::optional<float> fill = std::nullopt) {
   const std::vector<std::string> names = {"GRIB2:3",  "APAX-2",  "APAX-4",  "APAX-5",
                                           "fpzip-24", "fpzip-16", "ISA-0.1", "ISA-0.5",
                                           "ISA-1.0",  "fpzip-32", "NetCDF-4"};
   std::vector<std::string> out;
   for (const std::string& name : names) {
     const CodecPtr codec = make_variant(name, fill);
-    const Bytes stream = codec->encode(field, Shape::d2(kRows, kCols));
+    const Bytes stream = codec->encode(field, shape);
     const std::vector<float> decoded = codec->decode(stream);
     out.push_back(name + " " + digest(stream) + " " + digest(decoded));
   }
@@ -103,7 +107,7 @@ TEST(CodecPin, SmoothFieldStreamsAndReconstructionsAreBitExact) {
       "fpzip-32 79ecb36ec67a78f4 62efcd37619ca7bb",
       "NetCDF-4 469cc3340d922e4e 62efcd37619ca7bb",
   };
-  EXPECT_EQ(digests(smooth_field(), std::nullopt), expected);
+  EXPECT_EQ(digests(smooth_field(), Shape::d2(kRows, kCols)), expected);
 }
 
 TEST(CodecPin, FilledFieldStreamsAndReconstructionsAreBitExact) {
@@ -120,7 +124,76 @@ TEST(CodecPin, FilledFieldStreamsAndReconstructionsAreBitExact) {
       "fpzip-32 632baead3ade994d e78641d90d80cf89",
       "NetCDF-4 11f5d05571e7c858 e78641d90d80cf89",
   };
-  EXPECT_EQ(digests(filled_field(), kFill), expected);
+  EXPECT_EQ(digests(filled_field(), Shape::d2(kRows, kCols), kFill), expected);
+}
+
+TEST(CodecPin, SmoothOddLength1dStreamsAndReconstructionsAreBitExact) {
+  const std::vector<std::string> expected = {
+      "GRIB2:3 5f1c2159300d3d90 a0edde86e9be108c",
+      "APAX-2 8104ab0a8704ea3d 8161a1ad7007aee3",
+      "APAX-4 0d4007c28898400b 1cd2fbe8b37afb05",
+      "APAX-5 85bb563cf6287fa7 fe3131aa4fb0fd14",
+      "fpzip-24 d090dae68a1edaeb 2515c38e67af0158",
+      "fpzip-16 e7c8ae00d9f0d3bd 106cb75639414f26",
+      "ISA-0.1 f7250a938aa537f0 a56424dc8f2fdc46",
+      "ISA-0.5 0090a7f42ea24b99 522e7eb0b239d5f8",
+      "ISA-1.0 b7955681f94c92ed f28ba2fd816ecded",
+      "fpzip-32 8efd628a64bd3791 c9440532771f722e",
+      "NetCDF-4 a2cf918213d8274e c9440532771f722e",
+  };
+  EXPECT_EQ(digests(testgen::smooth_field(1021, 0xAB), Shape::d1(1021)), expected);
+}
+
+TEST(CodecPin, SubnormalOddLength1dStreamsAndReconstructionsAreBitExact) {
+  const std::vector<std::string> expected = {
+      "GRIB2:3 a6f898f847d8399a 777d371fb9a3eb6b",
+      "APAX-2 dfe10b3f14399759 9dcce00aa2c28740",
+      "APAX-4 5ef33c935da2ca77 3dca79382a6a2eea",
+      "APAX-5 8614f738fb921a4c cf378097b48b43cb",
+      "fpzip-24 86710cd514099f09 804f04912f47719a",
+      "fpzip-16 1c208fb8e1c2c3f0 f904255d5fe618b7",
+      "ISA-0.1 ad51a7b4674186ed 69a5d277b31d7398",
+      "ISA-0.5 9fdbf56ad2e75342 485ff579d9989a12",
+      "ISA-1.0 d9289bf06e01fc83 36f84326b6f04a28",
+      "fpzip-32 f88ccc6c674439fa cbb67d66d674f7c4",
+      "NetCDF-4 e8beb9df0c63bdf2 cbb67d66d674f7c4",
+  };
+  EXPECT_EQ(digests(testgen::denormal_field(1021, 0xAB), Shape::d1(1021)), expected);
+}
+
+TEST(CodecPin, Subnormal2dStreamsAndReconstructionsAreBitExact) {
+  const std::vector<std::string> expected = {
+      "GRIB2:3 497775f68f3487d9 bfbaecb627e92325",
+      "APAX-2 4b5b7d88920309e2 87d508a37699a2a4",
+      "APAX-4 f2a913545d6b8159 842eb732be65a18d",
+      "APAX-5 fc565f316e11ebb8 3c8ef6a40e8a48bc",
+      "fpzip-24 4ae056455978d637 cd13763fb413d1cc",
+      "fpzip-16 873a954002934af8 be3c8bdb4be50d5f",
+      "ISA-0.1 10634a615999df86 1855130f2705834f",
+      "ISA-0.5 51243010bd01321b 4fcec1801a833d60",
+      "ISA-1.0 c2dc8fc1375c6ffe 14c5584db6424ccf",
+      "fpzip-32 e176ed8029565557 ff4f82ab48eef0d5",
+      "NetCDF-4 144d57a9d66c9fe2 ff4f82ab48eef0d5",
+  };
+  EXPECT_EQ(digests(testgen::denormal_field(4096, 0xAB), Shape::d2(4, 1024)), expected);
+}
+
+TEST(CodecPin, Smooth3dStreamsAndReconstructionsAreBitExact) {
+  const std::vector<std::string> expected = {
+      "GRIB2:3 996b0e1695baa108 c2957081e24bdc78",
+      "APAX-2 55c86ff3f7043fc2 ff182463e21c6154",
+      "APAX-4 d1552db2750ea4bd c9a279ed58ab61f2",
+      "APAX-5 7435a5cf444ef60f ace3cf1560338a9b",
+      "fpzip-24 428134531f11b1ca 948bebb9666371b0",
+      "fpzip-16 f40f4e02fa64871b 99dc25c2d6239d4d",
+      "ISA-0.1 2691a6e4605bb0c6 2b104f05a872d68e",
+      "ISA-0.5 1b49edfd96411c9a 2135c018da1ddb34",
+      "ISA-1.0 6fe2187c4f637a8a efb21b9bc500f4bf",
+      "fpzip-32 08f10fce6d5c50d3 6b168163731659eb",
+      "NetCDF-4 2529723de747abce 6b168163731659eb",
+  };
+  EXPECT_EQ(digests(testgen::smooth_field(3 * 17 * 29, 0xAC), Shape::d3(3, 17, 29)),
+            expected);
 }
 
 }  // namespace
