@@ -1,6 +1,7 @@
 #pragma once
-// Floating-point ordered-integer mapping and the Lorenzo predictor family
-// used by the fpzip-class codec.
+// Floating-point ordered-integer mapping and the zig-zag residual fold
+// used by the fpzip-class codec (the Lorenzo prediction itself is a codec
+// kernel, codec_kernels.h).
 //
 // The float -> unsigned map is order-preserving: compare as unsigned ==
 // compare as float (NaNs excluded by the climate substrate). Prediction and
@@ -9,7 +10,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <span>
 #include <type_traits>
 
 namespace cesm::comp {
@@ -35,56 +35,6 @@ inline double ordered_to_double(std::uint64_t u) {
   const std::uint64_t b = (u & 0x8000000000000000ull) ? (u & 0x7fffffffffffffffull) : ~u;
   return std::bit_cast<double>(b);
 }
-
-/// Lorenzo predictor over a row-major array of ordered integers, evaluated
-/// causally (only already-decoded neighbours participate). Rank 1 uses the
-/// previous sample; rank 2 uses left + up - upleft; rank 3 adds the plane
-/// dimension (7-neighbour parallelepiped corner).
-///
-/// All arithmetic is modular in U: the encoder transmits (value - predict)
-/// mod 2^bits and the decoder inverts it exactly, so no overflow handling
-/// is needed even for full-width 64-bit data.
-///
-/// Out-of-array neighbours contribute 0, which predicts the first sample as
-/// 0 — harmless, the residual coder absorbs it.
-template <typename U>
-class LorenzoPredictor {
- public:
-  LorenzoPredictor(std::span<const U> values, std::size_t rows, std::size_t cols,
-                   std::size_t planes)
-      : v_(values), rows_(rows), cols_(cols), planes_(planes) {}
-
-  /// Modular prediction for linear index i (value at i not consulted).
-  [[nodiscard]] U predict(std::size_t i) const {
-    const std::size_t plane_size = rows_ * cols_;
-    const std::size_t p = planes_ > 1 ? i / plane_size : 0;
-    const std::size_t rem = planes_ > 1 ? i % plane_size : i;
-    const std::size_t r = cols_ > 0 ? rem / cols_ : 0;
-    const std::size_t c = cols_ > 0 ? rem % cols_ : 0;
-
-    const auto at = [&](std::size_t pp, std::size_t rr, std::size_t cc) -> U {
-      return v_[pp * plane_size + rr * cols_ + cc];
-    };
-
-    if (planes_ > 1 && p > 0 && r > 0 && c > 0) {
-      // 3-D Lorenzo corner.
-      return static_cast<U>(at(p, r, c - 1) + at(p, r - 1, c) + at(p - 1, r, c) -
-                            at(p, r - 1, c - 1) - at(p - 1, r, c - 1) -
-                            at(p - 1, r - 1, c) + at(p - 1, r - 1, c - 1));
-    }
-    if (r > 0 && c > 0) {
-      return static_cast<U>(at(p, r, c - 1) + at(p, r - 1, c) - at(p, r - 1, c - 1));
-    }
-    if (c > 0) return at(p, r, c - 1);
-    if (r > 0) return at(p, r - 1, c);
-    if (p > 0) return at(p - 1, r, c);
-    return 0;
-  }
-
- private:
-  std::span<const U> v_;
-  std::size_t rows_, cols_, planes_;
-};
 
 /// Zig-zag fold of a modular difference into an unsigned magnitude code:
 /// the difference is interpreted as two's-complement signed so that small

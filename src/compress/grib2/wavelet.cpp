@@ -1,6 +1,6 @@
 #include "compress/grib2/wavelet.h"
 
-#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "compress/codec_kernels.h"
@@ -8,90 +8,8 @@
 
 namespace cesm::comp {
 
-namespace {
-
-// Symmetric (half-sample) boundary extension index.
-inline std::size_t mirror(std::ptrdiff_t i, std::size_t n) {
-  if (n == 1) return 0;
-  const auto period = static_cast<std::ptrdiff_t>(2 * n - 2);
-  std::ptrdiff_t j = i % period;
-  if (j < 0) j += period;
-  if (j >= static_cast<std::ptrdiff_t>(n)) j = period - j;
-  return static_cast<std::size_t>(j);
-}
-
-}  // namespace
-
-void dwt53_forward_1d(std::span<const std::int64_t> in, std::span<std::int64_t> out) {
-  const std::size_t n = in.size();
-  CESM_REQUIRE(out.size() == n);
-  if (n == 1) {
-    out[0] = in[0];
-    return;
-  }
-  const std::size_t ns = (n + 1) / 2;  // low-pass count
-  const std::size_t nd = n / 2;        // high-pass count
-
-  const auto x = [&](std::ptrdiff_t i) { return in[mirror(i, n)]; };
-
-  // Predict: d[i] = x[2i+1] - floor((x[2i] + x[2i+2]) / 2)
-  std::vector<std::int64_t> d(nd);
-  for (std::size_t i = 0; i < nd; ++i) {
-    const auto k = static_cast<std::ptrdiff_t>(2 * i);
-    d[i] = x(k + 1) - ((x(k) + x(k + 2)) >> 1);
-  }
-  // Update: s[i] = x[2i] + floor((d[i-1] + d[i] + 2) / 4)
-  const auto dd = [&](std::ptrdiff_t i) -> std::int64_t {
-    if (nd == 0) return 0;
-    if (i < 0) i = 0;  // mirror of d at the left edge
-    if (i >= static_cast<std::ptrdiff_t>(nd)) i = static_cast<std::ptrdiff_t>(nd) - 1;
-    return d[static_cast<std::size_t>(i)];
-  };
-  for (std::size_t i = 0; i < ns; ++i) {
-    const auto ii = static_cast<std::ptrdiff_t>(i);
-    out[i] = in[2 * i] + ((dd(ii - 1) + dd(ii) + 2) >> 2);
-  }
-  for (std::size_t i = 0; i < nd; ++i) out[ns + i] = d[i];
-}
-
-void dwt53_inverse_1d(std::span<const std::int64_t> in, std::span<std::int64_t> out) {
-  const std::size_t n = in.size();
-  CESM_REQUIRE(out.size() == n);
-  if (n == 1) {
-    out[0] = in[0];
-    return;
-  }
-  const std::size_t ns = (n + 1) / 2;
-  const std::size_t nd = n / 2;
-
-  const auto dd = [&](std::ptrdiff_t i) -> std::int64_t {
-    if (nd == 0) return 0;
-    if (i < 0) i = 0;
-    if (i >= static_cast<std::ptrdiff_t>(nd)) i = static_cast<std::ptrdiff_t>(nd) - 1;
-    return in[ns + static_cast<std::size_t>(i)];
-  };
-
-  // Undo update: x[2i] = s[i] - floor((d[i-1] + d[i] + 2) / 4)
-  for (std::size_t i = 0; i < ns; ++i) {
-    const auto ii = static_cast<std::ptrdiff_t>(i);
-    out[2 * i] = in[i] - ((dd(ii - 1) + dd(ii) + 2) >> 2);
-  }
-  // Undo predict: x[2i+1] = d[i] + floor((x[2i] + x[2i+2]) / 2)
-  const auto xe = [&](std::ptrdiff_t k) -> std::int64_t {
-    // Even reconstructed samples with mirror extension.
-    const std::size_t m = mirror(k, n);
-    CESM_ASSERT(m % 2 == 0 || m == n - 1);
-    return out[m % 2 == 0 ? m : m - 1];  // defensive; mirror of even stays even
-  };
-  for (std::size_t i = 0; i < nd; ++i) {
-    const auto k = static_cast<std::ptrdiff_t>(2 * i);
-    out[2 * i + 1] = in[ns + i] + ((xe(k) + xe(k + 2)) >> 1);
-  }
-}
-
-// The row/column sweeps are codec kernels (codec_kernels.h): the scalar
-// reference keeps the historical gather-per-column loops, the vectorized
-// path lifts whole rows at a time.
+// The row/column sweeps are codec kernels (codec_kernels.h), which lift
+// whole rows at a time.
 
 unsigned dwt53_forward_2d(std::span<std::int64_t> data, std::size_t rows, std::size_t cols,
                           unsigned levels) {

@@ -13,14 +13,6 @@
 
 namespace cesm::comp {
 
-/// One level of forward CDF 5/3 lifting on a strided signal of length n.
-/// Low-pass (s) coefficients land in positions 0..ceil(n/2)-1 and
-/// high-pass (d) coefficients in the remaining positions of `out`.
-void dwt53_forward_1d(std::span<const std::int64_t> in, std::span<std::int64_t> out);
-
-/// Inverse of dwt53_forward_1d.
-void dwt53_inverse_1d(std::span<const std::int64_t> in, std::span<std::int64_t> out);
-
 /// Multi-level separable 2-D forward transform in place (row-major
 /// rows x cols). `levels` halvings are applied to the low-pass quadrant;
 /// the transform stops early once a side drops below 8 samples.

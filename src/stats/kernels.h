@@ -24,10 +24,9 @@
 //     keep them in SIMD registers without reassociating a serial reduction
 //     (results stay deterministic: no -ffast-math anywhere).
 //
-// The `reference` namespace preserves the seed's scalar two-pass
-// implementations verbatim. They are the ground truth for the ULP parity
-// tests (tests/stats/test_kernels.cpp) and the "legacy" side of the
-// bench_kernels microbenchmark; production code must not call them.
+// The seed's scalar two-pass implementations live on, verbatim, as the
+// ground truth of the ULP parity tests (tests/stats/test_kernels.cpp) in
+// tests/support/stats_kernels_reference.h.
 
 #include <cstddef>
 #include <cstdint>
@@ -237,36 +236,5 @@ class ZScoreStream {
   std::size_t staged_ = 0;
   bool masked_ = false;
 };
-
-// ---------------------------------------------------------------------------
-// Legacy scalar two-pass implementations (the seed's exact algorithms).
-// Parity-test ground truth and bench_kernels' "legacy" side only.
-namespace reference {
-
-struct TwoPassSummary {
-  double min = 0.0;
-  double max = 0.0;
-  double mean = 0.0;
-  double m2 = 0.0;  ///< Σ(x - mean)² from the second pass
-  std::size_t count = 0;
-};
-
-TwoPassSummary summarize_two_pass(std::span<const float> data,
-                                  std::span<const std::uint8_t> mask = {});
-
-CoMomentAccum comoments_two_pass(std::span<const float> x, std::span<const float> y,
-                                 std::span<const std::uint8_t> mask = {});
-
-ErrorAccum error_norms_scalar(std::span<const float> original,
-                              std::span<const float> reconstructed,
-                              std::span<const std::uint8_t> mask = {});
-
-ZScoreAccum zscore_sums_scalar(std::span<const float> data, std::span<const float> orig,
-                               std::span<const double> sum,
-                               std::span<const double> sum_sq,
-                               std::span<const std::uint8_t> mask, double member_count,
-                               double floor_rel);
-
-}  // namespace reference
 
 }  // namespace cesm::stats::kernels

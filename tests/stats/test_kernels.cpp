@@ -13,6 +13,7 @@
 #include <limits>
 #include <vector>
 
+#include "support/stats_kernels_reference.h"
 #include "util/rng.h"
 
 namespace cesm::stats::kernels {

@@ -51,6 +51,17 @@ TEST(EnvParse, RejectsOverflowInsteadOfTruncating) {
   EXPECT_EQ(parse_env_u64("X", "99999999999999999999999"), std::nullopt);
 }
 
+TEST(EnvParse, FlagParserAcceptsOnlyBareDigits) {
+  EXPECT_EQ(parse_u64_arg("0"), std::uint64_t{0});
+  EXPECT_EQ(parse_u64_arg("64"), std::uint64_t{64});
+  EXPECT_EQ(parse_u64_arg("18446744073709551615"), UINT64_MAX);
+  for (const char* bad : {"", " 42", "42 ", "-1", "+5", "1x", "64k", "1e3", "0x10",
+                          "18446744073709551616"}) {
+    EXPECT_EQ(parse_u64_arg(bad), std::nullopt) << '"' << bad << '"';
+  }
+  EXPECT_EQ(parse_u64_arg(nullptr), std::nullopt);
+}
+
 TEST(EnvParse, EnvLookupReadsAndRejectsLikeTheParser) {
   ::setenv("CESM_TEST_ENV_U64", "128", 1);
   EXPECT_EQ(env_u64("CESM_TEST_ENV_U64"), std::uint64_t{128});

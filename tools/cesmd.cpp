@@ -24,6 +24,7 @@
 #include <string>
 
 #include "serve/server.h"
+#include "util/env.h"
 #include "util/error.h"
 #include "util/signals.h"
 
@@ -38,14 +39,6 @@ void usage(const char* argv0) {
                argv0);
 }
 
-bool parse_u64_arg(const char* text, unsigned long long* out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0' || std::strchr(text, '-') != nullptr) return false;
-  *out = v;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -58,20 +51,20 @@ int main(int argc, char** argv) {
       config.unix_path = arg.substr(9);
       have_transport = !config.unix_path.empty();
     } else if (arg.rfind("--port=", 0) == 0) {
-      unsigned long long port = 0;
-      if (!parse_u64_arg(arg.c_str() + 7, &port) || port > 65535) {
+      const auto port = cesm::util::parse_u64_arg(arg.c_str() + 7);
+      if (!port || *port > 65535) {
         std::fprintf(stderr, "cesmd: bad --port value: %s\n", arg.c_str() + 7);
         return 2;
       }
-      config.tcp_port = static_cast<std::uint16_t>(port);
+      config.tcp_port = static_cast<std::uint16_t>(*port);
       have_transport = true;
     } else if (arg.rfind("--max-inflight=", 0) == 0) {
-      unsigned long long n = 0;
-      if (!parse_u64_arg(arg.c_str() + 15, &n)) {
+      const auto n = cesm::util::parse_u64_arg(arg.c_str() + 15);
+      if (!n) {
         std::fprintf(stderr, "cesmd: bad --max-inflight value: %s\n", arg.c_str() + 15);
         return 2;
       }
-      config.max_inflight = static_cast<std::size_t>(n);
+      config.max_inflight = static_cast<std::size_t>(*n);
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
