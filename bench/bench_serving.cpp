@@ -198,9 +198,7 @@ int main(int argc, char** argv) {
     const double run_seconds = run_sw.seconds();
 
     const auto after = connect(args, local.get()).stats();
-    auto delta = [&](const char* key) {
-      return after.at(key) - (before.count(key) != 0 ? before.at(key) : 0);
-    };
+    auto delta = [&](const char* key) { return after.at(key) - before.at(key); };
     const std::uint64_t requests = delta("serve.responses");
     const std::uint64_t flights = delta("serve.flights");
     const std::uint64_t coalesced = delta("serve.coalesced_joins");

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <string>
 #include <thread>
 
@@ -110,12 +111,27 @@ Options Options::parse(int argc, char** argv, bool default_paper_scale) {
 
 void write_profile(const Options& options) {
   if (options.profile_path.empty()) return;
-  // Mirror the scheduler's work-distribution counters into the trace
-  // report so the profile shows where the parallelism landed.
-  Scheduler::global().publish_trace_counters();
-  std::fputs(core::profile_text().c_str(), stderr);
+  // The scheduler's work-distribution stats are per instance, not rows
+  // of the trace counter table; render them beside it so the profile
+  // shows where the parallelism landed.
+  std::map<std::string, std::uint64_t> counters = trace::counters();
+  const Scheduler& sched = Scheduler::global();
+  const SchedulerStats s = sched.stats();
+  counters["sched.workers"] = sched.thread_count();
+  counters["sched.tasks_spawned"] = s.spawned;
+  counters["sched.tasks_popped"] = s.popped;
+  counters["sched.tasks_stolen"] = s.stolen;
+  counters["sched.tasks_injected"] = s.injected;
+  counters["sched.tasks_helped_in_wait"] = s.helped;
+  counters["sched.chunks_inline"] = s.inline_chunks;
+  counters["sched.steal_ratio_pct"] = static_cast<std::uint64_t>(s.steal_ratio() * 100.0 + 0.5);
+  counters["sched.busy_ns_total"] = s.total_busy_ns();
+  for (std::size_t i = 0; i < s.worker_busy_ns.size(); ++i) {
+    counters["sched.busy_ns_worker" + std::to_string(i)] = s.worker_busy_ns[i];
+  }
+  std::fputs(core::profile_text(trace::collect_tree(), counters).c_str(), stderr);
   try {
-    core::write_profile_json(options.profile_path);
+    core::write_profile_json(options.profile_path, counters);
     std::fprintf(stderr, "profile written to %s\n", options.profile_path.c_str());
   } catch (const IoError& e) {
     // The path was probed at parse time; losing the file mid-run is

@@ -62,9 +62,9 @@ std::vector<Field> EnsembleGenerator::ensemble_fields(const VariableSpec& var) c
   parallel_for(0, spec_.members, [&](std::size_t m) {
     fields[m] = field(var, static_cast<std::uint32_t>(m));
   });
-  trace::counter_add("ensemble.fields", fields.size());
-  trace::counter_add("ensemble.elements",
-                     fields.empty() ? 0 : fields.size() * fields.front().size());
+  trace::add(trace::Counter::kEnsembleFields, fields.size());
+  trace::add(trace::Counter::kEnsembleElements,
+             fields.empty() ? 0 : fields.size() * fields.front().size());
   return fields;
 }
 

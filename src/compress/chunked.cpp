@@ -90,7 +90,7 @@ Bytes ChunkedCodec::encode(std::span<const float> data, const Shape& shape) cons
   for (const Bytes& s : streams) w.u64(s.size());
   for (std::size_t c = 0; c < chunks; ++c) w.u64(offsets[c + 1] - offsets[c]);
   for (const Bytes& s : streams) w.raw(s);
-  trace::counter_add("chunked.chunks", chunks);
+  trace::add(trace::Counter::kChunkedChunks, chunks);
   return out;
 }
 
@@ -169,7 +169,7 @@ void ChunkedCodec::decode_chunks(std::span<const std::uint8_t> stream,
     inner_->decode_into(payloads[c],
                         out.subspan(elem_off[c], elem_off[c + 1] - elem_off[c]));
   });
-  trace::counter_add("chunked.chunks", chunks);
+  trace::add(trace::Counter::kChunkedChunks, chunks);
 }
 
 }  // namespace cesm::comp

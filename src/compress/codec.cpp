@@ -8,10 +8,22 @@ namespace cesm::comp {
 
 namespace {
 
+void count_encode(std::size_t elements_in, std::size_t bytes_out) {
+  trace::add(trace::Counter::kCodecEncodeCalls);
+  trace::add(trace::Counter::kCodecElementsIn, elements_in);
+  trace::add(trace::Counter::kCodecBytesOut, bytes_out);
+}
+
+void count_decode(std::size_t bytes_in, std::size_t elements_out) {
+  trace::add(trace::Counter::kCodecDecodeCalls);
+  trace::add(trace::Counter::kCodecBytesIn, bytes_in);
+  trace::add(trace::Counter::kCodecElementsOut, elements_out);
+}
+
 /// Transparent observability wrapper: forwards to `inner` under a trace
 /// span and byte/element counters. Disabled tracing costs one relaxed
-/// atomic load per call (see util/trace.h), keeping codec throughput
-/// benchmarks honest.
+/// atomic load per call and the counters three relaxed adds (see
+/// util/trace.h), keeping codec throughput benchmarks honest.
 class TracedCodec final : public Codec {
  public:
   explicit TracedCodec(CodecPtr inner)
@@ -28,9 +40,7 @@ class TracedCodec final : public Codec {
   [[nodiscard]] Bytes encode(std::span<const float> data, const Shape& shape) const override {
     trace::Span span(encode_label_);
     Bytes out = inner_->encode(data, shape);
-    trace::counter_add("codec.encode_calls", 1);
-    trace::counter_add("codec.elements_in", data.size());
-    trace::counter_add("codec.bytes_out", out.size());
+    count_encode(data.size(), out.size());
     return out;
   }
 
@@ -38,9 +48,7 @@ class TracedCodec final : public Codec {
       std::span<const std::uint8_t> stream) const override {
     trace::Span span(decode_label_);
     std::vector<float> out = inner_->decode(stream);
-    trace::counter_add("codec.decode_calls", 1);
-    trace::counter_add("codec.bytes_in", stream.size());
-    trace::counter_add("codec.elements_out", out.size());
+    count_decode(stream.size(), out.size());
     return out;
   }
 
@@ -48,18 +56,14 @@ class TracedCodec final : public Codec {
                    std::span<float> out) const override {
     trace::Span span(decode_label_);
     inner_->decode_into(stream, out);
-    trace::counter_add("codec.decode_calls", 1);
-    trace::counter_add("codec.bytes_in", stream.size());
-    trace::counter_add("codec.elements_out", out.size());
+    count_decode(stream.size(), out.size());
   }
 
   [[nodiscard]] Bytes encode64(std::span<const double> data,
                                const Shape& shape) const override {
     trace::Span span(encode_label_);
     Bytes out = inner_->encode64(data, shape);
-    trace::counter_add("codec.encode_calls", 1);
-    trace::counter_add("codec.elements_in", data.size());
-    trace::counter_add("codec.bytes_out", out.size());
+    count_encode(data.size(), out.size());
     return out;
   }
 
@@ -67,9 +71,7 @@ class TracedCodec final : public Codec {
       std::span<const std::uint8_t> stream) const override {
     trace::Span span(decode_label_);
     std::vector<double> out = inner_->decode64(stream);
-    trace::counter_add("codec.decode_calls", 1);
-    trace::counter_add("codec.bytes_in", stream.size());
-    trace::counter_add("codec.elements_out", out.size());
+    count_decode(stream.size(), out.size());
     return out;
   }
 
@@ -89,9 +91,7 @@ class TracedCodec final : public Codec {
                                        const Shape& shape) const override {
     trace::Span span(encode_label_);
     Bytes out = inner_->encode_with_prep(plan, data, shape);
-    trace::counter_add("codec.encode_calls", 1);
-    trace::counter_add("codec.elements_in", data.size());
-    trace::counter_add("codec.bytes_out", out.size());
+    count_encode(data.size(), out.size());
     return out;
   }
 

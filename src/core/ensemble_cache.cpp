@@ -128,7 +128,7 @@ std::shared_ptr<const EnsembleStats> EnsembleCache::stats(
       } catch (const Error&) {
         // Checksum passed but the payload layout is stale or mangled:
         // same contract as container corruption — count, drop, rebuild.
-        trace::counter_add("cache.disk_corrupt", 1);
+        trace::add(trace::Counter::kCacheDiskCorrupt);
         std::error_code ec;
         std::filesystem::remove(t.disk->entry_path(k), ec);
       }

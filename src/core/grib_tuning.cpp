@@ -31,7 +31,7 @@ GribTuning tune_decimal_scale(const PvtVerifier& verifier, std::optional<float> 
     const comp::CodecPtr codec =
         with_chunking(grib.build(d, fill), verifier.source().chunk_elems());
     ++tuning.attempts;
-    trace::counter_add("grib.tune_attempts", 1);
+    trace::add(trace::Counter::kGribTuneAttempts);
     tuning.members = verifier.members_pass(*codec, test_members, /*early_skip=*/!last);
     tuning.decimal_scale = d;
     tuning.passed = tuning.members.size() == test_members.size() &&

@@ -52,7 +52,7 @@ struct ReusedSpillInvalidator {
     if (reused && std::uncaught_exceptions() > base) {
       std::error_code ec;
       std::filesystem::remove(path, ec);
-      trace::counter_add("ooc.spill_invalidated", 1);
+      trace::add(trace::Counter::kOocSpillInvalidated);
     }
   }
 };
@@ -102,7 +102,7 @@ void stage_variable_at(const climate::EnsembleGenerator& ensemble,
   }
   writer.finish();
   budget.release(stage_bytes);
-  trace::counter_add("ooc.variables_staged", 1);
+  trace::add(trace::Counter::kOocVariablesStaged);
 }
 
 std::string stage_variable(const climate::EnsembleGenerator& ensemble,
@@ -228,11 +228,11 @@ VariableResult run_variable_streaming(const climate::EnsembleGenerator& ensemble
           throw FormatError("chunkstore: spill does not match its key");
         }
         reused = true;
-        trace::counter_add("ooc.spill_reused", 1);
+        trace::add(trace::Counter::kOocSpillReused);
       } catch (const Error&) {
         store_slot.reset();
         std::filesystem::remove(path, ec);
-        trace::counter_add("ooc.spill_corrupt", 1);
+        trace::add(trace::Counter::kOocSpillCorrupt);
       }
     }
   }
@@ -270,7 +270,7 @@ VariableResult run_variable_streaming(const climate::EnsembleGenerator& ensemble
     const util::EvictionResult evicted = util::evict_directory_to_budget(
         config.spill_dir, ".cnk1", config.spill_budget_bytes, protect);
     if (evicted.files_removed > 0) {
-      trace::counter_add("ooc.spill_evicted", evicted.files_removed);
+      trace::add(trace::Counter::kOocSpillEvicted, evicted.files_removed);
     }
   }
   return result;
@@ -343,9 +343,7 @@ SuiteResults run_suite_streaming(const climate::EnsembleGenerator& ensemble,
     for (std::thread& t : admission) t.join();
     if (first_error) std::rethrow_exception(first_error);
   }
-  if (const std::size_t failed = results.failed_variable_count(); failed > 0) {
-    trace::counter_add("suite.variables_failed_total", failed);
-  }
+  trace::add(trace::Counter::kSuiteVariablesFailedTotal, results.failed_variable_count());
   derive_variant_names(results);
   return results;
 }

@@ -125,8 +125,12 @@ std::string profile_text() {
   return profile_text(trace::collect_tree(), trace::counters());
 }
 
-void write_profile_json(const std::string& path) {
-  const std::string json = profile_json();
+void write_profile_json(const std::string& path) { write_profile_json(path, trace::counters()); }
+
+void write_profile_json(const std::string& path,
+                        const std::map<std::string, std::uint64_t>& counters) {
+  const std::string json =
+      profile_json(trace::collect_tree(), trace::aggregate_by_label(), counters);
   std::ofstream f(path, std::ios::trunc);
   if (!f) throw IoError("cannot open profile output: " + path);
   f << json;

@@ -35,5 +35,9 @@ std::string profile_text();
 /// Collect the current trace contents and write profile_json() to
 /// `path`. Throws IoError when the file cannot be written.
 void write_profile_json(const std::string& path);
+/// The same with an explicit counter snapshot (trace::counters() plus
+/// rows a caller renders from per-instance stats).
+void write_profile_json(const std::string& path,
+                        const std::map<std::string, std::uint64_t>& counters);
 
 }  // namespace cesm::core

@@ -34,12 +34,12 @@ comp::PrepPlanPtr build_plan(const comp::Codec& codec, std::span<const float> x,
   try {
     CESM_FAILPOINT("comp.prep_plan");
     comp::PrepPlanPtr plan = codec.build_prep(x, shape);
-    if (plan != nullptr) trace::counter_add("prep.plan_built", 1);
+    if (plan != nullptr) trace::add(trace::Counter::kPrepPlanBuilt);
     return plan;
   } catch (const InvalidArgument&) {
     throw;
   } catch (const Error&) {
-    trace::counter_add("prep.plan_faults", 1);
+    trace::add(trace::Counter::kPrepPlanFaults);
     return nullptr;
   }
 }
@@ -231,7 +231,7 @@ void PvtVerifier::sweep(std::span<const comp::Codec* const> codecs,
             plan_run = run_begin[k];
             plan = build_plan(codec, x, shape);
           } else if (shares && plan != nullptr) {
-            trace::counter_add("prep.plan_reused", 1);
+            trace::add(trace::Counter::kPrepPlanReused);
           }
           const Bytes stream = shares && plan != nullptr
                                    ? codec.encode_with_prep(*plan, x, shape)
@@ -262,7 +262,8 @@ void PvtVerifier::sweep(std::span<const comp::Codec* const> codecs,
       Measured m;
       m.bytes = chunked[k] != nullptr ? chunked[k]->packed_stream_bytes(source_.shape(), sizes)
                                       : sizes[0];
-      trace::counter_add(decode ? "pvt.member_roundtrips" : "pvt.member_encodes", 1);
+      trace::add(decode ? trace::Counter::kPvtMemberRoundtrips
+                        : trace::Counter::kPvtMemberEncodes);
       if (decode) {
         m.rmsz = rmsz_from_accum(slots[k].zs.finish());
         if (evaluate) {
@@ -400,7 +401,7 @@ std::vector<SweepResult> PvtVerifier::verify_all(
     }
     verdict.mean_cr = cr_sum / static_cast<double>(tests);
     if (run_bias) {
-      trace::counter_add("pvt.bias_reused", reused);
+      trace::add(trace::Counter::kPvtBiasReused, reused);
       verdict.bias = bias_test(stats().rmsz_distribution(), scores.subspan(k * m_count, m_count),
                                thresholds_.bias_confidence);
       verdict.bias_pass = verdict.bias.pass;

@@ -79,7 +79,7 @@ VariableVerdict codec_error_verdict(const PvtVerifier& verifier, const comp::Cod
                                     std::optional<float> fill,
                                     std::span<const std::size_t> test_members,
                                     const SuiteConfig& config, std::string message) {
-  trace::counter_add("suite.codec_errors", 1);
+  trace::add(trace::Counter::kSuiteCodecErrors);
   VariableVerdict verdict;
   verdict.variable = verifier.source().variable();
   verdict.codec = codec.name();
@@ -100,7 +100,7 @@ VariableVerdict codec_error_verdict(const PvtVerifier& verifier, const comp::Cod
       verdict.bias = lossless.bias;
       verdict.bias_evaluated = lossless.bias_evaluated;
       verdict.fallback_codec = stand_in->name();
-      trace::counter_add("suite.lossless_fallbacks", 1);
+      trace::add(trace::Counter::kSuiteLosslessFallbacks);
     } catch (const Error&) {
       // The stand-in failed too (e.g. its decode is also poisoned):
       // keep the bare codec-error verdict.
@@ -112,7 +112,7 @@ VariableVerdict codec_error_verdict(const PvtVerifier& verifier, const comp::Cod
 }  // namespace
 
 void begin_variable(const climate::VariableSpec& spec, const SuiteConfig& config) {
-  trace::counter_add("suite.variables", 1);
+  trace::add(trace::Counter::kSuiteVariables);
   // test_members.front() (and every downstream verify) requires at least
   // one probe member; a zero count used to slip through pick_members and
   // dereference an empty vector.
@@ -204,7 +204,7 @@ VariableResult verify_variable(const climate::VariableSpec& spec, const ChunkSou
   }
   std::vector<SweepResult> outcomes(swept.size());
   const auto sweep = [&](const PvtVerifier& v, std::size_t lo, std::size_t hi) {
-    trace::counter_add("sweep.variant_tasks", 1);
+    trace::add(trace::Counter::kSweepVariantTasks);
     std::vector<SweepResult> part =
         v.verify_all(std::span(swept).subspan(lo, hi - lo), result.test_members,
                      config.run_bias, std::span(known).subspan(lo, hi - lo));
@@ -252,11 +252,11 @@ VariableResult run_guarded(const climate::VariableSpec& spec, const SuiteConfig&
       throw;  // caller bug: retrying cannot help and hiding it would lie
     } catch (const Error& e) {
       if (failures++ < config.variable_retry_limit) {
-        trace::counter_add("suite.variable_retries", 1);
+        trace::add(trace::Counter::kSuiteVariableRetries);
         continue;
       }
       if (!config.continue_on_variable_error) throw;
-      trace::counter_add("suite.variable_failures", 1);
+      trace::add(trace::Counter::kSuiteVariableFailures);
       VariableResult failed;
       failed.variable = spec.name;
       failed.is_3d = spec.is_3d;
@@ -309,9 +309,7 @@ SuiteResults run_suite(const climate::EnsembleGenerator& ensemble,
       return run_variable(ensemble, *specs[i], config);
     });
   });
-  if (const std::size_t failed = results.failed_variable_count(); failed > 0) {
-    trace::counter_add("suite.variables_failed_total", failed);
-  }
+  trace::add(trace::Counter::kSuiteVariablesFailedTotal, results.failed_variable_count());
 
   derive_variant_names(results);
   return results;

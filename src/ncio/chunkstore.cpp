@@ -157,7 +157,7 @@ void ChunkStoreWriter::write_chunk(std::uint32_t member, std::size_t chunk,
       std::uint64_t{4} * (std::uint64_t{member} * total_elems_ + offsets_[chunk]);
   write_fully(fd_, data.data(), data.size() * sizeof(float), offset, tmp_);
   checksums_[std::size_t{member} * (offsets_.size() - 1) + chunk] = checksum_of(data);
-  trace::counter_add("ooc.chunks_written", 1);
+  trace::add(trace::Counter::kOocChunksWritten);
 }
 
 void ChunkStoreWriter::finish() {
@@ -296,7 +296,7 @@ void ChunkStoreReader::read_chunk(std::uint32_t member, std::size_t chunk,
                       std::to_string(member) + ", chunk " + std::to_string(chunk) +
                       "): " + path_);
   }
-  trace::counter_add("ooc.chunks_read", 1);
+  trace::add(trace::Counter::kOocChunksRead);
 }
 
 }  // namespace cesm::ncio

@@ -174,14 +174,14 @@ Bytes Dataset::serialize() const {
     w.u64(payload.size());
     w.raw(payload);
   }
-  trace::counter_add("ncio.bytes_written", out.size());
+  trace::add(trace::Counter::kNcioBytesWritten, out.size());
   return out;
 }
 
 Dataset Dataset::deserialize(std::span<const std::uint8_t> bytes) {
   trace::Span span("ncio.read");
   CESM_FAILPOINT("ncio.read");
-  trace::counter_add("ncio.bytes_read", bytes.size());
+  trace::add(trace::Counter::kNcioBytesRead, bytes.size());
   ByteReader r(bytes);
   if (r.u32() != kFileMagic) throw FormatError("not a CNC1 dataset");
   if (r.u16() != kVersion) throw FormatError("unsupported CNC1 version");

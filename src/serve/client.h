@@ -57,7 +57,8 @@ class Client {
   /// verify_raw + parse.
   core::VariableResult verify(const VerifyRequest& request);
 
-  /// Fetch the daemon's service counters (serve.coalesced_joins et al).
+  /// Fetch the daemon's counters: the whole process-wide trace counter
+  /// table (serve.coalesced_joins, codec.*, ...) plus serve.request_us_*.
   std::map<std::string, std::uint64_t> stats();
 
  private:

@@ -128,7 +128,7 @@ void Server::accept_loop() {
 
     util::Socket sock = util::accept_connection(listener_);
     if (!sock.valid()) continue;
-    n_connections_.fetch_add(1, std::memory_order_relaxed);
+    trace::add(trace::Counter::kServeConnections);
     reap_connections();
 
     auto conn = std::make_unique<Connection>();
@@ -181,7 +181,7 @@ void Server::serve_connection(Connection* conn) {
 
       switch (static_cast<MessageType>(frame->type)) {
         case MessageType::kPing:
-          n_pings_.fetch_add(1, std::memory_order_relaxed);
+          trace::add(trace::Counter::kServePings);
           util::write_frame(sock, static_cast<std::uint8_t>(MessageType::kPong), {});
           break;
         case MessageType::kStatsRequest: {
@@ -194,7 +194,7 @@ void Server::serve_connection(Connection* conn) {
           handle_verify(sock, frame->payload);
           break;
         default:
-          n_protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+          trace::add(trace::Counter::kServeProtocolErrors);
           // The frame itself was well-formed, so the stream is still in
           // sync; answer and keep the connection.
           send_error(sock, ErrorCode::kUnsupportedType,
@@ -203,12 +203,12 @@ void Server::serve_connection(Connection* conn) {
       }
     }
   } catch (const util::FrameTooLarge& e) {
-    n_protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+    trace::add(trace::Counter::kServeProtocolErrors);
     send_error(sock, ErrorCode::kOversizedFrame, e.what());
   } catch (const FormatError& e) {
     // Bad magic / torn header: the byte stream can no longer be framed,
     // so answer once and drop the connection.
-    n_protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+    trace::add(trace::Counter::kServeProtocolErrors);
     send_error(sock, ErrorCode::kMalformedFrame, e.what());
   } catch (const IoError&) {
     // Client vanished (mid-frame EOF, reset, send failure): nothing to
@@ -218,7 +218,7 @@ void Server::serve_connection(Connection* conn) {
 
 void Server::handle_verify(const util::Socket& sock, const Bytes& payload) {
   trace::Span span("serve.request");
-  n_requests_.fetch_add(1, std::memory_order_relaxed);
+  trace::add(trace::Counter::kServeRequests);
   // Every exit writes exactly one response (or finds the client gone);
   // each counts once in the latency histogram.
   struct LatencyGuard {
@@ -256,7 +256,7 @@ void Server::handle_verify(const util::Socket& sock, const Bytes& payload) {
   } guard{this};
 
   if (draining) {
-    n_rejected_shutdown_.fetch_add(1, std::memory_order_relaxed);
+    trace::add(trace::Counter::kServeRejectedShutdown);
     send_error(sock, ErrorCode::kShuttingDown, "daemon is draining");
     return;
   }
@@ -273,7 +273,7 @@ void Server::handle_verify(const util::Socket& sock, const Bytes& payload) {
     }
     request = parse_verify_request(payload);
   } catch (const FormatError& e) {
-    n_protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+    trace::add(trace::Counter::kServeProtocolErrors);
     send_error(sock, ErrorCode::kMalformedFrame, e.what());
     return;
   }
@@ -287,9 +287,9 @@ void Server::handle_verify(const util::Socket& sock, const Bytes& payload) {
         serialize_variable_result(filter_result(*result, request.variants));
     util::write_frame(sock, static_cast<std::uint8_t>(MessageType::kVerifyResponse),
                       response);
-    n_responses_.fetch_add(1, std::memory_order_relaxed);
+    trace::add(trace::Counter::kServeResponses);
   } catch (const AdmissionReject&) {
-    n_rejected_queue_full_.fetch_add(1, std::memory_order_relaxed);
+    trace::add(trace::Counter::kServeRejectedQueueFull);
     send_error(sock, ErrorCode::kQueueFull,
                "admission control: " + std::to_string(config_.max_inflight) +
                    " computations already in flight");
@@ -298,7 +298,7 @@ void Server::handle_verify(const util::Socket& sock, const Bytes& payload) {
   } catch (const IoError&) {
     throw;  // response write failed: connection-level, handled by caller
   } catch (const Error& e) {
-    n_processing_failures_.fetch_add(1, std::memory_order_relaxed);
+    trace::add(trace::Counter::kServeProcessingFailures);
     send_error(sock, ErrorCode::kProcessingFailed, e.what());
   }
 }
@@ -316,7 +316,7 @@ std::shared_ptr<const core::VariableResult> Server::compute_coalesced(
       // joiner adds no work, only a waiter.
       flight = it->second;
       *coalesced = true;
-      n_coalesced_joins_.fetch_add(1, std::memory_order_relaxed);
+      trace::add(trace::Counter::kServeCoalescedJoins);
     } else {
       if (flights_active_ >= config_.max_inflight) throw AdmissionReject{};
       promise = std::make_shared<
@@ -325,7 +325,7 @@ std::shared_ptr<const core::VariableResult> Server::compute_coalesced(
       flight->future = promise->get_future().share();
       flights_.emplace(key, flight);
       ++flights_active_;
-      n_flights_.fetch_add(1, std::memory_order_relaxed);
+      trace::add(trace::Counter::kServeFlights);
       *coalesced = false;
     }
   }
@@ -404,23 +404,11 @@ std::map<std::string, std::uint64_t> Server::counters() const {
     }
     return bucket_upper_us(kLatencyBuckets - 1);
   };
-  return {
-      {"serve.connections", n_connections_.load(std::memory_order_relaxed)},
-      {"serve.requests", n_requests_.load(std::memory_order_relaxed)},
-      {"serve.responses", n_responses_.load(std::memory_order_relaxed)},
-      {"serve.flights", n_flights_.load(std::memory_order_relaxed)},
-      {"serve.coalesced_joins", n_coalesced_joins_.load(std::memory_order_relaxed)},
-      {"serve.rejected_queue_full",
-       n_rejected_queue_full_.load(std::memory_order_relaxed)},
-      {"serve.rejected_shutdown", n_rejected_shutdown_.load(std::memory_order_relaxed)},
-      {"serve.protocol_errors", n_protocol_errors_.load(std::memory_order_relaxed)},
-      {"serve.processing_failures",
-       n_processing_failures_.load(std::memory_order_relaxed)},
-      {"serve.pings", n_pings_.load(std::memory_order_relaxed)},
-      {"serve.request_us_p50", quantile_us(0.50)},
-      {"serve.request_us_p99", quantile_us(0.99)},
-      {"serve.request_us_max", quantile_us(1.0)},
-  };
+  std::map<std::string, std::uint64_t> out = trace::counters();
+  out.emplace("serve.request_us_p50", quantile_us(0.50));
+  out.emplace("serve.request_us_p99", quantile_us(0.99));
+  out.emplace("serve.request_us_max", quantile_us(1.0));
+  return out;
 }
 
 }  // namespace cesm::serve

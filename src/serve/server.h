@@ -85,13 +85,15 @@ class Server {
   [[nodiscard]] std::uint16_t port() const { return bound_port_; }
   [[nodiscard]] const ServerConfig& config() const { return config_; }
 
-  /// Service counters (serve.requests, serve.coalesced_joins,
-  /// serve.flights, serve.rejected_queue_full, ...). Also the payload of
-  /// the kStatsRequest protocol message, which is how an out-of-process
-  /// load generator observes coalescing. serve.request_us_{p50,p99,max}
-  /// read the request-latency histogram (see kLatencyBuckets): 0 before
-  /// the first verify request, else the upper edge of the log2 bucket
-  /// holding that quantile, so within 2x above the true value.
+  /// Every row of the process-wide trace::counters() table (serve.requests,
+  /// serve.coalesced_joins, serve.flights, codec.*, cache.*, ooc.*, ...)
+  /// plus this server's serve.request_us_{p50,p99,max}. Also the payload
+  /// of the kStatsRequest protocol message, which is how an
+  /// out-of-process load generator observes coalescing. The counts are
+  /// per process (cesmd runs one server per process); the latency
+  /// quantiles read this instance's histogram (see kLatencyBuckets): 0
+  /// before the first verify request, else the upper edge of the log2
+  /// bucket holding that quantile, so within 2x above the true value.
   [[nodiscard]] std::map<std::string, std::uint64_t> counters() const;
 
  private:
@@ -145,18 +147,6 @@ class Server {
 
   std::mutex gen_mu_;
   std::map<std::uint64_t, std::shared_ptr<const climate::EnsembleGenerator>> generators_;
-
-  // Counters (relaxed; exact under the quiesced reads tests/bench do).
-  std::atomic<std::uint64_t> n_connections_{0};
-  std::atomic<std::uint64_t> n_requests_{0};
-  std::atomic<std::uint64_t> n_responses_{0};
-  std::atomic<std::uint64_t> n_flights_{0};
-  std::atomic<std::uint64_t> n_coalesced_joins_{0};
-  std::atomic<std::uint64_t> n_rejected_queue_full_{0};
-  std::atomic<std::uint64_t> n_rejected_shutdown_{0};
-  std::atomic<std::uint64_t> n_protocol_errors_{0};
-  std::atomic<std::uint64_t> n_processing_failures_{0};
-  std::atomic<std::uint64_t> n_pings_{0};
 
   /// handle_verify latency, from the parsed frame to the response
   /// written, in microseconds: bucket b counts requests that took

@@ -9,7 +9,7 @@
 // reused allocation-free.
 //
 // Growth is observable: every slot grow adds to the cesm::trace counters
-// "arena.grow" (events) and "arena.grow_bytes" while tracing is enabled.
+// "arena.grow" (events) and "arena.grow_bytes", which are always on.
 // The steady-state zero-allocation property is asserted mechanically in
 // tests/core/test_pvt.cpp: warm one verify pass, reset the counters, run
 // another, require arena.grow == 0.
@@ -42,8 +42,8 @@ class ScratchArena {
     std::vector<unsigned char>& s = slots_[slot];
     const std::size_t need = n * sizeof(T);
     if (s.size() < need) {
-      trace::counter_add("arena.grow", 1);
-      trace::counter_add("arena.grow_bytes", need - s.size());
+      trace::add(trace::Counter::kArenaGrow);
+      trace::add(trace::Counter::kArenaGrowBytes, need - s.size());
       // Geometric growth so a slowly-ramping caller settles after O(log)
       // grows instead of reallocating every iteration.
       s.resize(std::max(need, s.size() * 2));

@@ -81,7 +81,7 @@ EvictionResult evict_directory_to_budget(const std::filesystem::path& dir,
     result.bytes_removed += e.bytes;
   }
   if (result.files_removed > 0) {
-    trace::counter_add("cache.dir_evict", result.files_removed);
+    trace::add(trace::Counter::kCacheDirEvict, result.files_removed);
   }
   return result;
 }
@@ -113,14 +113,14 @@ std::optional<Bytes> DiskCache::read(std::uint64_t key) const {
   {
     std::ifstream f(path, std::ios::binary);
     if (!f) {
-      trace::counter_add("cache.disk_miss", 1);
+      trace::add(trace::Counter::kCacheDiskMiss);
       return std::nullopt;
     }
     f.seekg(0, std::ios::end);
     const std::streamoff size = f.tellg();
     f.seekg(0, std::ios::beg);
     if (size < 0) {
-      trace::counter_add("cache.disk_miss", 1);
+      trace::add(trace::Counter::kCacheDiskMiss);
       return std::nullopt;
     }
     raw.resize(static_cast<std::size_t>(size));
@@ -150,10 +150,10 @@ std::optional<Bytes> DiskCache::read(std::uint64_t key) const {
     if (fnv1a64(payload) != checksum) {
       throw FormatError("cache entry checksum mismatch");
     }
-    trace::counter_add("cache.disk_hit", 1);
+    trace::add(trace::Counter::kCacheDiskHit);
     return Bytes(payload.begin(), payload.end());
   } catch (const Error&) {
-    trace::counter_add("cache.disk_corrupt", 1);
+    trace::add(trace::Counter::kCacheDiskCorrupt);
     std::error_code ec;
     std::filesystem::remove(path, ec);  // best effort; rewrite replaces it anyway
     return std::nullopt;
@@ -162,7 +162,7 @@ std::optional<Bytes> DiskCache::read(std::uint64_t key) const {
 
 void DiskCache::write(std::uint64_t key, std::span<const std::uint8_t> payload) const {
   if (max_payload_bytes_ != 0 && payload.size() > max_payload_bytes_) {
-    trace::counter_add("cache.oversize", 1);
+    trace::add(trace::Counter::kCacheOversize);
     return;
   }
   Bytes file;
@@ -187,7 +187,7 @@ void DiskCache::write(std::uint64_t key, std::span<const std::uint8_t> payload) 
     if (!f ||
         !f.write(reinterpret_cast<const char*>(file.data()),
                  static_cast<std::streamsize>(file.size()))) {
-      trace::counter_add("cache.disk_write_fail", 1);
+      trace::add(trace::Counter::kCacheDiskWriteFail);
       std::error_code ec;
       std::filesystem::remove(tmp, ec);
       return;
@@ -196,11 +196,11 @@ void DiskCache::write(std::uint64_t key, std::span<const std::uint8_t> payload) 
   std::error_code ec;
   std::filesystem::rename(tmp, path, ec);
   if (ec) {
-    trace::counter_add("cache.disk_write_fail", 1);
+    trace::add(trace::Counter::kCacheDiskWriteFail);
     std::filesystem::remove(tmp, ec);
     return;
   }
-  trace::counter_add("cache.disk_write", 1);
+  trace::add(trace::Counter::kCacheDiskWrite);
   if (max_total_bytes_ != 0) {
     const std::string protect[] = {path.string()};
     evict_directory_to_budget(dir_, ".cesmc", max_total_bytes_, protect);

@@ -109,12 +109,12 @@ class LruCache {
     const auto it = index_.find(key);
     if (it == index_.end()) {
       ++stats_.misses;
-      trace::counter_add("cache.miss", 1);
+      trace::add(trace::Counter::kCacheMiss);
       return nullptr;
     }
     order_.splice(order_.begin(), order_, it->second);
     ++stats_.hits;
-    trace::counter_add("cache.hit", 1);
+    trace::add(trace::Counter::kCacheHit);
     return it->second->value;
   }
 
@@ -125,7 +125,7 @@ class LruCache {
     std::lock_guard lock(mu_);
     if (cost_bytes > max_bytes_) {
       ++stats_.oversize;
-      trace::counter_add("cache.oversize", 1);
+      trace::add(trace::Counter::kCacheOversize);
       return;
     }
     if (index_.find(key) != index_.end()) return;
@@ -134,13 +134,13 @@ class LruCache {
     ++stats_.entries;
     stats_.resident_bytes += cost_bytes;
     stats_.inserted_bytes += cost_bytes;
-    trace::counter_add("cache.bytes", cost_bytes);
+    trace::add(trace::Counter::kCacheBytes, cost_bytes);
     while (stats_.resident_bytes > max_bytes_ && order_.size() > 1) {
       const Entry& victim = order_.back();
       stats_.resident_bytes -= victim.cost_bytes;
       --stats_.entries;
       ++stats_.evictions;
-      trace::counter_add("cache.evict", 1);
+      trace::add(trace::Counter::kCacheEvict);
       index_.erase(victim.key);
       order_.pop_back();
     }

@@ -5,7 +5,6 @@
 #include <mutex>
 
 #include "util/rng.h"
-#include "util/trace.h"
 
 namespace cesm::fail {
 
@@ -160,7 +159,6 @@ Site& site(const char* name) {
 
 void hit(Site& s) {
   s.hits.fetch_add(1, std::memory_order_relaxed);
-  trace::counter_add("fail.hit." + s.name, 1);
   if (!s.armed.load(std::memory_order_acquire)) return;
 
   bool fire = false;
@@ -199,7 +197,6 @@ void hit(Site& s) {
   }
   if (!fire) return;
   s.fires.fetch_add(1, std::memory_order_relaxed);
-  trace::counter_add("fail.fired." + s.name, 1);
   throw InjectedFault(s.name);
 }
 

@@ -31,10 +31,10 @@
 // Sites are registered in the canonical list in failpoint.cpp so
 // all_sites() enumerates every site without having to execute it; the
 // failpoint meta-test uses that to fail when a site has no test firing
-// it. Per-site hit/fire counts are kept while the subsystem is enabled
-// and mirrored into cesm::trace counters ("fail.hit.<site>",
-// "fail.fired.<site>") when tracing collects, so --profile reports show
-// injected-fault activity alongside the timing tree.
+// it. Per-site hit/fire counts are kept while the subsystem is enabled;
+// hit_count()/fire_count() are the one place to read them (they are not
+// rows of the cesm::trace counter table, whose names are fixed at
+// compile time).
 
 #include <atomic>
 #include <cstdint>

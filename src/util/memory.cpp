@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 #include "util/env.h"
 #include "util/error.h"
@@ -73,11 +74,16 @@ bool reset_peak_rss() {
 std::optional<std::uint64_t> memory_budget_bytes() {
   const std::optional<std::uint64_t> mb = env_u64("CESM_MEM_MB");
   if (!mb || *mb == 0) return std::nullopt;
-  return *mb * 1024 * 1024;
+  if (*mb > (std::numeric_limits<std::uint64_t>::max() >> 20)) {
+    std::fprintf(stderr, "CESM_MEM_MB ignored: %llu MiB overflows the byte budget\n",
+                 static_cast<unsigned long long>(*mb));
+    return std::nullopt;
+  }
+  return *mb << 20;
 }
 
 void MemoryBudget::reject(const char* what, std::uint64_t bytes) const {
-  trace::counter_add("mem.budget_exceeded", 1);
+  trace::add(trace::Counter::kMemBudgetExceeded);
   throw Error("memory budget exceeded: allocating " + std::to_string(bytes) +
               " bytes for " + what + " would bring the total to " +
               std::to_string(charged_ + bytes) +
@@ -89,7 +95,7 @@ void MemoryBudget::admit_locked(const char* what, std::uint64_t bytes) {
   (void)what;
   charged_ += bytes;
   if (charged_ > peak_) peak_ = charged_;
-  trace::counter_add("mem.charged_bytes", bytes);
+  trace::add(trace::Counter::kMemChargedBytes, bytes);
 }
 
 void MemoryBudget::charge(const char* what, std::uint64_t bytes) {
@@ -105,7 +111,7 @@ void MemoryBudget::reserve(const char* what, std::uint64_t bytes) {
   const bool parked = !(serving_ticket_ == ticket && fits_locked(bytes));
   if (parked) {
     ++waits_;
-    trace::counter_add("mem.reserve_waits", 1);
+    trace::add(trace::Counter::kMemReserveWaits);
     cv_.wait(lock, [&] { return serving_ticket_ == ticket && fits_locked(bytes); });
   }
   admit_locked(what, bytes);

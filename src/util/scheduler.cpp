@@ -6,12 +6,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
-#include <string>
 #include <thread>
 
 #include "util/env.h"
 #include "util/failpoint.h"
-#include "util/trace.h"
 
 namespace cesm {
 
@@ -384,23 +382,6 @@ void Scheduler::reset_stats() {
   };
   for (const auto& w : im.workers) clear(w->counters);
   clear(im.external);
-}
-
-void Scheduler::publish_trace_counters() const {
-  const SchedulerStats s = stats();
-  trace::counter_add("sched.workers", static_cast<std::uint64_t>(thread_count()));
-  trace::counter_add("sched.tasks_spawned", s.spawned);
-  trace::counter_add("sched.tasks_popped", s.popped);
-  trace::counter_add("sched.tasks_stolen", s.stolen);
-  trace::counter_add("sched.tasks_injected", s.injected);
-  trace::counter_add("sched.tasks_helped_in_wait", s.helped);
-  trace::counter_add("sched.chunks_inline", s.inline_chunks);
-  trace::counter_add("sched.steal_ratio_pct",
-                     static_cast<std::uint64_t>(s.steal_ratio() * 100.0 + 0.5));
-  trace::counter_add("sched.busy_ns_total", s.total_busy_ns());
-  for (std::size_t i = 0; i < s.worker_busy_ns.size(); ++i) {
-    trace::counter_add("sched.busy_ns_worker" + std::to_string(i), s.worker_busy_ns[i]);
-  }
 }
 
 Scheduler& Scheduler::global() {

@@ -36,9 +36,9 @@
 //
 // Observability: the scheduler keeps always-on relaxed counters (tasks
 // spawned / stolen / popped / injected / executed inline or in a join,
-// per-worker busy nanoseconds). stats() snapshots them;
-// publish_trace_counters() mirrors them into cesm::trace ("sched.*")
-// for --profile=out.json reports.
+// per-worker busy nanoseconds), per instance and per worker, so they
+// are not rows of the process-wide cesm::trace counter table. stats()
+// snapshots them; bench --profile reports render them as "sched.*".
 
 #include <algorithm>
 #include <atomic>
@@ -103,10 +103,6 @@ class Scheduler {
 
   [[nodiscard]] SchedulerStats stats() const;
   void reset_stats();
-
-  /// Mirror the current stats() into cesm::trace counters ("sched.*").
-  /// counter_add accumulates, so call once per profiling report.
-  void publish_trace_counters() const;
 
   /// Process-wide scheduler, lazily constructed on first use (possibly
   /// overridden by ScopedScheduler).

@@ -10,8 +10,15 @@ namespace cesm::trace {
 namespace detail {
 
 std::atomic<bool> g_enabled{false};
+std::array<std::atomic<std::uint64_t>, kCounterCount> g_counters{};
 
 namespace {
+
+constexpr std::array<const char*, kCounterCount> kCounterNames = {
+#define CESM_TRACE_COUNTER_NAME(id, name) name,
+    CESM_TRACE_COUNTERS(CESM_TRACE_COUNTER_NAME)
+#undef CESM_TRACE_COUNTER_NAME
+};
 
 using Clock = std::chrono::steady_clock;
 
@@ -33,7 +40,6 @@ struct ThreadLog {
   std::mutex mu;
   std::vector<Node> nodes;
   std::vector<Open> stack;  // currently-open spans, outermost first
-  std::map<std::string, std::uint64_t> counters;
 
   ThreadLog() { nodes.emplace_back(); }
 
@@ -126,17 +132,12 @@ void span_end() {
   s.max_ns = std::max(s.max_ns, ns);
 }
 
-void counter_add_slow(const std::string& name, std::uint64_t delta) {
-  ThreadLog& log = thread_log();
-  std::lock_guard lock(log.mu);
-  log.counters[name] += delta;
-}
-
 }  // namespace detail
 
 void set_enabled(bool on) { detail::g_enabled.store(on, std::memory_order_relaxed); }
 
 void reset() {
+  for (std::atomic<std::uint64_t>& c : detail::g_counters) c.store(0, std::memory_order_relaxed);
   detail::Registry& reg = detail::registry();
   std::lock_guard reg_lock(reg.mu);
   for (const auto& log : reg.logs) {
@@ -153,7 +154,6 @@ void reset() {
       parent = log->child_of(parent, "(open-at-reset)");
       log->stack.push_back(detail::ThreadLog::Open{parent, o.start});
     }
-    log->counters.clear();
   }
 }
 
@@ -196,11 +196,8 @@ std::map<std::string, SpanStats> aggregate_by_label() {
 
 std::map<std::string, std::uint64_t> counters() {
   std::map<std::string, std::uint64_t> out;
-  detail::Registry& reg = detail::registry();
-  std::lock_guard reg_lock(reg.mu);
-  for (const auto& log : reg.logs) {
-    std::lock_guard lock(log->mu);
-    for (const auto& [name, value] : log->counters) out[name] += value;
+  for (std::size_t i = 0; i < kCounterCount; ++i) {
+    out.emplace(detail::kCounterNames[i], detail::g_counters[i].load(std::memory_order_relaxed));
   }
   return out;
 }

@@ -8,16 +8,20 @@
 //
 //   * RAII scoped spans (trace::Span) with nesting, timed on the
 //     monotonic clock;
-//   * named process-wide counters (bytes in/out, elements, codec calls);
+//   * one table of process-wide counters (CESM_TRACE_COUNTERS below:
+//     bytes in/out, elements, codec calls, cache, out-of-core and
+//     service events), the single source --profile, the bench JSONs and
+//     cesmd's stats response all read;
 //   * per-thread span buffers merged on demand into one process-wide
 //     span tree with count/total/mean/max per label;
 //   * export hooks (core/profile_report.{h,cpp} renders the tree as
 //     text and JSON; bench/common wires it to --profile=out.json).
 //
-// Tracing is DISABLED by default. A disabled Span construction or
-// counter_add() costs exactly one relaxed atomic load and a branch, so
-// instrumented hot paths (codec encode/decode, ChunkedCodec, ncio)
-// keep their throughput when nobody is profiling.
+// Spans are DISABLED by default. A disabled Span construction costs
+// exactly one relaxed atomic load and a branch, so instrumented hot paths
+// (codec encode/decode, ChunkedCodec, ncio) keep their throughput when
+// nobody is profiling. Counters are always on: trace::add() is one
+// relaxed fetch_add on a fixed slot, whether or not spans are enabled.
 //
 // Thread model: each thread owns a private span-tree buffer guarded by
 // its own (uncontended) mutex; buffers register themselves in a global
@@ -25,33 +29,115 @@
 // merge completed work at any time. Spans that are still open when the
 // tree is collected are simply not counted yet.
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
+/// Every process-wide counter, one row each: X(identifier, "layer.name").
+/// The Counter enum and the reported names both expand from this list,
+/// so an unlisted counter is a compile error. The counter-table ctest
+/// fails when a row is counted nowhere in src/. Keep sorted by name.
+#define CESM_TRACE_COUNTERS(X)                                       \
+  X(kArenaGrow, "arena.grow")                                        \
+  X(kArenaGrowBytes, "arena.grow_bytes")                             \
+  X(kCacheBytes, "cache.bytes")                                      \
+  X(kCacheDirEvict, "cache.dir_evict")                               \
+  X(kCacheDiskCorrupt, "cache.disk_corrupt")                         \
+  X(kCacheDiskHit, "cache.disk_hit")                                 \
+  X(kCacheDiskMiss, "cache.disk_miss")                               \
+  X(kCacheDiskWrite, "cache.disk_write")                             \
+  X(kCacheDiskWriteFail, "cache.disk_write_fail")                    \
+  X(kCacheEvict, "cache.evict")                                      \
+  X(kCacheHit, "cache.hit")                                          \
+  X(kCacheMiss, "cache.miss")                                        \
+  X(kCacheOversize, "cache.oversize")                                \
+  X(kChunkedChunks, "chunked.chunks")                                \
+  X(kCodecBytesIn, "codec.bytes_in")                                 \
+  X(kCodecBytesOut, "codec.bytes_out")                               \
+  X(kCodecDecodeCalls, "codec.decode_calls")                         \
+  X(kCodecElementsIn, "codec.elements_in")                           \
+  X(kCodecElementsOut, "codec.elements_out")                         \
+  X(kCodecEncodeCalls, "codec.encode_calls")                         \
+  X(kEnsembleElements, "ensemble.elements")                          \
+  X(kEnsembleFields, "ensemble.fields")                              \
+  X(kGribTuneAttempts, "grib.tune_attempts")                         \
+  X(kMemBudgetExceeded, "mem.budget_exceeded")                       \
+  X(kMemChargedBytes, "mem.charged_bytes")                           \
+  X(kMemReserveWaits, "mem.reserve_waits")                           \
+  X(kNcioBytesRead, "ncio.bytes_read")                               \
+  X(kNcioBytesWritten, "ncio.bytes_written")                         \
+  X(kOocChunksRead, "ooc.chunks_read")                               \
+  X(kOocChunksWritten, "ooc.chunks_written")                         \
+  X(kOocSpillCorrupt, "ooc.spill_corrupt")                           \
+  X(kOocSpillEvicted, "ooc.spill_evicted")                           \
+  X(kOocSpillInvalidated, "ooc.spill_invalidated")                   \
+  X(kOocSpillReused, "ooc.spill_reused")                             \
+  X(kOocVariablesStaged, "ooc.variables_staged")                     \
+  X(kPrepPlanBuilt, "prep.plan_built")                               \
+  X(kPrepPlanFaults, "prep.plan_faults")                             \
+  X(kPrepPlanReused, "prep.plan_reused")                             \
+  X(kPvtBiasReused, "pvt.bias_reused")                               \
+  X(kPvtMemberEncodes, "pvt.member_encodes")                         \
+  X(kPvtMemberRoundtrips, "pvt.member_roundtrips")                   \
+  X(kServeCoalescedJoins, "serve.coalesced_joins")                   \
+  X(kServeConnections, "serve.connections")                          \
+  X(kServeFlights, "serve.flights")                                  \
+  X(kServePings, "serve.pings")                                      \
+  X(kServeProcessingFailures, "serve.processing_failures")           \
+  X(kServeProtocolErrors, "serve.protocol_errors")                   \
+  X(kServeRejectedQueueFull, "serve.rejected_queue_full")            \
+  X(kServeRejectedShutdown, "serve.rejected_shutdown")               \
+  X(kServeRequests, "serve.requests")                                \
+  X(kServeResponses, "serve.responses")                              \
+  X(kSuiteCodecErrors, "suite.codec_errors")                         \
+  X(kSuiteLosslessFallbacks, "suite.lossless_fallbacks")             \
+  X(kSuiteVariableFailures, "suite.variable_failures")               \
+  X(kSuiteVariableRetries, "suite.variable_retries")                 \
+  X(kSuiteVariables, "suite.variables")                              \
+  X(kSuiteVariablesFailedTotal, "suite.variables_failed_total")      \
+  X(kSweepVariantTasks, "sweep.variant_tasks")
+
 namespace cesm::trace {
+
+enum class Counter : std::size_t {
+#define CESM_TRACE_COUNTER_ID(id, name) id,
+  CESM_TRACE_COUNTERS(CESM_TRACE_COUNTER_ID)
+#undef CESM_TRACE_COUNTER_ID
+};
+
+#define CESM_TRACE_COUNTER_ONE(id, name) +1
+inline constexpr std::size_t kCounterCount = 0 CESM_TRACE_COUNTERS(CESM_TRACE_COUNTER_ONE);
+#undef CESM_TRACE_COUNTER_ONE
 
 namespace detail {
 extern std::atomic<bool> g_enabled;
+extern std::array<std::atomic<std::uint64_t>, kCounterCount> g_counters;
 void span_begin(const std::string& label);
 void span_end();
-void counter_add_slow(const std::string& name, std::uint64_t delta);
 }  // namespace detail
 
-/// True while tracing collects. One relaxed atomic load — the entire
-/// cost of every disabled-mode Span or counter_add().
+/// True while spans collect. One relaxed atomic load — the entire cost
+/// of every disabled-mode Span.
 inline bool enabled() { return detail::g_enabled.load(std::memory_order_relaxed); }
 
-/// Turn collection on/off (off by default). Spans opened while enabled
-/// finish recording even if tracing is disabled before they close.
+/// Turn span collection on/off (off by default). Spans opened while
+/// enabled finish recording even if tracing is disabled before they
+/// close. Counters count either way.
 void set_enabled(bool on);
 
-/// Drop every span and counter recorded so far, on every thread.
-/// Currently-open spans survive (their timing restarts from their
-/// original start point under a fresh tree).
+/// Drop every span recorded so far, on every thread, and zero every
+/// counter. Currently-open spans survive (their timing restarts from
+/// their original start point under a fresh tree).
 void reset();
+
+/// Add `n` to a process-wide counter: one relaxed fetch_add, always on.
+inline void add(Counter c, std::uint64_t n = 1) {
+  detail::g_counters[static_cast<std::size_t>(c)].fetch_add(n, std::memory_order_relaxed);
+}
 
 /// RAII scoped span. Nesting follows C++ scope per thread:
 ///   trace::Span s("suite.variable");
@@ -73,14 +159,6 @@ class Span {
  private:
   bool armed_;
 };
-
-/// Add to a named process-wide counter. No-op while disabled.
-inline void counter_add(const char* name, std::uint64_t delta) {
-  if (enabled()) detail::counter_add_slow(name, delta);
-}
-inline void counter_add(const std::string& name, std::uint64_t delta) {
-  if (enabled()) detail::counter_add_slow(name, delta);
-}
 
 /// Aggregated timing for one span label at one tree position.
 struct SpanStats {
@@ -122,7 +200,7 @@ ReportNode collect_tree();
 /// several tree positions is summed).
 std::map<std::string, SpanStats> aggregate_by_label();
 
-/// Snapshot of every named counter, summed over threads.
+/// Snapshot of every row of the counter table by name, zeros included.
 std::map<std::string, std::uint64_t> counters();
 
 }  // namespace cesm::trace

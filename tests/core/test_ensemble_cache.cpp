@@ -81,12 +81,6 @@ class EnsembleCacheTest : public ::testing::Test {
     return cfg;
   }
 
-  static std::uint64_t counter(const std::map<std::string, std::uint64_t>& c,
-                               const std::string& name) {
-    const auto it = c.find(name);
-    return it == c.end() ? 0 : it->second;
-  }
-
   std::filesystem::path dir_;
 };
 
@@ -188,8 +182,8 @@ TEST_F(EnsembleCacheTest, DiskTierSurvivesMemoryReset) {
   const auto counters = trace::counters();
   trace::set_enabled(false);
 
-  EXPECT_GE(counter(counters, "cache.disk_write"), 1u);
-  EXPECT_GE(counter(counters, "cache.disk_hit"), 1u);
+  EXPECT_GE(counters.at("cache.disk_write"), 1u);
+  EXPECT_GE(counters.at("cache.disk_hit"), 1u);
   EXPECT_NE(built.get(), restored.get());
   EXPECT_EQ(built->rmsz_distribution(), restored->rmsz_distribution());
   EXPECT_EQ(built->enmax_distribution(), restored->enmax_distribution());
@@ -222,7 +216,7 @@ TEST_F(EnsembleCacheTest, CorruptDiskEntryIsRegeneratedNeverTrusted) {
   const auto counters = trace::counters();
   trace::set_enabled(false);
 
-  EXPECT_GE(counter(counters, "cache.disk_corrupt"), 1u);
+  EXPECT_GE(counters.at("cache.disk_corrupt"), 1u);
   EXPECT_EQ(built->rmsz_distribution(), regenerated->rmsz_distribution());
   for (std::size_t m = 0; m < built->member_count(); ++m) {
     EXPECT_EQ(built->member(m).data, regenerated->member(m).data);
@@ -234,7 +228,7 @@ TEST_F(EnsembleCacheTest, CorruptDiskEntryIsRegeneratedNeverTrusted) {
   (void)cache.stats(ens, ens.variable("U"));
   const auto counters2 = trace::counters();
   trace::set_enabled(false);
-  EXPECT_GE(counter(counters2, "cache.disk_hit"), 1u);
+  EXPECT_GE(counters2.at("cache.disk_hit"), 1u);
 }
 
 // The tentpole acceptance test: cold / warm / disabled suite runs are
@@ -265,7 +259,7 @@ TEST_F(EnsembleCacheTest, SuiteParityColdWarmDisabledAcrossThreadCounts) {
     trace::set_enabled(false);
 
     EXPECT_EQ(warm, baseline) << "warm cache, threads=" << threads;
-    EXPECT_GE(counter(counters, "cache.hit"), 2u) << "threads=" << threads;
+    EXPECT_GE(counters.at("cache.hit"), 2u) << "threads=" << threads;
     EXPECT_EQ(spans.count("ensemble.synthesize"), 0u)
         << "warm run re-synthesized the ensemble (threads=" << threads << ")";
     EXPECT_EQ(spans.count("stats.build"), 0u)
@@ -292,7 +286,7 @@ TEST_F(EnsembleCacheTest, SuiteParityAcrossDiskTierReload) {
   trace::set_enabled(false);
 
   EXPECT_EQ(from_disk, baseline) << "disk-tier reload run";
-  EXPECT_GE(counter(counters, "cache.disk_hit"), 2u);
+  EXPECT_GE(counters.at("cache.disk_hit"), 2u);
   EXPECT_EQ(spans.count("ensemble.synthesize"), 0u);
   EXPECT_EQ(spans.count("stats.build"), 0u);
 }
@@ -310,7 +304,7 @@ TEST_F(EnsembleCacheTest, ProbeRatiosAreMemoizedWithTheStats) {
     *csv = suite_results_csv(run_suite(ens, cfg, {"U"}));
     const auto counters = trace::counters();
     trace::set_enabled(false);
-    return counter(counters, "pvt.member_encodes");
+    return counters.at("pvt.member_encodes");
   };
   SuiteConfig cfg = fast_config();
   cfg.run_bias = false;

@@ -336,19 +336,16 @@ TEST_F(OocTest, SweepReadsEachChunkOnceAndBuildsOnePlanPerIsabelaChunk) {
 
   const auto counters = traced_counters(
       [&] { (void)run_variable_streaming(*ensemble_, spec, cfg); });
-  const auto count = [&](const char* key) {
-    return counters.count(key) != 0 ? counters.at(key) : std::uint64_t{0};
-  };
 
   // Reads: two stats passes over every member, the Deflate and fpzip-32
   // probes of one member, one test member per GRIB2 tuning attempt, and
   // the sweep — once per member, not once per variant.
-  const std::uint64_t attempts = count("grib.tune_attempts");
+  const std::uint64_t attempts = counters.at("grib.tune_attempts");
   ASSERT_GT(attempts, 0u);
-  EXPECT_EQ(count("ooc.chunks_read"), chunks * (2 * members + 2 + attempts + members));
-  EXPECT_EQ(count("prep.plan_built"), members * chunks);
-  EXPECT_EQ(count("prep.plan_reused"), 2 * members * chunks);
-  EXPECT_EQ(count("sweep.variant_tasks"), 1u);  // one member-major pass
+  EXPECT_EQ(counters.at("ooc.chunks_read"), chunks * (2 * members + 2 + attempts + members));
+  EXPECT_EQ(counters.at("prep.plan_built"), members * chunks);
+  EXPECT_EQ(counters.at("prep.plan_reused"), 2 * members * chunks);
+  EXPECT_EQ(counters.at("sweep.variant_tasks"), 1u);  // one member-major pass
 }
 
 TEST_F(OocTest, SpillReuseWarmRunSkipsSynthesisAndMatchesBitwise) {
@@ -380,8 +377,8 @@ TEST_F(OocTest, SpillReuseWarmRunSkipsSynthesisAndMatchesBitwise) {
   });
 
   // Every variable reused its spill; nothing was synthesized or staged.
-  EXPECT_EQ(counters.count("ooc.spill_reused") ? counters.at("ooc.spill_reused") : 0, 2u);
-  EXPECT_EQ(counters.count("ooc.chunks_written"), 0u);
+  EXPECT_EQ(counters.at("ooc.spill_reused"), 2u);
+  EXPECT_EQ(counters.at("ooc.chunks_written"), 0u);
   EXPECT_EQ(warm_spans, 0u);
 
   ASSERT_EQ(warm.variables.size(), cold.variables.size());
@@ -415,8 +412,8 @@ TEST_F(OocTest, RottenSpillHeaderIsDetectedAtProbeDeletedAndRestaged) {
   const auto counters = traced_counters(
       [&] { warm = run_suite_streaming(*ensemble_, cfg, {"SST"}); });
 
-  EXPECT_EQ(counters.count("ooc.spill_corrupt") ? counters.at("ooc.spill_corrupt") : 0, 1u);
-  EXPECT_EQ(counters.count("ooc.spill_reused"), 0u);
+  EXPECT_EQ(counters.at("ooc.spill_corrupt"), 1u);
+  EXPECT_EQ(counters.at("ooc.spill_reused"), 0u);
   ASSERT_FALSE(warm.variables[0].processing_failed);
   expect_variable_eq(warm.variables[0], cold.variables[0]);
 
@@ -454,11 +451,9 @@ TEST_F(OocTest, ReusedSpillFailingMidRunIsInvalidatedAndRestagedByRetry) {
   const auto counters = traced_counters(
       [&] { warm = run_suite_streaming(*ensemble_, cfg, {"SST"}); });
 
-  EXPECT_EQ(counters.count("ooc.spill_reused") ? counters.at("ooc.spill_reused") : 0, 1u);
-  EXPECT_EQ(counters.count("ooc.spill_invalidated") ? counters.at("ooc.spill_invalidated") : 0,
-            1u);
-  EXPECT_EQ(counters.count("suite.variable_retries") ? counters.at("suite.variable_retries") : 0,
-            1u);
+  EXPECT_EQ(counters.at("ooc.spill_reused"), 1u);
+  EXPECT_EQ(counters.at("ooc.spill_invalidated"), 1u);
+  EXPECT_EQ(counters.at("suite.variable_retries"), 1u);
   ASSERT_FALSE(warm.variables[0].processing_failed);
   expect_variable_eq(warm.variables[0], cold.variables[0]);
 }
@@ -478,9 +473,8 @@ TEST_F(OocTest, ReadChunkFaultOnReusedSpillInvalidatesAndRetries) {
     warm = run_suite_streaming(*ensemble_, cfg, {"SST"});
   });
 
-  EXPECT_EQ(counters.count("ooc.spill_reused") ? counters.at("ooc.spill_reused") : 0, 1u);
-  EXPECT_EQ(counters.count("ooc.spill_invalidated") ? counters.at("ooc.spill_invalidated") : 0,
-            1u);
+  EXPECT_EQ(counters.at("ooc.spill_reused"), 1u);
+  EXPECT_EQ(counters.at("ooc.spill_invalidated"), 1u);
   ASSERT_FALSE(warm.variables[0].processing_failed);
   expect_variable_eq(warm.variables[0], cold.variables[0]);
 }

@@ -30,7 +30,7 @@ class ProfileReportTest : public ::testing::Test {
       { trace::Span enc("encode:fpzip-24"); }
       { trace::Span dec("decode:fpzip-24"); }
     }
-    trace::counter_add("codec.bytes_out", 4096);
+    trace::add(trace::Counter::kCodecBytesOut, 4096);
     trace::set_enabled(false);
   }
 };

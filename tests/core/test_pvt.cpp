@@ -160,9 +160,7 @@ TEST_F(PvtTest, SteadyStateVerifyLoopIsAllocationFree) {
   const auto counters = trace::counters();
   trace::set_enabled(false);
 
-  const auto it = counters.find("arena.grow");
-  EXPECT_TRUE(it == counters.end() || it->second == 0)
-      << "steady-state verify grew the arena " << it->second << " time(s)";
+  EXPECT_EQ(counters.at("arena.grow"), 0u) << "steady-state verify grew the arena";
 }
 
 TEST_F(PvtTest, BiasSweepReusesTestMemberScoresWithoutRecompressing) {
@@ -187,15 +185,11 @@ TEST_F(PvtTest, BiasSweepReusesTestMemberScoresWithoutRecompressing) {
   fail::reset();
 
   const std::uint64_t member_count = stats_.member_count();  // 21
-  const auto roundtrips = counters.find("pvt.member_roundtrips");
-  ASSERT_NE(roundtrips, counters.end());
-  EXPECT_EQ(roundtrips->second, member_count)
+  EXPECT_EQ(counters.at("pvt.member_roundtrips"), member_count)
       << "expected one round trip per member; the old pipeline did "
       << member_count + members_.size() << " (test members compressed twice)";
   EXPECT_EQ(decodes, member_count);
-  const auto reused = counters.find("pvt.bias_reused");
-  ASSERT_NE(reused, counters.end());
-  EXPECT_EQ(reused->second, members_.size());
+  EXPECT_EQ(counters.at("pvt.bias_reused"), members_.size());
 }
 
 TEST_F(PvtTest, BiasSweepWithReuseMatchesFullSweepBitForBit) {

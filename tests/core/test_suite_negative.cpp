@@ -191,7 +191,7 @@ TEST(SuiteNegative, BadGribTuningConfigThrowsBeforeTheProbes) {
     EXPECT_THROW(run_suite(ens, cfg, {"U"}), InvalidArgument);
     const auto counters = trace::counters();
     trace::set_enabled(false);
-    EXPECT_EQ(counters.count("pvt.member_encodes"), 0u) << "a probe ran first";
+    EXPECT_EQ(counters.at("pvt.member_encodes"), 0u) << "a probe ran first";
   }
   SuiteConfig edge;
   edge.run_bias = false;

@@ -20,6 +20,7 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <thread>
 #include <utility>
@@ -87,15 +88,38 @@ Bytes local_expected(const VerifyRequest& request) {
       filter_result(results.variables.at(0), request.variants));
 }
 
+using Counts = std::map<std::string, std::uint64_t>;
+
+/// `name`'s growth from `before` to `after`. The serve.* counts are rows
+/// of the process-wide trace counter table, shared by every server (and
+/// test) in the process, so tests assert deltas.
+std::uint64_t delta(const Counts& after, const Counts& before, const char* name) {
+  return after.at(name) - before.at(name);
+}
+
 TEST(Serve, PingAndStats) {
+  const Counts before = trace::counters();
   TcpServer s;
   Client client = s.client();
   client.ping();
   client.ping();
-  const auto stats = client.stats();
-  EXPECT_EQ(stats.at("serve.pings"), 2u);
-  EXPECT_EQ(stats.at("serve.connections"), 1u);
-  EXPECT_EQ(stats.at("serve.flights"), 0u);
+  const Counts stats = client.stats();
+  EXPECT_EQ(delta(stats, before, "serve.pings"), 2u);
+  EXPECT_EQ(delta(stats, before, "serve.connections"), 1u);
+  EXPECT_EQ(delta(stats, before, "serve.flights"), 0u);
+}
+
+TEST(Serve, StatsCarryTheWholeCounterTable) {
+  TcpServer s;
+  Client client = s.client();
+  (void)client.verify_raw(tiny_request("U"));
+  const Counts stats = client.stats();
+  for (const auto& [name, value] : trace::counters()) EXPECT_EQ(stats.count(name), 1u) << name;
+  for (const char* q : {"serve.request_us_p50", "serve.request_us_p99", "serve.request_us_max"}) {
+    EXPECT_EQ(stats.count(q), 1u) << q;
+  }
+  EXPECT_EQ(stats.size(), trace::kCounterCount + 3);
+  EXPECT_GT(stats.at("codec.encode_calls"), 0u);
 }
 
 TEST(Serve, StatsReportRequestLatencyQuantiles) {
@@ -189,6 +213,7 @@ TEST(Serve, ConcurrentSameKeyRequestsRunExactlyOneSynthesis) {
 
   TcpServer s;
   trace::reset();
+  const Counts before = trace::counters();
   std::vector<Bytes> responses(8);
   std::vector<std::thread> threads;
   std::atomic<int> failures{0};
@@ -217,15 +242,17 @@ TEST(Serve, ConcurrentSameKeyRequestsRunExactlyOneSynthesis) {
       << "coalescing failed: " << synth << " syntheses for 8 same-key requests"
       << " (one in-process run does " << baseline << ")";
 
-  const auto stats = s.client().stats();
-  EXPECT_EQ(stats.at("serve.flights") + stats.at("serve.coalesced_joins"), 8u);
-  EXPECT_GE(stats.at("serve.coalesced_joins"), 1u)
+  const Counts stats = s.client().stats();
+  EXPECT_EQ(delta(stats, before, "serve.flights") + delta(stats, before, "serve.coalesced_joins"),
+            8u);
+  EXPECT_GE(delta(stats, before, "serve.coalesced_joins"), 1u)
       << "no request ever joined an in-flight computation";
 }
 
 TEST(Serve, ZeroInflightBudgetRejectsWithQueueFull) {
   ServerConfig cfg;
   cfg.max_inflight = 0;  // admission control rejects every new flight
+  const Counts before = trace::counters();
   TcpServer s(cfg);
   Client client = s.client();
   try {
@@ -236,7 +263,7 @@ TEST(Serve, ZeroInflightBudgetRejectsWithQueueFull) {
   }
   // The rejection is an answer, not a failure: the connection still works.
   client.ping();
-  EXPECT_EQ(s.client().stats().at("serve.rejected_queue_full"), 1u);
+  EXPECT_EQ(delta(s.client().stats(), before, "serve.rejected_queue_full"), 1u);
 }
 
 TEST(Serve, UnknownVariantIsBadRequest) {
@@ -352,6 +379,7 @@ TEST(Serve, TruncatedRequestPayloadIsMalformed) {
 }
 
 TEST(Serve, MidFrameDisconnectDoesNotHarmTheDaemon) {
+  const Counts before = trace::counters();
   TcpServer s;
   {
     util::Socket sock = util::connect_tcp("127.0.0.1", s.server.port());
@@ -368,7 +396,7 @@ TEST(Serve, MidFrameDisconnectDoesNotHarmTheDaemon) {
   // The daemon shrugs: a fresh connection is served normally.
   Client client = s.client();
   client.ping();
-  EXPECT_GE(client.stats().at("serve.connections"), 2u);
+  EXPECT_GE(delta(client.stats(), before, "serve.connections"), 2u);
 }
 
 TEST(Serve, UnixSocketServesAndStopUnlinksThePath) {

@@ -10,25 +10,11 @@
 namespace cesm::util {
 namespace {
 
-/// Scoped tracing: counters only record while enabled; always disable on
-/// the way out so other tests see the global default.
-struct TraceGuard {
-  TraceGuard() {
-    trace::set_enabled(true);
-    trace::reset();
-  }
-  ~TraceGuard() { trace::set_enabled(false); }
-};
-
-std::uint64_t grow_count() {
-  const auto counters = trace::counters();
-  const auto it = counters.find("arena.grow");
-  return it == counters.end() ? 0 : it->second;
-}
+std::uint64_t grow_count() { return trace::counters().at("arena.grow"); }
 
 TEST(ScratchArena, FirstGetGrowsThenSteadyStateIsAllocationFree) {
   ScratchArena arena;
-  TraceGuard guard;
+  trace::reset();
 
   auto s1 = arena.get<double>(0, 1000);
   EXPECT_EQ(s1.size(), 1000u);
@@ -61,7 +47,7 @@ TEST(ScratchArena, SlotsAreIndependent) {
 
 TEST(ScratchArena, GrowthIsGeometric) {
   ScratchArena arena;
-  TraceGuard guard;
+  trace::reset();
 
   arena.get<double>(0, 100);
   const std::size_t after_first = arena.reserved_bytes();
@@ -78,7 +64,7 @@ TEST(ScratchArena, GrowthIsGeometric) {
 
 TEST(ScratchArena, GrowBytesCounterTracksDeficit) {
   ScratchArena arena;
-  TraceGuard guard;
+  trace::reset();
 
   arena.get<std::uint8_t>(0, 1024);
   const auto counters = trace::counters();
@@ -94,21 +80,18 @@ TEST(ScratchArena, ReleaseDropsStorage) {
   EXPECT_EQ(arena.reserved_bytes(), 0u);
   EXPECT_EQ(arena.slot_count(), 0u);
 
-  TraceGuard guard;
+  trace::reset();
   arena.get<double>(0, 4096);  // grows again after release
   EXPECT_EQ(grow_count(), 1u);
 }
 
-TEST(ScratchArena, UntracedGrowthRecordsNothing) {
-  // Counters must stay silent while tracing is disabled (production mode).
-  trace::set_enabled(true);
+TEST(ScratchArena, UntracedGrowthIsCounted) {
+  // Counters are always on: growth counts with spans disabled too.
+  ASSERT_FALSE(trace::enabled());
   trace::reset();
-  trace::set_enabled(false);
   ScratchArena arena;
   arena.get<double>(0, 512);
-  trace::set_enabled(true);
-  EXPECT_EQ(grow_count(), 0u);
-  trace::set_enabled(false);
+  EXPECT_EQ(grow_count(), 1u);
 }
 
 }  // namespace

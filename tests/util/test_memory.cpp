@@ -4,7 +4,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -187,6 +190,23 @@ TEST(MemoryReservation, ReleasesOnScopeExitIncludingUnwind) {
   } catch (const Error&) {
   }
   EXPECT_EQ(budget.charged_bytes(), 0u);
+}
+
+TEST(MemoryBudgetBytes, CapThatOverflowsBytesIsIgnored) {
+  const char* prior = std::getenv("CESM_MEM_MB");
+  const std::optional<std::string> saved =
+      prior != nullptr ? std::optional<std::string>(prior) : std::nullopt;
+
+  ASSERT_EQ(::setenv("CESM_MEM_MB", "17592186044415", 1), 0);  // 2^44 - 1
+  EXPECT_EQ(memory_budget_bytes(), std::optional<std::uint64_t>(((1ull << 44) - 1) << 20));
+  ASSERT_EQ(::setenv("CESM_MEM_MB", "17592186044417", 1), 0);  // 2^44 + 1 used to wrap to 1 MiB
+  EXPECT_EQ(memory_budget_bytes(), std::nullopt);
+
+  if (saved) {
+    ::setenv("CESM_MEM_MB", saved->c_str(), 1);
+  } else {
+    ::unsetenv("CESM_MEM_MB");
+  }
 }
 
 }  // namespace

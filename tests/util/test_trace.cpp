@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <regex>
 #include <thread>
+#include <vector>
 
 namespace cesm::trace {
 namespace {
@@ -23,14 +26,10 @@ class TraceTest : public ::testing::Test {
 
 TEST_F(TraceTest, DisabledByDefaultAndRecordsNothing) {
   EXPECT_FALSE(enabled());
-  {
-    Span s("should.not.appear");
-    counter_add("ghost", 42);
-  }
+  { Span s("should.not.appear"); }
   const ReportNode root = collect_tree();
   EXPECT_TRUE(root.children.empty());
   EXPECT_EQ(root.stats.count, 0u);
-  EXPECT_TRUE(counters().empty());
 }
 
 TEST_F(TraceTest, RecordsNestedSpansAsATree) {
@@ -76,13 +75,48 @@ TEST_F(TraceTest, TimingIsMonotoneAndContained) {
 }
 
 TEST_F(TraceTest, CountersAccumulateAcrossCalls) {
-  set_enabled(true);
-  counter_add("bytes", 100);
-  counter_add("bytes", 23);
-  counter_add("calls", 1);
+  add(Counter::kCodecBytesOut, 100);
+  add(Counter::kCodecBytesOut, 23);
+  add(Counter::kCodecEncodeCalls);
   const auto snapshot = counters();
-  EXPECT_EQ(snapshot.at("bytes"), 123u);
-  EXPECT_EQ(snapshot.at("calls"), 1u);
+  EXPECT_EQ(snapshot.at("codec.bytes_out"), 123u);
+  EXPECT_EQ(snapshot.at("codec.encode_calls"), 1u);
+}
+
+TEST_F(TraceTest, CountersCountWhileSpansAreDisabled) {
+  ASSERT_FALSE(enabled());
+  add(Counter::kCacheHit, 5);
+  EXPECT_EQ(counters().at("cache.hit"), 5u);
+}
+
+TEST_F(TraceTest, SnapshotHoldsEveryRowOnceWithALayeredName) {
+  const auto snapshot = counters();
+  // A duplicate name would collapse two rows into one map entry.
+  EXPECT_EQ(snapshot.size(), kCounterCount);
+  const std::regex layered("[a-z0-9]+\\.[a-z0-9_]+");
+  for (const auto& [name, value] : snapshot) {
+    EXPECT_TRUE(std::regex_match(name, layered)) << name;
+    EXPECT_EQ(value, 0u) << name;
+  }
+}
+
+TEST_F(TraceTest, ConcurrentAddsSumExactlyWhileSnapshotsRead) {
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kAdds = 20'000;
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    while (!done.load()) EXPECT_LE(counters().at("arena.grow"), kThreads * kAdds);
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([] {
+      for (std::uint64_t i = 0; i < kAdds; ++i) add(Counter::kArenaGrow);
+    });
+  }
+  for (std::thread& w : writers) w.join();
+  done.store(true);
+  reader.join();
+  EXPECT_EQ(counters().at("arena.grow"), kThreads * kAdds);
 }
 
 TEST_F(TraceTest, SpansFromWorkerThreadsMergeByLabel) {
@@ -124,10 +158,12 @@ TEST_F(TraceTest, AggregateByLabelSumsAcrossTreePositions) {
 TEST_F(TraceTest, ResetDropsSpansAndCounters) {
   set_enabled(true);
   { Span s("gone"); }
-  counter_add("gone", 7);
+  add(Counter::kSuiteVariables, 7);
   reset();
   EXPECT_TRUE(collect_tree().children.empty());
-  EXPECT_TRUE(counters().empty());
+  const auto snapshot = counters();
+  EXPECT_EQ(snapshot.size(), kCounterCount);  // rows stay, at zero
+  EXPECT_EQ(snapshot.at("suite.variables"), 0u);
 }
 
 TEST_F(TraceTest, SpanOpenAcrossDisableStillCloses) {
@@ -146,10 +182,8 @@ TEST_F(TraceTest, DisabledSpanConstructionIsCheap) {
   // half: a million disabled spans leave no trace and finish promptly.
   for (int i = 0; i < 1'000'000; ++i) {
     Span s("hot");
-    counter_add("hot", 1);
   }
   EXPECT_TRUE(collect_tree().children.empty());
-  EXPECT_TRUE(counters().empty());
 }
 
 }  // namespace
