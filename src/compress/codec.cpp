@@ -1,7 +1,5 @@
 #include "compress/codec.h"
 
-#include <algorithm>
-
 #include "util/trace.h"
 
 namespace cesm::comp {
@@ -50,13 +48,6 @@ class TracedCodec final : public Codec {
     std::vector<float> out = inner_->decode(stream);
     count_decode(stream.size(), out.size());
     return out;
-  }
-
-  void decode_into(std::span<const std::uint8_t> stream,
-                   std::span<float> out) const override {
-    trace::Span span(decode_label_);
-    inner_->decode_into(stream, out);
-    count_decode(stream.size(), out.size());
   }
 
   [[nodiscard]] Bytes encode64(std::span<const double> data,
@@ -125,15 +116,6 @@ PrepPlanPtr Codec::build_prep(std::span<const float>, const Shape&) const {
 Bytes Codec::encode_with_prep(const PrepPlan&, std::span<const float> data,
                               const Shape& shape) const {
   return encode(data, shape);
-}
-
-void Codec::decode_into(std::span<const std::uint8_t> stream,
-                        std::span<float> out) const {
-  const std::vector<float> tmp = decode(stream);
-  if (tmp.size() != out.size()) {
-    throw FormatError(name() + ": decoded element count does not match output buffer");
-  }
-  std::copy(tmp.begin(), tmp.end(), out.begin());
 }
 
 RoundTrip round_trip(const Codec& codec, std::span<const float> data, const Shape& shape) {

@@ -96,15 +96,6 @@ class Codec {
   [[nodiscard]] virtual std::vector<float> decode(
       std::span<const std::uint8_t> stream) const = 0;
 
-  /// Decode directly into `out`, which must hold exactly the stream's
-  /// element count (FormatError otherwise). The base implementation
-  /// decodes into a temporary and copies; codecs that can write their
-  /// output in place override it to skip the copy — ChunkedCodec decodes
-  /// every chunk straight into its slice of `out`, saving one full pass
-  /// over each decoded field.
-  virtual void decode_into(std::span<const std::uint8_t> stream,
-                           std::span<float> out) const;
-
   /// Double-precision path; default throws unless capabilities().handles_64bit.
   [[nodiscard]] virtual Bytes encode64(std::span<const double> data,
                                        const Shape& shape) const;
@@ -162,8 +153,9 @@ CodecPtr traced(CodecPtr codec);
 
 namespace wire {
 /// Decode-side safety cap on the total element count a stream header may
-/// claim (2^27 floats = 512 MiB). Large fields should go through
-/// ChunkedCodec, whose chunks each respect this bound.
+/// claim (2^27 floats = 512 MiB). Larger fields are verified on a chunk
+/// partition (core::chunk_partition), whose chunks each respect this
+/// bound.
 inline constexpr std::uint64_t kMaxDecodeElements = 1ull << 27;
 
 /// Shared stream-header helpers so every codec is self-describing: a

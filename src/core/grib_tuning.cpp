@@ -4,7 +4,6 @@
 
 #include "compress/grib2/grib2.h"
 #include "compress/variants.h"
-#include "core/suite.h"
 #include "util/error.h"
 #include "util/trace.h"
 
@@ -28,8 +27,7 @@ GribTuning tune_decimal_scale(const PvtVerifier& verifier, std::optional<float> 
     // likewise reports GRIB2 failures on large-range variables despite
     // tuning).
     const bool last = extra == max_extra_digits || d == 30;
-    const comp::CodecPtr codec =
-        with_chunking(grib.build(d, fill), verifier.source().chunk_elems());
+    const comp::CodecPtr codec = grib.build(d, fill);
     ++tuning.attempts;
     trace::add(trace::Counter::kGribTuneAttempts);
     tuning.members = verifier.members_pass(*codec, test_members, /*early_skip=*/!last);
@@ -46,9 +44,8 @@ GribTuning rmsz_guided_decimal_scale(const EnsembleStats& stats,
                                      std::span<const std::size_t> test_members,
                                      const PvtThresholds& thresholds,
                                      int significant_digits,
-                                     int max_extra_digits,
-                                     std::size_t chunk_elems) {
-  const PvtVerifier verifier(ChunkSource(stats, chunk_elems), thresholds);
+                                     int max_extra_digits) {
+  const PvtVerifier verifier(stats, thresholds);
   return tune_decimal_scale(verifier, fill, test_members, significant_digits,
                             max_extra_digits);
 }

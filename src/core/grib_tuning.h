@@ -38,16 +38,13 @@ GribTuning tune_decimal_scale(const PvtVerifier& verifier, std::optional<float> 
                               std::span<const std::size_t> test_members,
                               int significant_digits, int max_extra_digits);
 
-/// Tune D for the variable held by `stats`. `fill` is forwarded to the
-/// codec's native bitmap support. Nonzero `chunk_elems` measures every
-/// attempt through a ChunkedCodec with that partition (see
-/// SuiteConfig::chunk_elems).
+/// Tune D for the variable held by `stats`, whole members at a time.
+/// `fill` is forwarded to the codec's native bitmap support.
 GribTuning rmsz_guided_decimal_scale(const EnsembleStats& stats,
                                      std::optional<float> fill,
                                      std::span<const std::size_t> test_members,
                                      const PvtThresholds& thresholds = {},
                                      int significant_digits = 4,
-                                     int max_extra_digits = 6,
-                                     std::size_t chunk_elems = 0);
+                                     int max_extra_digits = 6);
 
 }  // namespace cesm::core

@@ -22,8 +22,8 @@ namespace cesm::core {
 
 namespace {
 
-/// The chunk partition of one variable's spill: the ChunkedCodec partition
-/// every downstream phase (stats, round-trips, packed_stream_bytes) reuses.
+/// The chunk partition of one variable's spill: the chunk_partition every
+/// downstream phase (stats, round-trips, chunked_stored_bytes) reuses.
 struct SpillLayout {
   comp::Shape shape;
   std::vector<std::size_t> offsets;
@@ -58,8 +58,8 @@ struct ReusedSpillInvalidator {
 };
 
 /// Per-chunk working set of one member round-trip: the two walk buffers,
-/// the reconstruction slab, and a transient-encode allowance of one more
-/// chunk (codec streams of roughly chunk size).
+/// the decoded chunk, and a transient-encode allowance of one more chunk
+/// (codec streams of roughly chunk size).
 std::uint64_t roundtrip_bytes_per_lane(std::size_t max_chunk) {
   return static_cast<std::uint64_t>(4) * max_chunk * sizeof(float);
 }

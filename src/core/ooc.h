@@ -41,7 +41,7 @@
 namespace cesm::core {
 
 struct OocConfig {
-  /// Target elements per chunk (the ChunkedCodec partition). Must equal
+  /// Target elements per chunk (core::chunk_partition). Must equal
   /// the in-core leg's SuiteConfig::chunk_elems for parity; >= 1024.
   std::size_t chunk_elems = 1 << 16;
   /// Directory for CNK1 spill files (must exist and be writable).
@@ -113,8 +113,8 @@ class SpillSession {
 
 /// Synthesize one variable's full ensemble into a CNK1 store at `path`
 /// (members in parallel, chunk-granular writes; never more than one chunk
-/// of one member resident per worker). The chunk partition is the
-/// ChunkedCodec partition for `chunk_elems`. Synthesis runs under an
+/// of one member resident per worker). The chunk partition is
+/// chunk_partition for `chunk_elems`. Synthesis runs under an
 /// "ensemble.synthesize" span, so a trace with zero such spans proves a
 /// warm run never regenerated data.
 void stage_variable_at(const climate::EnsembleGenerator& ensemble,
@@ -130,7 +130,7 @@ std::string stage_variable(const climate::EnsembleGenerator& ensemble,
 /// run_variable over a CNK1 spill instead of resident members: stage (or
 /// reuse) the spill, build StreamingStats, and run the same verify_variable
 /// (suite.h) on the store's chunk source — same seeds, same thresholds,
-/// same codecs (chunk-wrapped), bit-identical VariableResult to an
+/// same codecs, bit-identical VariableResult to an
 /// in-core run with SuiteConfig::chunk_elems == config.chunk_elems, under
 /// a working set of chunks instead of members. Its phases run under the
 /// "ooc.stage" and "ooc.stats" spans (the rest is verification).

@@ -6,8 +6,6 @@
 #include <mutex>
 #include <optional>
 
-#include "compress/chunked.h"
-#include "compress/deflate/deflate.h"
 #include "stats/correlation.h"
 #include "util/error.h"
 #include "util/failpoint.h"
@@ -19,11 +17,13 @@ namespace cesm::core {
 namespace {
 
 // Scratch arena slots of a verifier.
-constexpr std::size_t kLaneSlot = 0;     // member lanes: recon + walk floats
-constexpr std::size_t kSizeSlot = 1;     // member lanes: per-chunk stream sizes
-constexpr std::size_t kScoreSlot = 2;    // bias-sweep scores, per codec
-constexpr std::size_t kSeededSlot = 3;   // bias sweep: covered by a test member
-constexpr std::size_t kPendingSlot = 4;  // the members a verify pass walks
+constexpr std::size_t kSizeSlot = 0;     // member lanes: per-chunk stream sizes
+constexpr std::size_t kScoreSlot = 1;    // bias-sweep scores, per codec
+constexpr std::size_t kSeededSlot = 2;   // bias sweep: covered by a test member
+constexpr std::size_t kPendingSlot = 3;  // the members a verify pass walks
+
+// The magic of the chunk index a chunked member's stored size counts.
+constexpr std::uint32_t kChunkIndexMagic = 0x324b4843;  // "CHK2"
 
 /// One chunk's prep plan for a run of sibling codecs, or null. A
 /// plan-stage fault only costs the plan (the run encodes the chunk
@@ -55,9 +55,53 @@ std::size_t max_chunk_elems(std::span<const std::size_t> offsets) {
 }
 
 std::vector<std::size_t> chunk_partition(const comp::Shape& shape, std::size_t chunk_elems) {
-  if (chunk_elems == 0) return {0, shape.count()};
-  return comp::ChunkedCodec(std::make_shared<comp::DeflateCodec>(), chunk_elems)
-      .chunk_offsets(shape);
+  const std::size_t total = shape.count();
+  if (chunk_elems == 0) return {0, total};
+  if (chunk_elems < kMinChunkElems) {
+    throw InvalidArgument("chunk_elems = " + std::to_string(chunk_elems) +
+                          " is below the chunk floor of " + std::to_string(kMinChunkElems) +
+                          " (0 verifies whole members)");
+  }
+  std::vector<std::size_t> offsets = {0};
+  if (total == 0) return offsets;
+  // Whole slices of the slowest dimension keep the codecs' geometry sane.
+  const std::size_t slice = shape.rank() > 1 ? total / shape.dims[0] : total;
+  const std::size_t slices_per_chunk = std::max<std::size_t>(1, chunk_elems / slice);
+  const std::size_t step =
+      shape.rank() > 1 ? slices_per_chunk * slice : std::min(total, chunk_elems);
+  for (std::size_t off = step; off < total; off += step) offsets.push_back(off);
+  offsets.push_back(total);
+  return offsets;
+}
+
+comp::Shape chunk_shape(const comp::Shape& shape, std::size_t lo, std::size_t hi) {
+  CESM_REQUIRE(lo < hi && hi <= shape.count());
+  if (shape.rank() > 1) {
+    const std::size_t slice = shape.count() / shape.dims[0];
+    CESM_REQUIRE((hi - lo) % slice == 0 && lo % slice == 0);
+    comp::Shape cs = shape;
+    cs.dims[0] = (hi - lo) / slice;
+    return cs;
+  }
+  return comp::Shape::d1(hi - lo);
+}
+
+std::size_t chunked_stored_bytes(const comp::Shape& shape,
+                                 std::span<const std::size_t> chunk_sizes) {
+  // The index is written, not summed by formula, so its size follows the
+  // byte layout by construction: header, chunk count, each chunk's byte
+  // and element count.
+  Bytes index;
+  ByteWriter w(index);
+  comp::wire::write_header(w, kChunkIndexMagic, shape);
+  w.u32(static_cast<std::uint32_t>(chunk_sizes.size()));
+  std::size_t payload = 0;
+  for (const std::size_t s : chunk_sizes) {
+    w.u64(s);
+    payload += s;
+  }
+  for (std::size_t c = 0; c < chunk_sizes.size(); ++c) w.u64(0);  // element counts
+  return index.size() + payload;
 }
 
 ChunkSource::ChunkSource(const EnsembleStats& stats, std::size_t chunk_elems)
@@ -79,6 +123,14 @@ ChunkSource::ChunkSource(const ncio::ChunkStoreReader& store, const EnsembleView
 
 const std::string& ChunkSource::variable() const {
   return store_ != nullptr ? store_->variable() : resident_->member(0).name;
+}
+
+comp::Shape ChunkSource::chunk_shape(std::size_t c) const {
+  return chunk_elems_ != 0 ? core::chunk_shape(shape_, offsets_[c], offsets_[c + 1]) : shape_;
+}
+
+std::size_t ChunkSource::stored_bytes(std::span<const std::size_t> chunk_sizes) const {
+  return chunk_elems_ != 0 ? chunked_stored_bytes(shape_, chunk_sizes) : chunk_sizes[0];
 }
 
 PvtVerifier::PvtVerifier(const EnsembleStats& stats, PvtThresholds thresholds)
@@ -108,25 +160,21 @@ std::vector<std::size_t> plan_run_ends(std::span<const comp::Codec* const> codec
 template <typename Body>
 void PvtVerifier::for_each_member(std::size_t count, std::size_t codecs,
                                   const Body& body) const {
-  const std::size_t recon = source_.max_chunk();
   const std::size_t walk = source_.walk_elems();
   const std::size_t sizes = codecs * source_.chunk_count();
   if (walk != 0) {
     parallel_for(0, count, [&](std::size_t i) {
-      std::vector<float> floats(recon + walk);
+      std::vector<float> floats(walk);
       std::vector<std::size_t> lane_sizes(sizes);
-      body(Lane{std::span(floats).first(recon), std::span(floats).subspan(recon), lane_sizes},
-           i);
+      body(Lane{floats, lane_sizes}, i);
     });
     return;
   }
   const std::size_t width = std::min(kBiasBatch, count);
-  const std::span<float> floats = scratch_.get<float>(kLaneSlot, width * recon);
   const std::span<std::size_t> all_sizes = scratch_.get<std::size_t>(kSizeSlot, width * sizes);
   for (std::size_t lo = 0; lo < count; lo += width) {
     parallel_for(0, std::min(width, count - lo), [&](std::size_t i) {
-      body(Lane{floats.subspan(i * recon, recon), {}, all_sizes.subspan(i * sizes, sizes)},
-           lo + i);
+      body(Lane{{}, all_sizes.subspan(i * sizes, sizes)}, lo + i);
     });
   }
 }
@@ -141,25 +189,13 @@ void PvtVerifier::sweep(std::span<const comp::Codec* const> codecs,
   CESM_REQUIRE(errors.size() == n);
   CESM_REQUIRE(known.empty() || known.size() == n);
   if (n == 0 || members.empty()) return;  // nothing to measure: skip the walk
-  // On a chunked source the chunks go through each ChunkedCodec's inner
-  // codec and a member's size is the container size encode() would
-  // produce; on an unchunked source the codec sees the whole member.
-  std::vector<const comp::ChunkedCodec*> chunked(n, nullptr);
-  std::vector<const comp::Codec*> inner(codecs.begin(), codecs.end());
-  if (source_.chunk_elems() != 0) {
-    for (std::size_t k = 0; k < n; ++k) {
-      chunked[k] = dynamic_cast<const comp::ChunkedCodec*>(codecs[k]);
-      CESM_REQUIRE(chunked[k] != nullptr);
-      inner[k] = chunked[k]->inner().get();
-    }
-  }
   // run_begin[k]: the first codec of k's plan-sharing run, or npos for a
   // codec that encodes directly (a run of one has no sibling to share
   // its plan with).
   constexpr std::size_t npos = ~std::size_t{0};
   std::vector<std::size_t> run_begin(n, npos);
   std::size_t begin = 0;
-  for (const std::size_t end : plan_run_ends(inner)) {
+  for (const std::size_t end : plan_run_ends(codecs)) {
     if (end - begin > 1) std::fill(run_begin.begin() + begin, run_begin.begin() + end, begin);
     begin = end;
   }
@@ -207,10 +243,7 @@ void PvtVerifier::sweep(std::span<const comp::Codec* const> codecs,
     }
 
     source_.walk(member, lane.walk, [&](std::size_t c, std::span<const float> x) {
-      const comp::Shape shape =
-          chunked[0] != nullptr
-              ? chunked[0]->chunk_shape(source_.shape(), offsets[c], offsets[c + 1])
-              : source_.shape();
+      const comp::Shape shape = source_.chunk_shape(c);
       const std::size_t lo = offsets[c];
       const std::span<const std::uint8_t> mask =
           masked ? s.mask().subspan(lo, x.size()) : std::span<const std::uint8_t>{};
@@ -224,7 +257,7 @@ void PvtVerifier::sweep(std::span<const comp::Codec* const> codecs,
           live[k] = 0;
           continue;
         }
-        const comp::Codec& codec = *inner[k];
+        const comp::Codec& codec = *codecs[k];
         const bool shares = run_begin[k] != npos;
         try {
           if (shares && run_begin[k] != plan_run) {
@@ -238,8 +271,10 @@ void PvtVerifier::sweep(std::span<const comp::Codec* const> codecs,
                                    : codec.encode(x, shape);
           lane.sizes[k * chunks + c] = stream.size();
           if (!decode) continue;
-          const std::span<float> out = lane.recon.first(x.size());
-          codec.decode_into(stream, out);
+          const std::vector<float> out = codec.decode(stream);
+          if (out.size() != x.size()) {
+            throw FormatError(codec.name() + ": decoded element count does not match the chunk");
+          }
           Slot& slot = slots[k];
           slot.zs.feed(out, x, s.sum().subspan(lo, x.size()),
                        s.sum_sq().subspan(lo, x.size()), mask, last);
@@ -260,8 +295,7 @@ void PvtVerifier::sweep(std::span<const comp::Codec* const> codecs,
       if (live[k] == 0) continue;
       const std::span<const std::size_t> sizes = lane.sizes.subspan(k * chunks, chunks);
       Measured m;
-      m.bytes = chunked[k] != nullptr ? chunked[k]->packed_stream_bytes(source_.shape(), sizes)
-                                      : sizes[0];
+      m.bytes = source_.stored_bytes(sizes);
       trace::add(decode ? trace::Counter::kPvtMemberRoundtrips
                         : trace::Counter::kPvtMemberEncodes);
       if (decode) {

@@ -158,19 +158,38 @@ void walk_store_chunks(const ncio::ChunkStoreReader& store, std::size_t member,
   }
 }
 
-/// The element offsets of the ChunkedCodec partition of `shape` for
-/// `chunk_elems` ({0, n} — one chunk — when chunk_elems is 0).
+/// The smallest nonzero chunk_elems a partition accepts.
+inline constexpr std::size_t kMinChunkElems = 1024;
+
+/// The element offsets of the chunk partition of `shape` for `chunk_elems`
+/// ({0, n} — one chunk — when chunk_elems is 0): about chunk_elems values
+/// per chunk, and whole slices of the slowest dimension when rank > 1.
+/// Throws InvalidArgument when chunk_elems is below kMinChunkElems but
+/// not 0.
 std::vector<std::size_t> chunk_partition(const comp::Shape& shape, std::size_t chunk_elems);
+
+/// The shape a codec encodes the chunk [lo, hi) of `shape` under; the
+/// range must be a whole number of slowest-dimension slices when rank > 1.
+comp::Shape chunk_shape(const comp::Shape& shape, std::size_t lo, std::size_t hi);
+
+/// The stored size of a chunked member of `shape` whose chunks encoded to
+/// `chunk_sizes` bytes (in partition order): the payloads plus the chunk
+/// index — header, chunk count, each chunk's byte and element count. The
+/// index bytes are the ones chunked CRs have always included.
+std::size_t chunked_stored_bytes(const comp::Shape& shape,
+                                 std::span<const std::size_t> chunk_sizes);
 
 /// Element count of the widest chunk of a partition.
 std::size_t max_chunk_elems(std::span<const std::size_t> offsets);
 
-/// Where the verifier reads members from, cut on one chunk partition.
+/// Where the verifier reads members from, cut on one chunk partition —
+/// the only owner of that partition: the verifier takes each chunk's shape
+/// and each member's stored size from here.
 ///
-/// Resident: the EnsembleStats member fields, cut on the ChunkedCodec
-/// partition for chunk_elems without copying; chunk_elems == 0 yields one
-/// container-less chunk per member. Store: the members of a CNK1 spill,
-/// walked with walk_store_chunks (double-buffered prefetch).
+/// Resident: the EnsembleStats member fields, cut on chunk_partition for
+/// chunk_elems without copying; chunk_elems == 0 yields one index-less
+/// chunk per member. Store: the members of a CNK1 spill, walked with
+/// walk_store_chunks (double-buffered prefetch).
 class ChunkSource {
  public:
   explicit ChunkSource(const EnsembleStats& stats, std::size_t chunk_elems = 0);
@@ -187,6 +206,13 @@ class ChunkSource {
   [[nodiscard]] std::size_t chunk_elems() const { return chunk_elems_; }
   [[nodiscard]] std::size_t max_chunk() const { return max_chunk_; }
   [[nodiscard]] std::size_t total_elems() const { return offsets_.back(); }
+
+  /// The shape chunk `c` is encoded under: the member's shape unchunked.
+  [[nodiscard]] comp::Shape chunk_shape(std::size_t c) const;
+
+  /// A member's stored size from its chunks' stream sizes: the one
+  /// stream's size unchunked, else chunked_stored_bytes.
+  [[nodiscard]] std::size_t stored_bytes(std::span<const std::size_t> chunk_sizes) const;
 
   /// Read-buffer floats one walk needs: two chunks for the store's double
   /// buffering, none for resident members.
@@ -237,19 +263,19 @@ class PvtVerifier {
   /// Verifies straight from the resident members of `stats`, one whole
   /// member per chunk.
   explicit PvtVerifier(const EnsembleStats& stats, PvtThresholds thresholds = {});
-  /// Verifies from `source`. On a chunked source every codec must be a
-  /// ChunkedCodec on the source's partition (with_chunking(), suite.h).
+  /// Verifies from `source`, round-tripping each of its chunks through the
+  /// codecs it is given.
   PvtVerifier(ChunkSource source, PvtThresholds thresholds);
 
   /// The member-major sweep behind every call below. Walks each member's
   /// chunks once: tests 1–3 on `test_members`, and with `run_bias` the
   /// reconstructed RMSZ of every other member for the bias test. Each chunk
-  /// is encoded, decoded into one shared reconstruction lane and fed to
-  /// every codec's own accumulators in turn, so each codec folds exactly
-  /// what a pass of its own would. Inside a plan-sharing run
-  /// (plan_run_ends) the chunk's prep plan is built once and reused by the
-  /// run's siblings; a plan-build fault falls back to the direct encode.
-  /// Plans never change a stream byte.
+  /// is encoded, decoded and fed to every codec's own accumulators in
+  /// turn, so each codec folds exactly what a pass of its own would. A
+  /// member's CR is ChunkSource::stored_bytes of its chunk streams. Inside
+  /// a plan-sharing run (plan_run_ends) the chunk's prep plan is built once
+  /// and reused by the run's siblings; a plan-build fault falls back to the
+  /// direct encode. Plans never change a stream byte.
   ///
   /// `known` is empty or holds one span per codec: a non-empty span is
   /// that codec's test-member evaluations, already measured by the caller
@@ -317,10 +343,9 @@ class PvtVerifier {
   [[nodiscard]] const PvtThresholds& thresholds() const { return thresholds_; }
 
  private:
-  /// Scratch of one member in flight: the reconstruction chunk, the
-  /// source's walk buffers and the per-codec, per-chunk stream sizes.
+  /// Scratch of one member in flight: the source's walk buffers and the
+  /// per-codec, per-chunk stream sizes.
   struct Lane {
-    std::span<float> recon;
     std::span<float> walk;
     std::span<std::size_t> sizes;
   };

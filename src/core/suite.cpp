@@ -1,6 +1,5 @@
 #include "core/suite.h"
 
-#include "compress/chunked.h"
 #include "compress/deflate/deflate.h"
 #include "compress/fpz/fpz.h"
 #include "compress/variants.h"
@@ -52,11 +51,6 @@ const VariableResult& SuiteResults::variable(const std::string& name) const {
   throw InvalidArgument("variable not in suite results: " + name);
 }
 
-comp::CodecPtr with_chunking(comp::CodecPtr codec, std::size_t chunk_elems) {
-  if (chunk_elems == 0) return codec;
-  return std::make_shared<comp::ChunkedCodec>(std::move(codec), chunk_elems);
-}
-
 namespace {
 
 /// What a failed variant threw: always a cesm::Error, the only exception
@@ -86,9 +80,7 @@ VariableVerdict codec_error_verdict(const PvtVerifier& verifier, const comp::Cod
   verdict.codec_error = true;
   verdict.error_message = std::move(message);
   if (config.lossless_fallback) {
-    const comp::CodecPtr stand_in =
-        with_chunking(comp::lossless_stand_in(codec.family()).build(0, fill),
-                      verifier.source().chunk_elems());
+    const comp::CodecPtr stand_in = comp::lossless_stand_in(codec.family()).build(0, fill);
     try {
       VariableVerdict lossless =
           verifier.verify(*stand_in, test_members, config.run_bias);
@@ -139,7 +131,6 @@ VariableResult verify_variable(const climate::VariableSpec& spec, const ChunkSou
   result.variable = spec.name;
   result.is_3d = spec.is_3d;
   if (spec.has_fill) result.fill = climate::kFillValue;
-  const std::size_t chunk_elems = source.chunk_elems();
 
   const PvtVerifier verifier(source, config.thresholds);
   result.test_members = PvtVerifier::pick_members(
@@ -151,12 +142,9 @@ VariableResult verify_variable(const climate::VariableSpec& spec, const ChunkSou
   // of the source's partition and are memoized with the stats.
   const std::size_t probe = result.test_members.front();
   result.character.summary = source.stats().member_summary(probe);
-  const ProbeRatios probes = source.stats().probe_ratios(probe, chunk_elems, [&] {
-    return ProbeRatios{
-        verifier.compression_ratio(
-            *with_chunking(std::make_shared<comp::DeflateCodec>(), chunk_elems), probe),
-        verifier.compression_ratio(
-            *with_chunking(std::make_shared<comp::FpzCodec>(32), chunk_elems), probe)};
+  const ProbeRatios probes = source.stats().probe_ratios(probe, source.chunk_elems(), [&] {
+    return ProbeRatios{verifier.compression_ratio(comp::DeflateCodec(), probe),
+                       verifier.compression_ratio(comp::FpzCodec(32), probe)};
   });
   result.character.lossless_cr = probes.lossless_cr;
   result.netcdf4_cr = probes.lossless_cr;
@@ -189,16 +177,12 @@ VariableResult verify_variable(const climate::VariableSpec& spec, const ChunkSou
 
   // The sweep covers the variants the pre-pass spared, in catalog order.
   std::vector<std::size_t> slot;
-  std::vector<const comp::Codec*> bare;
-  std::vector<comp::CodecPtr> wrapped;
   std::vector<const comp::Codec*> swept;
   std::vector<std::span<const MemberEvaluation>> known;
   for (std::size_t i = 0; i < variants.size(); ++i) {
     if (failure[i]) continue;
     slot.push_back(i);
-    bare.push_back(variants[i].get());
-    wrapped.push_back(with_chunking(variants[i], chunk_elems));
-    swept.push_back(wrapped.back().get());
+    swept.push_back(variants[i].get());
     known.push_back(variants[i]->name() == "GRIB2" ? std::span(tuning.members)
                                                    : std::span<const MemberEvaluation>{});
   }
@@ -216,7 +200,7 @@ VariableResult verify_variable(const climate::VariableSpec& spec, const ChunkSou
   } else {
     // One task per plan-sharing run. verify_all must not run concurrently
     // on one verifier (shared scratch arena), so each task builds its own.
-    const std::vector<std::size_t> ends = plan_run_ends(bare);
+    const std::vector<std::size_t> ends = plan_run_ends(swept);
     parallel_for(0, ends.size(), [&](std::size_t r) {
       const PvtVerifier task_verifier(source, config.thresholds);
       sweep(task_verifier, r == 0 ? 0 : ends[r - 1], ends[r]);

@@ -34,14 +34,15 @@ struct SuiteConfig {
   /// GRIB2 cannot satisfy the tests on large-range variables (§5.3).
   int grib_max_extra_digits = 2;
 
-  /// Nonzero: cut the resident members on the ChunkedCodec partition
-  /// with this target chunk size and wrap every codec the suite measures
+  /// Nonzero: cut the resident members on chunk_partition (core/pvt.h)
+  /// with this target chunk size, so every codec the suite measures
   /// (variants, GRIB2 tuning attempts, lossless baselines, fallback
-  /// stand-ins) in a ChunkedCodec — the partition the out-of-core leg
-  /// streams through, so an in-core run with the same value produces
-  /// bit-identical verdicts and CRs to run_variable_streaming (core/ooc.h).
-  /// 0 (the default) verifies whole members through the unwrapped codecs.
-  /// Must be >= 1024 when set (ChunkedCodec's floor).
+  /// stand-ins) encodes chunk by chunk and each member's CR counts the
+  /// chunk index (chunked_stored_bytes). It is the partition the
+  /// out-of-core leg streams through, so an in-core run with the same
+  /// value produces bit-identical verdicts and CRs to
+  /// run_variable_streaming (core/ooc.h). 0 (the default) verifies whole
+  /// members. Must be >= kMinChunkElems (1024) when set.
   std::size_t chunk_elems = 0;
 
   // --- variant sweep (docs/codecs.md) ---
@@ -131,11 +132,6 @@ SuiteResults run_suite(const climate::EnsembleGenerator& ensemble,
 VariableResult run_variable(const climate::EnsembleGenerator& ensemble,
                             const climate::VariableSpec& spec,
                             const SuiteConfig& config = {});
-
-/// Wrap `codec` in a ChunkedCodec with the suite's chunk partition;
-/// passthrough when chunk_elems == 0. The single construction point of
-/// every chunked codec the verifier measures.
-comp::CodecPtr with_chunking(comp::CodecPtr codec, std::size_t chunk_elems);
 
 // --- per-variable steps shared by run_variable and run_variable_streaming,
 // which differ only in the chunk source they build ---

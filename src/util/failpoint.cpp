@@ -21,7 +21,6 @@ namespace {
 constexpr const char* kRegisteredSites[] = {
     "apax.decode",        //
     "cache.disk_read",    //
-    "chunked.decode",     //
     "comp.prep_plan",     //
     "deflate.decode",     //
     "fpz.decode",         //

@@ -19,7 +19,7 @@
 //
 // Spans are DISABLED by default. A disabled Span construction costs
 // exactly one relaxed atomic load and a branch, so instrumented hot paths
-// (codec encode/decode, ChunkedCodec, ncio) keep their throughput when
+// (codec encode/decode, ncio) keep their throughput when
 // nobody is profiling. Counters are always on: trace::add() is one
 // relaxed fetch_add on a fixed slot, whether or not spans are enabled.
 //
@@ -55,7 +55,6 @@
   X(kCacheHit, "cache.hit")                                          \
   X(kCacheMiss, "cache.miss")                                        \
   X(kCacheOversize, "cache.oversize")                                \
-  X(kChunkedChunks, "chunked.chunks")                                \
   X(kCodecBytesIn, "codec.bytes_in")                                 \
   X(kCodecBytesOut, "codec.bytes_out")                               \
   X(kCodecDecodeCalls, "codec.decode_calls")                         \

@@ -199,9 +199,7 @@ void expect_grib_verdict_is_standalone(const VariableResult& r, const SuiteConfi
   const std::shared_ptr<const EnsembleStats> stats =
       EnsembleCache::global().stats(ens, ens.variable(r.variable));
   const PvtVerifier verifier(ChunkSource(*stats, cfg.chunk_elems), cfg.thresholds);
-  const comp::CodecPtr grib =
-      with_chunking(comp::variant_row("GRIB2").build(r.grib_decimal_scale, r.fill),
-                    cfg.chunk_elems);
+  const comp::CodecPtr grib = comp::variant_row("GRIB2").build(r.grib_decimal_scale, r.fill);
   const VariableVerdict expected = verifier.verify(*grib, r.test_members, cfg.run_bias);
   ASSERT_EQ(r.verdicts.at(0).codec, grib->name());
   EXPECT_EQ(expected.bias_evaluated, cfg.run_bias);

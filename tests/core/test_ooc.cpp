@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/export.h"
+#include "core/hybrid.h"
 #include "core/rmsz.h"
 #include "ncio/chunkstore.h"
 #include "stats/descriptive.h"
@@ -188,6 +189,52 @@ TEST_F(OocTest, SuiteResultsMatchInCoreBitwise) {
   for (std::size_t i = 0; i < streaming_->variables.size(); ++i) {
     expect_variable_eq(streaming_->variables[i], incore_->variables[i]);
   }
+}
+
+TEST_F(OocTest, HybridFromStreamedResultsEqualsInCoreTwin) {
+  // Streamed verdicts carry the catalog's variant names, so the §5.4
+  // hybrid builds from them exactly as from the in-core twin's.
+  EXPECT_EQ(streaming_->variant_names, comp::paper_variant_names());
+  for (const char* family : {"GRIB2", "ISABELA", "fpzip", "APAX", "NetCDF-4"}) {
+    SCOPED_TRACE(family);
+    const HybridSummary expected = build_hybrid(*incore_, family);
+    const HybridSummary h = build_hybrid(*streaming_, family);
+    EXPECT_EQ(h.family, expected.family);
+    EXPECT_EQ(h.avg_cr, expected.avg_cr);
+    EXPECT_EQ(h.best_cr, expected.best_cr);
+    EXPECT_EQ(h.worst_cr, expected.worst_cr);
+    EXPECT_EQ(h.avg_pearson, expected.avg_pearson);
+    EXPECT_EQ(h.avg_nrmse, expected.avg_nrmse);
+    EXPECT_EQ(h.avg_enmax, expected.avg_enmax);
+    EXPECT_EQ(h.variant_counts, expected.variant_counts);
+    ASSERT_EQ(h.selections.size(), expected.selections.size());
+    for (std::size_t i = 0; i < h.selections.size(); ++i) {
+      EXPECT_EQ(h.selections[i].variable, expected.selections[i].variable);
+      EXPECT_EQ(h.selections[i].variant, expected.selections[i].variant);
+      EXPECT_EQ(h.selections[i].cr, expected.selections[i].cr);
+      EXPECT_EQ(h.selections[i].pearson, expected.selections[i].pearson);
+      EXPECT_EQ(h.selections[i].nrmse, expected.selections[i].nrmse);
+      EXPECT_EQ(h.selections[i].enmax, expected.selections[i].enmax);
+      EXPECT_EQ(h.selections[i].lossless_fallback, expected.selections[i].lossless_fallback);
+    }
+  }
+}
+
+TEST_F(OocTest, ChunkElemsBelowTheFloorAreRejectedOnBothLegs) {
+  OocConfig cfg = ooc_config();
+  cfg.chunk_elems = 512;
+  cfg.suite.chunk_elems = 512;
+  // The message names the setting and the rejected value.
+  const auto expect_rejected = [](const auto& run) {
+    try {
+      run();
+      ADD_FAILURE() << "chunk_elems = 512 was accepted";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("chunk_elems = 512"), std::string::npos) << e.what();
+    }
+  };
+  expect_rejected([&] { (void)run_suite(*ensemble_, cfg.suite, {"U"}); });
+  expect_rejected([&] { (void)run_suite_streaming(*ensemble_, cfg, {"U"}); });
 }
 
 TEST_F(OocTest, StreamingIsWorkerCountInvariant) {

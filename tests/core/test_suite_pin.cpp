@@ -1,9 +1,11 @@
-// Bit-exact pin of the unchunked in-core leg (SuiteConfig::chunk_elems ==
-// 0, bias on). SuiteGolden compares at 1e-5 and SuiteDeterminism compares
-// the code with itself, so neither would notice a last-bit change in a
-// verdict, a CR or a bias fit. This test hashes the wire encoding of every
-// VariableResult of the golden quick suite and compares the hashes with
-// constants recorded before the verification pipeline was unified.
+// Bit-exact pins of the in-core leg, unchunked (SuiteConfig::chunk_elems
+// == 0) and chunked (chunk_elems == 1024), bias on. SuiteGolden compares
+// at 1e-5 and SuiteDeterminism compares the code with itself, so neither
+// would notice a last-bit change in a verdict, a CR or a bias fit. These
+// tests hash the wire encoding of every VariableResult of the golden quick
+// suite and compare the hashes with recorded constants: the unchunked ones
+// from before the verification pipeline was unified, the chunked ones from
+// before the chunk partition moved into the chunk source.
 //
 // Only an intended metric change may update the constants; the test prints
 // the new values on failure.
@@ -12,6 +14,7 @@
 
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "climate/ensemble.h"
@@ -28,21 +31,32 @@ std::string hex64(std::uint64_t v) {
   return buf;
 }
 
-TEST(SuitePin, UnchunkedInCoreResultsAreBitExact) {
+climate::EnsembleSpec pin_spec() {
   climate::EnsembleSpec spec;
   spec.grid = climate::GridSpec{12, 18, 3};
   spec.members = 9;
   spec.latent.k = 48;
   spec.latent.spinup_steps = 200;
   spec.latent.average_steps = 400;
-  const climate::EnsembleGenerator ensemble(spec);
+  return spec;
+}
 
+SuiteConfig pin_config(std::size_t chunk_elems) {
   SuiteConfig cfg;
   cfg.test_member_count = 2;
   cfg.grib_max_extra_digits = 3;
-  cfg.chunk_elems = 0;
+  cfg.chunk_elems = chunk_elems;
   cfg.run_bias = true;
-  const SuiteResults results = run_suite(ensemble, cfg, {"U", "FSDSC", "CCN3"});
+  return cfg;
+}
+
+void strip_suffix(std::string& name, std::string_view suffix) {
+  if (name.ends_with(suffix)) name.resize(name.size() - suffix.size());
+}
+
+TEST(SuitePin, UnchunkedInCoreResultsAreBitExact) {
+  const climate::EnsembleGenerator ensemble(pin_spec());
+  const SuiteResults results = run_suite(ensemble, pin_config(0), {"U", "FSDSC", "CCN3"});
 
   const std::vector<std::string> expected = {
       "U:24f583b40f652455",
@@ -51,6 +65,30 @@ TEST(SuitePin, UnchunkedInCoreResultsAreBitExact) {
   };
   std::vector<std::string> actual;
   for (const VariableResult& v : results.variables) {
+    const Bytes wire = serve::serialize_variable_result(v);
+    actual.push_back(v.variable + ":" + hex64(util::fnv1a64(wire)));
+  }
+  EXPECT_EQ(actual, expected);
+}
+
+// Every chunked CR, verdict and bias fit. Verdict and fallback names are
+// compared without a "+chunked" suffix, which older builds appended to
+// the names of chunked runs; the hashes were recorded on such a build.
+TEST(SuitePin, ChunkedInCoreResultsAreBitExact) {
+  const climate::EnsembleGenerator ensemble(pin_spec());
+  const SuiteResults results = run_suite(ensemble, pin_config(1024), {"U", "FSDSC", "CCN3"});
+
+  const std::vector<std::string> expected = {
+      "U:10dc14d3202fdf07",
+      "FSDSC:79f1eb934f1b933c",
+      "CCN3:df089fd34e601f0f",
+  };
+  std::vector<std::string> actual;
+  for (VariableResult v : results.variables) {
+    for (VariableVerdict& verdict : v.verdicts) {
+      strip_suffix(verdict.codec, "+chunked");
+      strip_suffix(verdict.fallback_codec, "+chunked");
+    }
     const Bytes wire = serve::serialize_variable_result(v);
     actual.push_back(v.variable + ":" + hex64(util::fnv1a64(wire)));
   }

@@ -19,7 +19,6 @@
 
 #include "climate/ensemble.h"
 #include "compress/apax/apax.h"
-#include "compress/chunked.h"
 #include "compress/deflate/deflate.h"
 #include "compress/fpz/fpz.h"
 #include "compress/grib2/grib2.h"
@@ -108,11 +107,6 @@ const std::map<std::string, std::function<void()>>& site_scenarios() {
          (void)cache.stats(ens, ens.variable("U"));  // forces the disk read
          cache.configure(util::CacheConfig::from_env());
          std::filesystem::remove_all(dir);
-       }},
-      {"chunked.decode",
-       [] {
-         decode_roundtrip(
-             comp::ChunkedCodec(std::make_shared<comp::DeflateCodec>(), 1024));
        }},
       {"comp.prep_plan",
        [] {

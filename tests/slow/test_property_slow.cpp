@@ -1,5 +1,5 @@
 // Slow (label: slow) heavyweight property sweeps: multi-seed conformance
-// over every variant, and the chunked wrapper composed over each variant.
+// over every variant.
 // The fast single-seed versions live in
 // tests/compress/test_roundtrip_property.cpp; these widen the net for the
 // scheduled CI job.
@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "compress/chunked.h"
 #include "compress/variants.h"
 #include "support/generators.h"
 #include "util/rng.h"
@@ -103,42 +102,6 @@ TEST_P(IsabelaBoundSweepSlow, ErrorContractHoldsAcrossRegimes) {
 
 INSTANTIATE_TEST_SUITE_P(PaperVariants, IsabelaBoundSweepSlow,
                          ::testing::Values(0.1, 0.5, 1.0));
-
-class ChunkedComposesSlow : public ::testing::TestWithParam<std::string> {};
-
-// The CHK2 wrapper must preserve each inner variant's contract: lossless
-// stays bit-exact, everything preserves fill-masked points, and nothing
-// emits non-finite values from finite input.
-TEST_P(ChunkedComposesSlow, WrapperPreservesInnerContract) {
-  constexpr float kFill = 1.0e20f;
-  constexpr std::uint64_t kSeed = 0xC4A2ull;
-  SCOPED_TRACE(testgen::seed_banner(kSeed));
-  const CodecPtr inner = make_variant(GetParam(), kFill);
-  const ChunkedCodec chunked(inner, 1 << 12);
-
-  auto data = testgen::smooth_field(60000, kSeed);
-  const auto mask = testgen::fill_mask(data.size(), hash_combine(kSeed, 1));
-  testgen::apply_fill(data, mask, kFill);
-  const Shape shape = Shape::d2(30, data.size() / 30);
-
-  const RoundTrip rt = round_trip(chunked, data, shape);
-  ASSERT_EQ(rt.reconstructed.size(), data.size());
-  if (inner->is_lossless()) {
-    EXPECT_TRUE(bits_equal(data, rt.reconstructed)) << GetParam();
-  }
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    if (mask[i] == 0) {
-      ASSERT_EQ(rt.reconstructed[i], kFill) << GetParam() << " index " << i;
-    } else {
-      ASSERT_TRUE(std::isfinite(rt.reconstructed[i])) << GetParam() << " index " << i;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllVariants, ChunkedComposesSlow,
-                         ::testing::Values("NetCDF-4", "fpzip-32", "fpzip-24", "ISA-0.5",
-                                           "APAX-4", "GRIB2:3"),
-                         [](const auto& info) { return sanitize(info.param); });
 
 }  // namespace
 }  // namespace cesm::comp

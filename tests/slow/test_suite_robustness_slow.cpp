@@ -48,9 +48,8 @@ class SuiteRobustnessSlow : public ::testing::Test {
 // fire inside run_suite's own chunk tasks, outside the per-variable guard.
 TEST_F(SuiteRobustnessSlow, OneShotFaultAtEachPipelineSiteIsAbsorbed) {
   const std::vector<std::string> sites = {
-      "apax.decode",  "chunked.decode", "deflate.decode", "fpz.decode",
-      "grib2.decode", "isabela.decode", "special.decode", "suite.verify_variant",
-      "suite.variable",
+      "apax.decode",    "deflate.decode", "fpz.decode",           "grib2.decode",
+      "isabela.decode", "special.decode", "suite.verify_variant", "suite.variable",
   };
   for (const std::string& site : sites) {
     SCOPED_TRACE(site);
