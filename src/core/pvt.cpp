@@ -16,12 +16,6 @@ namespace cesm::core {
 
 namespace {
 
-// Scratch arena slots of a verifier.
-constexpr std::size_t kSizeSlot = 0;     // member lanes: per-chunk stream sizes
-constexpr std::size_t kScoreSlot = 1;    // bias-sweep scores, per codec
-constexpr std::size_t kSeededSlot = 2;   // bias sweep: covered by a test member
-constexpr std::size_t kPendingSlot = 3;  // the members a verify pass walks
-
 // The magic of the chunk index a chunked member's stored size counts.
 constexpr std::uint32_t kChunkIndexMagic = 0x324b4843;  // "CHK2"
 
@@ -151,34 +145,6 @@ std::vector<std::size_t> plan_run_ends(std::span<const comp::Codec* const> codec
   return ends;
 }
 
-/// Run body(lane, i) for every i in [0, count), members in parallel, with
-/// stream-size slots for `codecs` codecs per lane. Each index writes its
-/// own result slots, so the scheduling never changes a result. Resident
-/// members run in batches of kBiasBatch on arena lanes that stay warm
-/// across calls; store members get buffers of their own, alive only while
-/// the member runs.
-template <typename Body>
-void PvtVerifier::for_each_member(std::size_t count, std::size_t codecs,
-                                  const Body& body) const {
-  const std::size_t walk = source_.walk_elems();
-  const std::size_t sizes = codecs * source_.chunk_count();
-  if (walk != 0) {
-    parallel_for(0, count, [&](std::size_t i) {
-      std::vector<float> floats(walk);
-      std::vector<std::size_t> lane_sizes(sizes);
-      body(Lane{floats, lane_sizes}, i);
-    });
-    return;
-  }
-  const std::size_t width = std::min(kBiasBatch, count);
-  const std::span<std::size_t> all_sizes = scratch_.get<std::size_t>(kSizeSlot, width * sizes);
-  for (std::size_t lo = 0; lo < count; lo += width) {
-    parallel_for(0, std::min(width, count - lo), [&](std::size_t i) {
-      body(Lane{{}, all_sizes.subspan(i * sizes, sizes)}, lo + i);
-    });
-  }
-}
-
 template <typename Done>
 void PvtVerifier::sweep(std::span<const comp::Codec* const> codecs,
                         std::span<const std::size_t> members, std::size_t evaluated,
@@ -219,7 +185,10 @@ void PvtVerifier::sweep(std::span<const comp::Codec* const> codecs,
     stats::kernels::CoMomentStream co;
   };
 
-  for_each_member(members.size(), n, [&](const Lane& lane, std::size_t i) {
+  const std::size_t walk = source_.walk_elems();
+  // Each index writes its own result slots, so the scheduling never
+  // changes a result.
+  parallel_for(0, members.size(), [&](std::size_t i) {
     if (skip != nullptr && skip->load()) return;
     const std::size_t member = members[i];
     const bool evaluate = i < evaluated;
@@ -233,6 +202,8 @@ void PvtVerifier::sweep(std::span<const comp::Codec* const> codecs,
       any_live = any_live || live[k] != 0;
     }
     if (!any_live) return;
+    std::vector<float> buffers(walk);
+    std::vector<std::size_t> chunk_sizes(n * chunks);
     std::vector<Slot> slots;
     slots.reserve(n);
     for (std::size_t k = 0; k < n; ++k) {
@@ -242,7 +213,7 @@ void PvtVerifier::sweep(std::span<const comp::Codec* const> codecs,
                        stats::kernels::CoMomentStream(masked)});
     }
 
-    source_.walk(member, lane.walk, [&](std::size_t c, std::span<const float> x) {
+    source_.walk(member, buffers, [&](std::size_t c, std::span<const float> x) {
       const comp::Shape shape = source_.chunk_shape(c);
       const std::size_t lo = offsets[c];
       const std::span<const std::uint8_t> mask =
@@ -269,7 +240,7 @@ void PvtVerifier::sweep(std::span<const comp::Codec* const> codecs,
           const Bytes stream = shares && plan != nullptr
                                    ? codec.encode_with_prep(*plan, x, shape)
                                    : codec.encode(x, shape);
-          lane.sizes[k * chunks + c] = stream.size();
+          chunk_sizes[k * chunks + c] = stream.size();
           if (!decode) continue;
           const std::vector<float> out = codec.decode(stream);
           if (out.size() != x.size()) {
@@ -293,9 +264,8 @@ void PvtVerifier::sweep(std::span<const comp::Codec* const> codecs,
 
     for (std::size_t k = 0; k < n; ++k) {
       if (live[k] == 0) continue;
-      const std::span<const std::size_t> sizes = lane.sizes.subspan(k * chunks, chunks);
       Measured m;
-      m.bytes = source_.stored_bytes(sizes);
+      m.bytes = source_.stored_bytes(std::span(chunk_sizes).subspan(k * chunks, chunks));
       trace::add(decode ? trace::Counter::kPvtMemberRoundtrips
                         : trace::Counter::kPvtMemberEncodes);
       if (decode) {
@@ -375,22 +345,18 @@ std::vector<SweepResult> PvtVerifier::verify_all(
   // The pass walks the test members, then — for the bias sweep — every
   // member no test member already covers: the codecs are deterministic,
   // so a test member's reconstructed RMSZ is its bias score, bit for bit.
-  const std::span<std::uint8_t> seeded = scratch_.get<std::uint8_t>(kSeededSlot, m_count);
-  std::fill(seeded.begin(), seeded.end(), std::uint8_t{0});
+  std::vector<std::uint8_t> seeded(m_count);
   std::uint64_t reused = 0;
   for (const std::size_t m : test_members) {
     reused += seeded[m] == 0 ? 1 : 0;
     seeded[m] = 1;
   }
-  const std::span<std::size_t> members =
-      scratch_.get<std::size_t>(kPendingSlot, tests + m_count);
-  std::copy(test_members.begin(), test_members.end(), members.begin());
-  std::size_t count = evaluated;
+  const std::span<const std::size_t> evaluated_members = test_members.first(evaluated);
+  std::vector<std::size_t> members(evaluated_members.begin(), evaluated_members.end());
   for (std::size_t m = 0; run_bias && m < m_count; ++m) {
-    if (seeded[m] == 0) members[count++] = m;
+    if (seeded[m] == 0) members.push_back(m);
   }
-  const std::span<double> scores =
-      scratch_.get<double>(kScoreSlot, run_bias ? n * m_count : 0);
+  std::vector<double> scores(run_bias ? n * m_count : 0);
 
   std::vector<SweepResult> results(n);
   std::vector<std::exception_ptr> errors(n);
@@ -402,7 +368,7 @@ std::vector<SweepResult> PvtVerifier::verify_all(
     }
   }
   sweep(
-      codecs, members.first(count), evaluated, /*decode=*/true, errors,
+      codecs, members, evaluated, /*decode=*/true, errors,
       [&](std::size_t k, std::size_t i, const Measured& m) {
         if (i < evaluated) {
           results[k].verdict.members[i] = evaluation(members[i], m);
@@ -436,7 +402,8 @@ std::vector<SweepResult> PvtVerifier::verify_all(
     verdict.mean_cr = cr_sum / static_cast<double>(tests);
     if (run_bias) {
       trace::add(trace::Counter::kPvtBiasReused, reused);
-      verdict.bias = bias_test(stats().rmsz_distribution(), scores.subspan(k * m_count, m_count),
+      verdict.bias = bias_test(stats().rmsz_distribution(),
+                               std::span(scores).subspan(k * m_count, m_count),
                                thresholds_.bias_confidence);
       verdict.bias_pass = verdict.bias.pass;
       verdict.bias_evaluated = true;

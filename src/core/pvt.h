@@ -32,7 +32,6 @@
 #include "core/rmsz.h"
 #include "ncio/chunkstore.h"
 #include "stats/kernels.h"
-#include "util/arena.h"
 #include "util/scheduler.h"
 
 namespace cesm::core {
@@ -288,12 +287,9 @@ class PvtVerifier {
   /// cesm::Error leaves the pass without disturbing its siblings;
   /// InvalidArgument, and any error reading the source, propagate.
   ///
-  /// Members run in parallel. The steady-state loop (same verifier,
-  /// successive calls) reuses a scratch arena: on a resident source it
-  /// never grows after the first call (asserted via the "arena.grow" trace
-  /// counter). Consequently no two calls may run concurrently on one
-  /// verifier, including the one-codec calls below; distinct verifiers
-  /// remain independent.
+  /// Members run in parallel, each member task with buffers of its own.
+  /// The verifier holds no mutable state, so any number of threads may
+  /// call it, and the one-codec calls below, at once.
   [[nodiscard]] std::vector<SweepResult> verify_all(
       std::span<const comp::Codec* const> codecs, std::span<const std::size_t> test_members,
       bool run_bias = true,
@@ -326,14 +322,6 @@ class PvtVerifier {
   /// y-axis data and the bias test input.
   [[nodiscard]] std::vector<double> reconstructed_rmsz(const comp::Codec& codec) const;
 
-  /// Member batch width on resident sources: at most this many members
-  /// round-trip at a time, into arena lanes that stay warm across members
-  /// and codecs. Never derived from the worker count, so the arena warms
-  /// to the same size at any thread count. (A store source gives each
-  /// member task its own buffers for as long as it runs, so the buffers
-  /// in flight stay within the working set the out-of-core leg charges.)
-  static constexpr std::size_t kBiasBatch = 16;
-
   /// The paper's "choose three members at random".
   static std::vector<std::size_t> pick_members(std::size_t count, std::size_t member_count,
                                                std::uint64_t seed);
@@ -343,13 +331,6 @@ class PvtVerifier {
   [[nodiscard]] const PvtThresholds& thresholds() const { return thresholds_; }
 
  private:
-  /// Scratch of one member in flight: the source's walk buffers and the
-  /// per-codec, per-chunk stream sizes.
-  struct Lane {
-    std::span<float> walk;
-    std::span<std::size_t> sizes;
-  };
-
   /// What a pass measured of one (codec, member).
   struct Measured {
     std::size_t bytes = 0;  ///< the member's stream bytes
@@ -358,16 +339,17 @@ class PvtVerifier {
     stats::kernels::CoMomentAccum co;  ///< evaluated members only
   };
 
-  template <typename Body>
-  void for_each_member(std::size_t count, std::size_t codecs, const Body& body) const;
-  /// The member-major pass: walk members[i] for every i, round-tripping
-  /// each chunk through every live codec (encode only unless `decode`),
-  /// then call done(k, i, measured) for each codec k that completed the
-  /// member. members[0, evaluated) also get the tests 1–3 accumulators,
-  /// except for the codecs with known[k] set, which are not live on them.
-  /// A member with no live codec is not walked. A codec that throws
-  /// cesm::Error records it in errors[k] and leaves the pass. Members not
-  /// yet started are skipped once `*skip` is set.
+  /// The member-major pass: walk members[i] for every i, members in
+  /// parallel, round-tripping each chunk through every live codec (encode
+  /// only unless `decode`), then call done(k, i, measured) for each codec
+  /// k that completed the member. members[0, evaluated) also get the
+  /// tests 1–3 accumulators, except for the codecs with known[k] set,
+  /// which are not live on them. A member with no live codec is not
+  /// walked. A codec that throws cesm::Error records it in errors[k] and
+  /// leaves the pass. Members not yet started are skipped once `*skip` is
+  /// set. Each member task allocates its own walk buffers and stream
+  /// sizes, alive only while it runs, so the buffers in flight stay within
+  /// the working set the out-of-core leg charges.
   template <typename Done>
   void sweep(std::span<const comp::Codec* const> codecs, std::span<const std::size_t> members,
              std::size_t evaluated, bool decode, std::span<std::exception_ptr> errors,
@@ -378,9 +360,6 @@ class PvtVerifier {
 
   ChunkSource source_;
   PvtThresholds thresholds_;
-  /// Reusable verify-loop scratch (member lanes, bias-sweep scores).
-  /// Mutable so the logically-const verify() can recycle capacity.
-  mutable util::ScratchArena scratch_;
 };
 
 }  // namespace cesm::core

@@ -187,24 +187,21 @@ VariableResult verify_variable(const climate::VariableSpec& spec, const ChunkSou
                                                    : std::span<const MemberEvaluation>{});
   }
   std::vector<SweepResult> outcomes(swept.size());
-  const auto sweep = [&](const PvtVerifier& v, std::size_t lo, std::size_t hi) {
+  const auto sweep = [&](std::size_t lo, std::size_t hi) {
     trace::add(trace::Counter::kSweepVariantTasks);
     std::vector<SweepResult> part =
-        v.verify_all(std::span(swept).subspan(lo, hi - lo), result.test_members,
+        verifier.verify_all(std::span(swept).subspan(lo, hi - lo), result.test_members,
                      config.run_bias, std::span(known).subspan(lo, hi - lo));
     std::move(part.begin(), part.end(), outcomes.begin() + static_cast<std::ptrdiff_t>(lo));
   };
   if (config.variant_jobs == 1) {
     // One member-major pass over every variant (the default).
-    sweep(verifier, 0, swept.size());
+    sweep(0, swept.size());
   } else {
-    // One task per plan-sharing run. verify_all must not run concurrently
-    // on one verifier (shared scratch arena), so each task builds its own.
+    // One task per plan-sharing run, all on the one verifier.
     const std::vector<std::size_t> ends = plan_run_ends(swept);
-    parallel_for(0, ends.size(), [&](std::size_t r) {
-      const PvtVerifier task_verifier(source, config.thresholds);
-      sweep(task_verifier, r == 0 ? 0 : ends[r - 1], ends[r]);
-    });
+    parallel_for(0, ends.size(),
+                 [&](std::size_t r) { sweep(r == 0 ? 0 : ends[r - 1], ends[r]); });
   }
 
   // Verdicts land in fixed catalog-order slots, so the results are

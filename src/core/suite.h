@@ -49,9 +49,9 @@ struct SuiteConfig {
   /// 1 (the default): one member-major pass per variable walks each
   /// member's chunks once for all nine variants (PvtVerifier::verify_all).
   /// Any other value: one concurrent task per plan-sharing run of variants
-  /// (plan_run_ends, pvt.h), each with its own verifier. Results land in
-  /// fixed catalog-order slots, so the suite CSV is byte-identical at every
-  /// setting and worker count.
+  /// (plan_run_ends, pvt.h), all on the variable's one verifier. Results
+  /// land in fixed catalog-order slots, so the suite CSV is byte-identical
+  /// at every setting and worker count.
   std::size_t variant_jobs = 1;
 
   // --- robustness policy (exercised by cesm::fail injection) ---

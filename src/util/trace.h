@@ -42,8 +42,6 @@
 /// so an unlisted counter is a compile error. The counter-table ctest
 /// fails when a row is counted nowhere in src/. Keep sorted by name.
 #define CESM_TRACE_COUNTERS(X)                                       \
-  X(kArenaGrow, "arena.grow")                                        \
-  X(kArenaGrowBytes, "arena.grow_bytes")                             \
   X(kCacheBytes, "cache.bytes")                                      \
   X(kCacheDirEvict, "cache.dir_evict")                               \
   X(kCacheDiskCorrupt, "cache.disk_corrupt")                         \

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <thread>
 
 #include "compress/deflate/deflate.h"
 #include "compress/fpz/fpz.h"
@@ -144,23 +145,26 @@ TEST_F(PvtTest, BiasSkippedWhenRequested) {
   EXPECT_TRUE(v.bias_pass);  // not evaluated: no veto
 }
 
-TEST_F(PvtTest, SteadyStateVerifyLoopIsAllocationFree) {
-  // First verify warms the scratch arena to its high-water mark; every
-  // subsequent verify on the same verifier must reuse it without growing
-  // (the "arena.grow" trace counter stays at zero). This pins the
-  // zero-allocation contract documented on PvtVerifier::verify().
+TEST_F(PvtTest, ConcurrentCallsOnOneVerifierMatchSerialCalls) {
+  // The verifier holds no mutable state: two threads verifying different
+  // codecs on one verifier at once get exactly the verdicts of serial
+  // calls.
+  const comp::FpzCodec fpz16(16);
   const comp::FpzCodec fpz24(24);
-  const comp::DeflateCodec deflate;
-  (void)verifier_.verify(fpz24, members_, /*run_bias=*/true);
-
-  trace::set_enabled(true);
-  trace::reset();
-  (void)verifier_.verify(fpz24, members_, /*run_bias=*/true);
-  (void)verifier_.verify(deflate, members_, /*run_bias=*/true);
-  const auto counters = trace::counters();
-  trace::set_enabled(false);
-
-  EXPECT_EQ(counters.at("arena.grow"), 0u) << "steady-state verify grew the arena";
+  const VariableVerdict serial16 = verifier_.verify(fpz16, members_, /*run_bias=*/true);
+  const VariableVerdict serial24 = verifier_.verify(fpz24, members_, /*run_bias=*/true);
+  for (int round = 0; round < 4; ++round) {
+    VariableVerdict v16;
+    VariableVerdict v24;
+    std::thread a([&] { v16 = verifier_.verify(fpz16, members_, /*run_bias=*/true); });
+    std::thread b([&] { v24 = verifier_.verify(fpz24, members_, /*run_bias=*/true); });
+    a.join();
+    b.join();
+    EXPECT_EQ(v16.bias.slope_distance, serial16.bias.slope_distance) << "round " << round;
+    EXPECT_EQ(v16.mean_cr, serial16.mean_cr) << "round " << round;
+    EXPECT_EQ(v24.bias.slope_distance, serial24.bias.slope_distance) << "round " << round;
+    EXPECT_EQ(v24.mean_cr, serial24.mean_cr) << "round " << round;
+  }
 }
 
 TEST_F(PvtTest, BiasSweepReusesTestMemberScoresWithoutRecompressing) {
@@ -171,7 +175,7 @@ TEST_F(PvtTest, BiasSweepReusesTestMemberScoresWithoutRecompressing) {
   // the fpz.decode failpoint hit count (armed with prob:0.0 so it counts
   // without ever firing).
   const comp::FpzCodec codec(24);
-  (void)verifier_.verify(codec, members_, /*run_bias=*/true);  // warm arena
+  (void)verifier_.verify(codec, members_, /*run_bias=*/true);
 
   fail::reset();
   fail::ScopedFailpoint count_decodes("fpz.decode",

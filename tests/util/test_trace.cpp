@@ -105,18 +105,18 @@ TEST_F(TraceTest, ConcurrentAddsSumExactlyWhileSnapshotsRead) {
   constexpr std::uint64_t kAdds = 20'000;
   std::atomic<bool> done{false};
   std::thread reader([&] {
-    while (!done.load()) EXPECT_LE(counters().at("arena.grow"), kThreads * kAdds);
+    while (!done.load()) EXPECT_LE(counters().at("pvt.member_roundtrips"), kThreads * kAdds);
   });
   std::vector<std::thread> writers;
   for (int t = 0; t < kThreads; ++t) {
     writers.emplace_back([] {
-      for (std::uint64_t i = 0; i < kAdds; ++i) add(Counter::kArenaGrow);
+      for (std::uint64_t i = 0; i < kAdds; ++i) add(Counter::kPvtMemberRoundtrips);
     });
   }
   for (std::thread& w : writers) w.join();
   done.store(true);
   reader.join();
-  EXPECT_EQ(counters().at("arena.grow"), kThreads * kAdds);
+  EXPECT_EQ(counters().at("pvt.member_roundtrips"), kThreads * kAdds);
 }
 
 TEST_F(TraceTest, SpansFromWorkerThreadsMergeByLabel) {

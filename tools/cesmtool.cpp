@@ -57,6 +57,8 @@ int usage() {
                "        [--spill-budget-mb=N] [--variant-jobs=N] [--no-bias]\n"
                "        [--out=results.csv]\n"
                "    --full-grid streams each variable chunk-by-chunk (out-of-core)\n"
+               "    --chunk=N cuts members into chunks of about N values (default\n"
+               "    65536 with --full-grid; in-core, whole members)\n"
                "    --jobs=N runs N variables concurrently under one shared\n"
                "    CESM_MEM_MB budget (0 = one per worker); --reuse-spill\n"
                "    content-addresses spill files so a later run skips synthesis\n"
@@ -319,7 +321,9 @@ int cmd_suite(int argc, char** argv) {
   cfg.spill_budget_bytes = spill_budget_mb << 20;
   cfg.memory_budget_bytes = util::memory_budget_bytes().value_or(0);
   cfg.suite.run_bias = !has_flag(argc, argv, "--no-bias");
-  cfg.suite.chunk_elems = cfg.chunk_elems;
+  // --full-grid streams on cfg.chunk_elems (65536 unless --chunk=N);
+  // in-core verifies whole members unless --chunk=N asks for a partition.
+  if (find_opt(argc, argv, "--chunk=") != nullptr) cfg.suite.chunk_elems = cfg.chunk_elems;
 
   core::SuiteResults results;
   if (full_grid) {
