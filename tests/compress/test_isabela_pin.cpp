@@ -1,0 +1,115 @@
+// ISABELA conformance digests for the cases CodecPin does not reach: the
+// 64-bit path, codecs whose window and coefficient count differ from the
+// paper variants' (1024, 32), a field salted with NaN/±inf (the windows
+// that take the stable-sort path and correction indices no exact rounding
+// kernel can produce), and a tail window shorter than the coefficient
+// count. Each case pins the FNV-1a hash of the stream and of the decoded
+// values.
+//
+// Decoded NaNs are hashed as one canonical quiet NaN. When both operands
+// of an IEEE operation are NaN, which one the result carries (sign and
+// payload) follows the operand order the compiler picked, and that order
+// differs between the default and the sanitizer builds of the same source.
+// Everything else, NaN or not in each position, is pinned bit for bit.
+//
+// Only an intended format or reconstruction change may update the
+// constants; the test prints the new values on failure.
+
+#include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstdio>
+#include <limits>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "compress/isabela/isabela.h"
+#include "support/generators.h"
+#include "util/cache.h"
+#include "util/rng.h"
+
+namespace cesm::comp {
+namespace {
+
+std::string hex64(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+std::string digest(std::span<const std::uint8_t> bytes) { return hex64(util::fnv1a64(bytes)); }
+
+/// Digest of decoded values, every NaN replaced by the canonical quiet NaN.
+template <typename T>
+std::string decoded_digest(std::vector<T> v) {
+  for (T& x : v) {
+    if (std::isnan(x)) x = std::numeric_limits<T>::quiet_NaN();
+  }
+  return digest({reinterpret_cast<const std::uint8_t*>(v.data()), v.size() * sizeof(T)});
+}
+
+std::string pin(const IsabelaCodec& codec, const std::vector<float>& field) {
+  const Bytes stream = codec.encode(field, Shape::d1(field.size()));
+  return digest(stream) + " " + decoded_digest(codec.decode(stream));
+}
+
+TEST(IsabelaPin, DoublePathStreamAndReconstructionAreBitExact) {
+  // Noisy values with sign changes and more than float precision, so the
+  // 64-bit sort order, the float-precision fit and nonzero corrections all
+  // show in the digests.
+  Pcg32 rng(0xB0);
+  std::vector<double> data(3 * 1024 + 333);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = 15.0 * std::sin(0.01 * static_cast<double>(i)) + rng.uniform(-30.0, 30.0) +
+              rng.uniform(-1.0, 1.0) * 1e-9;
+  }
+  std::vector<std::string> got;
+  for (double pct : {0.1, 0.5, 1.0}) {
+    const IsabelaCodec codec(pct);
+    const Bytes stream = codec.encode64(data, Shape::d1(data.size()));
+    got.push_back(codec.name() + " " + digest(stream) + " " +
+                  decoded_digest(codec.decode64(stream)));
+  }
+  const std::vector<std::string> expected = {
+      "ISA-0.1 6b47cfd58f0498e5 5906f9f5becd5e2d",
+      "ISA-0.5 ea10922236dc6bde e40720f75c7c2cdf",
+      "ISA-1.0 4883c8fce721d88e 1fa3ae6cd3fa7b9f",
+  };
+  EXPECT_EQ(got, expected);
+}
+
+TEST(IsabelaPin, NonDefaultWindowShapesAreBitExact) {
+  const std::vector<float> field = testgen::smooth_field(2000, 0xB1);
+  const std::vector<std::string> got = {
+      pin(IsabelaCodec(0.5, 256, 16), field),
+      pin(IsabelaCodec(1.0, 64, 64), field),
+  };
+  const std::vector<std::string> expected = {
+      "9a7cac60f290078a d50692bb4a074533",
+      "7aa3ccdfed90b5bd e205a88c12293fb1",
+  };
+  EXPECT_EQ(got, expected);
+}
+
+TEST(IsabelaPin, SpecialSaltedFieldIsBitExact) {
+  std::vector<float> field = testgen::smooth_field(4 * 1024 + 100, 0xB2);
+  testgen::salt_specials(field, 0xB3, 0.002);
+  const std::vector<std::string> got = {
+      pin(IsabelaCodec(0.1), field),
+      pin(IsabelaCodec(1.0), field),
+  };
+  const std::vector<std::string> expected = {
+      "844f79525313ea7b 0ec0f25d89749857",
+      "6cde294f528513fa 01935fa1acdaf511",
+  };
+  EXPECT_EQ(got, expected);
+}
+
+TEST(IsabelaPin, TailShorterThanCoefficientCountIsBitExact) {
+  const std::vector<float> field = testgen::noisy_field(1024 + 20, 0xB4);
+  EXPECT_EQ(pin(IsabelaCodec(0.5), field), "e11d32ad3adc90f8 bddedd9513b8b578");
+}
+
+}  // namespace
+}  // namespace cesm::comp
