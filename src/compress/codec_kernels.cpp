@@ -293,13 +293,15 @@ CESM_KERNEL void sort_perm_f64(const double* data, std::uint32_t* perm, std::siz
 }
 
 // ---------------------------------------------------------------------------
-// APAX / GRIB2 quantization: branch-free exact llround.
+// APAX / GRIB2 / ISABELA quantization: branch-free exact llround.
 //
 // For |x| < 2^52, trunc(x) and x - trunc(x) are exact, so
 //   m = trunc(x) + (frac >= 0.5) - (frac <= -0.5)
 // reproduces llround's round-half-away-from-zero for every finite input.
-// Non-finite lanes are detected with x - x == 0 (false for NaN/inf) and
-// forced to 0 before any float->int conversion.
+// APAX and GRIB2 detect non-finite lanes with x - x == 0 (false for
+// NaN/inf) and force them to 0 before any float->int conversion. ISABELA
+// zeroes every lane outside |x| < 2^52 (NaN and inf included) in the
+// branch-free pass, then recomputes just those lanes with std::llround.
 // ---------------------------------------------------------------------------
 
 CESM_KERNEL void apax_quantize(const double* src, std::size_t first, std::size_t len,
@@ -322,6 +324,42 @@ CESM_KERNEL void apax_quantize(const double* src, std::size_t first, std::size_t
   const std::size_t split = first + std::min(extra, len - first);
   run(first, split, bits + 1);
   run(split, len, bits);
+}
+
+namespace {
+
+/// The correction quotient of one ISABELA sample.
+CESM_KERNEL_HELPER double isabela_quotient(float sorted, double estimate, double eps_frac,
+                                           double floor_abs) {
+  const double step = eps_frac * std::max(std::fabs(estimate), floor_abs);
+  return (static_cast<double>(sorted) - estimate) / step;
+}
+
+}  // namespace
+
+CESM_KERNEL void isabela_quantize(const float* sorted, const double* estimate,
+                                  std::size_t n, double eps_frac, double floor_abs,
+                                  std::uint64_t* zz) {
+  constexpr double kExactBelow = 0x1p52;
+  bool any_wide = false;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double x = isabela_quotient(sorted[i], estimate[i], eps_frac, floor_abs);
+    const bool exact = std::fabs(x) < kExactBelow;  // false for NaN and inf
+    any_wide |= !exact;
+    const double xs = exact ? x : 0.0;
+    const double t = std::trunc(xs);
+    const double f = xs - t;
+    const std::int64_t m =
+        static_cast<std::int64_t>(t) + (f >= 0.5 ? 1 : 0) - (f <= -0.5 ? 1 : 0);
+    zz[i] = zigzag_encode(static_cast<std::uint64_t>(m));
+  }
+  if (!any_wide) return;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double x = isabela_quotient(sorted[i], estimate[i], eps_frac, floor_abs);
+    if (!(std::fabs(x) < kExactBelow)) {
+      zz[i] = zigzag_encode(static_cast<std::uint64_t>(std::llround(x)));
+    }
+  }
 }
 
 CESM_KERNEL void grib2_quantize(const float* data, const std::uint8_t* valid,

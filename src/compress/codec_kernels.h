@@ -15,11 +15,13 @@
 // hostile fields and every lane-tail length, and CodecPin pins the streams.
 //
 // The integer kernels (ordered maps, Lorenzo, wavelet lifting) are exact by
-// construction. The floating-point kernels (APAX/GRIB2 quantization) rely
-// on two guarantees the TU keeps: no FMA contraction (-ffp-contract=off)
-// and a round-half-away-from-zero formulation that matches std::llround for
-// every finite input, with non-finite inputs mapped to the same value
-// glibc's llround + int32 narrowing yields (0).
+// construction. The floating-point kernels (APAX/GRIB2/ISABELA
+// quantization) rely on two guarantees the TU keeps: no FMA contraction
+// (-ffp-contract=off) and a round-half-away-from-zero formulation that
+// matches std::llround for every finite input below 2^52 in magnitude.
+// APAX and GRIB2 map non-finite inputs to the value glibc's llround +
+// int32 narrowing yields (0); ISABELA hands non-finite and wider lanes to
+// std::llround itself.
 
 #include <cstddef>
 #include <cstdint>
@@ -68,6 +70,11 @@ void sort_perm_f64(const double* data, std::uint32_t* perm, std::size_t len);
 /// mantissa bit. src has len - first samples starting at src[first].
 void apax_quantize(const double* src, std::size_t first, std::size_t len, double scale,
                    unsigned bits, std::size_t extra, std::uint32_t* codes);
+
+/// ISABELA corrections: zz[i] = zigzag(llround((sorted[i] - estimate[i]) / step)),
+/// step = eps_frac * max(|estimate[i]|, floor_abs).
+void isabela_quantize(const float* sorted, const double* estimate, std::size_t n,
+                      double eps_frac, double floor_abs, std::uint64_t* zz);
 
 /// GRIB2 packing: q[i] = valid ? llround((data[i] - lo) / step) : 0.
 /// `valid` may be null (every point valid).

@@ -2,24 +2,31 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <utility>
 
 #include "util/error.h"
+#include "util/trace.h"
 
 namespace cesm::comp {
 
-void solve_banded_spd(std::vector<std::vector<double>>& band, std::span<double> b,
-                      std::size_t bw) {
-  const std::size_t n = b.size();
-  CESM_REQUIRE(band.size() == n);
-  // In-place banded Cholesky: A = L Lᵀ with band[r][d] holding L(r+d, r)
-  // after factorization (we reuse the upper-band storage symmetrically).
+namespace {
+constexpr std::size_t kBandwidth = 3;
+}  // namespace
+
+bool factor_banded_spd(Band& band) {
+  constexpr std::size_t bw = kBandwidth;
+  const std::size_t n = band.size();
+  // The upper-band storage is reused symmetrically for L.
   for (std::size_t j = 0; j < n; ++j) {
     double diag = band[j][0];
     for (std::size_t k = (j > bw ? j - bw : 0); k < j; ++k) {
       const std::size_t d = j - k;
       if (d <= bw) diag -= band[k][d] * band[k][d];
     }
-    if (diag <= 0.0) throw InvalidArgument("banded system not positive definite");
+    if (diag <= 0.0) return false;
     const double ljj = std::sqrt(diag);
     band[j][0] = ljj;
     for (std::size_t d = 1; d <= bw && j + d < n; ++d) {
@@ -33,69 +40,90 @@ void solve_banded_spd(std::vector<std::vector<double>>& band, std::span<double> 
       band[j][d] = v / ljj;
     }
   }
+  return true;
+}
+
+void solve_factored_banded(const Band& factor, std::span<double> b) {
+  constexpr std::size_t bw = kBandwidth;
+  const std::size_t n = b.size();
+  CESM_REQUIRE(factor.size() == n);
   // Forward substitution L y = b.
   for (std::size_t i = 0; i < n; ++i) {
     double v = b[i];
     for (std::size_t d = 1; d <= bw && d <= i; ++d) {
-      v -= band[i - d][d] * b[i - d];
+      v -= factor[i - d][d] * b[i - d];
     }
-    b[i] = v / band[i][0];
+    b[i] = v / factor[i][0];
   }
   // Backward substitution Lᵀ x = y.
   for (std::size_t ii = n; ii-- > 0;) {
     double v = b[ii];
     for (std::size_t d = 1; d <= bw && ii + d < n; ++d) {
-      v -= band[ii][d] * b[ii + d];
+      v -= factor[ii][d] * b[ii + d];
     }
-    b[ii] = v / band[ii][0];
+    b[ii] = v / factor[ii][0];
   }
 }
 
-CubicBSpline::CubicBSpline(std::vector<double> coefficients, std::size_t sample_count)
-    : coeff_(std::move(coefficients)), n_(sample_count) {
-  CESM_REQUIRE(coeff_.size() >= 4);
-  CESM_REQUIRE(n_ >= 1);
-}
-
-std::vector<double> CubicBSpline::evaluate_all() const {
-  std::vector<double> out(n_);
-  for (std::size_t i = 0; i < n_; ++i) out[i] = evaluate(i);
-  return out;
-}
-
-CubicBSpline CubicBSpline::fit(std::span<const float> values, std::size_t coeff_count) {
-  const std::size_t n = values.size();
+SplineBasis::SplineBasis(std::size_t n, std::size_t coeff_count)
+    : segment_(n), weights_(n), factor_(coeff_count, std::array<double, 4>{}) {
   CESM_REQUIRE(n >= 1);
-  coeff_count = std::max<std::size_t>(4, coeff_count);
+  CESM_REQUIRE(coeff_count >= 4);
+  trace::add(trace::Counter::kIsabelaBasisBuilt);
 
-  constexpr std::size_t kBandwidth = 3;
-  CubicBSpline probe(std::vector<double>(coeff_count, 0.0), n);
-
-  // Accumulate the banded normal equations N = AᵀA, rhs = Aᵀy.
-  std::vector<std::vector<double>> band(coeff_count, std::vector<double>(kBandwidth + 1, 0.0));
-  std::vector<double> rhs(coeff_count, 0.0);
+  // Locate each sample: segment and local parameter u in [0, 1). Then
+  // accumulate the banded normal matrix AᵀA in sample order.
+  const std::size_t segments = coeff_count - 3;
   for (std::size_t i = 0; i < n; ++i) {
-    std::size_t seg;
-    double u, w[4];
-    probe.locate(i, seg, u);
+    const double t = n > 1 ? static_cast<double>(i) / static_cast<double>(n - 1) *
+                                 static_cast<double>(segments)
+                           : 0.0;
+    const std::size_t seg = std::min(static_cast<std::size_t>(t), segments - 1);
+    const double u = t - static_cast<double>(seg);
+    double w[4];
     bspline_weights(u, w);
-    const double y = static_cast<double>(values[i]);
+    segment_[i] = static_cast<std::uint32_t>(seg);
+    weights_[i] = {w[0], w[1], w[2], w[3]};
     for (std::size_t a = 0; a < 4; ++a) {
-      rhs[seg + a] += w[a] * y;
-      for (std::size_t b = a; b < 4; ++b) {
-        band[seg + a][b - a] += w[a] * w[b];
-      }
+      for (std::size_t b = a; b < 4; ++b) factor_[seg + a][b - a] += w[a] * w[b];
     }
   }
   // Tiny ridge keeps the factorization stable when a coefficient has thin
   // support (short tail windows).
-  double trace = 0.0;
-  for (std::size_t j = 0; j < coeff_count; ++j) trace += band[j][0];
-  const double ridge = 1e-9 * (trace / static_cast<double>(coeff_count)) + 1e-12;
-  for (std::size_t j = 0; j < coeff_count; ++j) band[j][0] += ridge;
+  double diagonal_sum = 0.0;
+  for (std::size_t j = 0; j < coeff_count; ++j) diagonal_sum += factor_[j][0];
+  const double ridge = 1e-9 * (diagonal_sum / static_cast<double>(coeff_count)) + 1e-12;
+  for (std::size_t j = 0; j < coeff_count; ++j) factor_[j][0] += ridge;
 
-  solve_banded_spd(band, rhs, kBandwidth);
-  return CubicBSpline(std::move(rhs), n);
+  positive_definite_ = factor_banded_spd(factor_);
+}
+
+const SplineBasis& SplineBasis::shared(std::size_t n, std::size_t coeff_count) {
+  static std::mutex mu;
+  static std::map<std::pair<std::size_t, std::size_t>, std::unique_ptr<const SplineBasis>>
+      bases;
+  const std::lock_guard<std::mutex> lock(mu);
+  auto& slot = bases[{n, coeff_count}];
+  if (!slot) slot = std::make_unique<const SplineBasis>(n, coeff_count);
+  return *slot;
+}
+
+std::vector<double> SplineBasis::fit(std::span<const float> values) const {
+  CESM_REQUIRE(values.size() == sample_count());
+  if (!positive_definite_) throw InvalidArgument("banded system not positive definite");
+  // Only the right-hand side Aᵀy depends on the values.
+  std::vector<double> rhs(coeff_count(), 0.0);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const double y = static_cast<double>(values[i]);
+    double* r = rhs.data() + segment_[i];
+    const std::array<double, 4>& w = weights_[i];
+    r[0] += w[0] * y;
+    r[1] += w[1] * y;
+    r[2] += w[2] * y;
+    r[3] += w[3] * y;
+  }
+  solve_factored_banded(factor_, rhs);
+  return rhs;
 }
 
 }  // namespace cesm::comp

@@ -6,9 +6,20 @@
 // coefficients of a uniform cubic B-spline over [0, n-1] by ordinary least
 // squares; the normal equations are banded (bandwidth 3) and solved with a
 // banded Cholesky factorization.
+//
+// Everything but the right-hand side depends only on the window shape
+// (n, K): each sample's segment and blending weights, and the normal
+// matrix AᵀA with its ridge. A SplineBasis computes those once, with the
+// normal matrix already factored, so fitting a window is one Aᵀy pass and
+// two triangular solves, and evaluating is a table lookup. The arithmetic
+// is the per-window formulation's, in the same order, so coefficients and
+// estimates are the same doubles; the TUs that do it are built without FMA
+// contraction (tests/support/bspline_reference.h keeps the per-window
+// formulas as the oracle).
 
-#include <algorithm>
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -24,55 +35,54 @@ inline void bspline_weights(double u, double w[4]) {
   w[3] = u3 / 6.0;
 }
 
-/// Fitted uniform cubic B-spline over sample indices 0..n-1.
-class CubicBSpline {
+/// Banded storage of a symmetric bandwidth-3 matrix: band[r][d] = A(r, r+d).
+using Band = std::vector<std::array<double, 4>>;
+
+/// In-place banded Cholesky A = L Lᵀ: afterwards band[r][d] holds
+/// L(r+d, r). Returns false (band partly overwritten) if A is not
+/// positive definite.
+bool factor_banded_spd(Band& band);
+
+/// Solve L Lᵀ x = b for a band factored by factor_banded_spd; overwrites b.
+void solve_factored_banded(const Band& factor, std::span<double> b);
+
+/// The least-squares machinery of one window shape: `coeff_count` (>= 4)
+/// uniform cubic B-splines over sample indices 0..n-1 (n >= 1). Immutable
+/// once built, so one basis serves any number of threads.
+class SplineBasis {
  public:
-  /// Fit `coeff_count` (>= 4) coefficients to `values` by least squares.
-  static CubicBSpline fit(std::span<const float> values, std::size_t coeff_count);
+  SplineBasis(std::size_t n, std::size_t coeff_count);
 
-  /// Construct from stored coefficients (decode path).
-  CubicBSpline(std::vector<double> coefficients, std::size_t sample_count);
+  /// The process-wide basis of one codec window shape, built on first use
+  /// and kept for the life of the process. Call it only with a codec's own
+  /// parameters, never with values read from a stream: every distinct
+  /// shape stays resident.
+  static const SplineBasis& shared(std::size_t n, std::size_t coeff_count);
 
-  /// Evaluate the spline at sample index i (0 <= i < sample_count).
-  /// Inline so ISABELA's decode loop can evaluate point by point; the
-  /// arithmetic is independent of the range decoder's serial chain and
-  /// overlaps with it.
-  [[nodiscard]] double evaluate(std::size_t i) const {
-    std::size_t seg;
-    double u, w[4];
-    locate(i, seg, u);
-    bspline_weights(u, w);
-    return w[0] * coeff_[seg] + w[1] * coeff_[seg + 1] + w[2] * coeff_[seg + 2] +
-           w[3] * coeff_[seg + 3];
+  /// Least-squares coefficients for `values` (sample_count() of them).
+  /// Throws InvalidArgument if the normal matrix is not positive definite.
+  [[nodiscard]] std::vector<double> fit(std::span<const float> values) const;
+
+  /// The spline with coefficients `coeffs` at sample index i. Inline so
+  /// ISABELA's decode loop evaluates point by point, overlapping the range
+  /// decoder's serial chain. The first sum is written w1 + w0: equal to
+  /// w0 + w1 for every non-NaN term, and the operand order the decoder has
+  /// always been compiled to, which decides the sign of a NaN estimate
+  /// when two terms are NaN (IsabelaPin's salted field pins it).
+  [[nodiscard]] double evaluate(const double* coeffs, std::size_t i) const {
+    const double* c = coeffs + segment_[i];
+    const std::array<double, 4>& w = weights_[i];
+    return w[1] * c[1] + w[0] * c[0] + w[2] * c[2] + w[3] * c[3];
   }
 
-  /// Evaluate at every sample index.
-  [[nodiscard]] std::vector<double> evaluate_all() const;
-
-  [[nodiscard]] const std::vector<double>& coefficients() const { return coeff_; }
-  [[nodiscard]] std::size_t sample_count() const { return n_; }
+  [[nodiscard]] std::size_t sample_count() const { return segment_.size(); }
+  [[nodiscard]] std::size_t coeff_count() const { return factor_.size(); }
 
  private:
-  /// Map sample index to (segment, local parameter u in [0,1)).
-  void locate(std::size_t i, std::size_t& segment, double& u) const {
-    const std::size_t segments = coeff_.size() - 3;
-    const double t = n_ > 1
-                         ? static_cast<double>(i) / static_cast<double>(n_ - 1) *
-                               static_cast<double>(segments)
-                         : 0.0;
-    segment = std::min(static_cast<std::size_t>(t), segments - 1);
-    u = t - static_cast<double>(segment);
-  }
-
-  std::vector<double> coeff_;
-  std::size_t n_;
+  std::vector<std::uint32_t> segment_;          // first coefficient of sample i
+  std::vector<std::array<double, 4>> weights_;  // its four blending weights
+  Band factor_;                                 // Cholesky factor of AᵀA + ridge
+  bool positive_definite_ = false;
 };
-
-/// Solve the symmetric positive-definite banded system A x = b where A is
-/// given in banded storage: band[r][d] = A(r, r+d) for d = 0..bandwidth.
-/// Overwrites `b` with the solution. Throws InvalidArgument if A is not
-/// positive definite.
-void solve_banded_spd(std::vector<std::vector<double>>& band, std::span<double> b,
-                      std::size_t bandwidth);
 
 }  // namespace cesm::comp

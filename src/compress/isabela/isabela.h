@@ -13,6 +13,10 @@
 //      corrections against the spline.
 //
 // Windows decode independently, preserving ISABELA's random-access pitch.
+// The fit and the estimates run on a SplineBasis (bspline.h) per window
+// shape: full windows share the codec shape's one process-wide basis, and
+// a window of any other shape (a short tail, or a stream written with
+// other parameters) gets a basis of its own for that call.
 
 #include "compress/codec.h"
 
@@ -45,9 +49,11 @@ class IsabelaCodec final : public Codec {
   [[nodiscard]] std::vector<double> decode64(
       std::span<const std::uint8_t> stream) const override;
 
-  /// Prep plan: per-window sort permutation + spline fit, shared by every
-  /// error-bound variant with the same window/coefficient parameters (the
-  /// bound only enters the correction coding; see codec.h).
+  /// Prep plan: per window the sorted values, spline fit, floor and the
+  /// finished window head with the packed sort permutation, shared by
+  /// every error-bound variant with the same window/coefficient
+  /// parameters (the bound only enters the correction coding; see
+  /// codec.h). encode() and encode64() run the same window prep.
   [[nodiscard]] std::string prep_key() const override;
   [[nodiscard]] PrepPlanPtr build_prep(std::span<const float> data,
                                        const Shape& shape) const override;

@@ -62,6 +62,7 @@
   X(kEnsembleElements, "ensemble.elements")                          \
   X(kEnsembleFields, "ensemble.fields")                              \
   X(kGribTuneAttempts, "grib.tune_attempts")                         \
+  X(kIsabelaBasisBuilt, "isabela.basis_built")                       \
   X(kMemBudgetExceeded, "mem.budget_exceeded")                       \
   X(kMemChargedBytes, "mem.charged_bytes")                           \
   X(kMemReserveWaits, "mem.reserve_waits")                           \

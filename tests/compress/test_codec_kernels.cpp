@@ -14,6 +14,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -244,6 +245,90 @@ TEST(CodecKernels, ApaxQuantize) {
         }
       }
     }
+  }
+}
+
+TEST(CodecKernels, IsabelaQuantize) {
+  // Field regimes against a smooth stand-in estimate, with the codec's
+  // floor rule and the three paper error bounds.
+  for (Field f : kAllFields) {
+    for (std::size_t n : tail_lengths()) {
+      SCOPED_TRACE(std::string(field_name(f)) + " n=" + std::to_string(n));
+      const std::vector<float> sorted = make_field(f, n, 0xAA);
+      std::vector<double> estimate(n);
+      double max_abs = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        estimate[i] = static_cast<double>(sorted[i]) * (1.0 + 0.003 * std::sin(0.37 * i));
+        if (std::isfinite(sorted[i])) max_abs = std::max(max_abs, std::fabs(estimate[i]));
+      }
+      const double floor_abs = std::max(1e-7 * max_abs, 1e-300);
+      for (double eps : {0.001, 0.005, 0.01}) {
+        std::vector<std::uint64_t> zs(n), zv(n);
+        ref::isabela_quantize(sorted.data(), estimate.data(), n, eps, floor_abs, zs.data());
+        k::isabela_quantize(sorted.data(), estimate.data(), n, eps, floor_abs, zv.data());
+        ASSERT_TRUE(same_bytes(zs, zv)) << "eps=" << eps;
+      }
+    }
+  }
+}
+
+TEST(CodecKernels, IsabelaQuantizeEdgeQuotients) {
+  // With eps_frac * floor_abs == 1 and |estimate| below the floor the step
+  // is exactly 1, so the quotient is sorted - estimate: exact half-way
+  // ties, both sides of 2^52 (where the kernel hands lanes to llround),
+  // NaN and infinities. Then subnormal estimates under the codec's smallest
+  // floor, whose quotients leave the exact range.
+  constexpr double k52 = 0x1p52;
+  const std::vector<double> quotients = {
+      0.5,       -0.5,      1.5,       -1.5,      2.5,       -2.5,     0.49999999999999994,
+      -0.49999999999999994, 8388607.5, -8388607.5, k52 - 1.0, -(k52 - 1.0), k52 - 0.5,
+      -(k52 - 0.5), k52,   -k52,      k52 + 1.0, -(k52 + 1.0), 0x1p62, -0x1p62, 0x1p63,
+      -0x1p63,   1e300,     -1e300,    std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(), -std::numeric_limits<double>::infinity(),
+      0.0,       -0.0};
+  const double floor_abs = 0x1p60, eps = 0x1p-60;
+  std::vector<float> sorted;
+  std::vector<double> estimate;
+  for (double q : quotients) {
+    // sorted - estimate == q: an exact float on one side, the rest (or the
+    // special) in the estimate.
+    sorted.push_back(0.0f);
+    estimate.push_back(-q);
+    sorted.push_back(static_cast<float>(q));
+    estimate.push_back(0.0);
+  }
+  sorted.push_back(std::numeric_limits<float>::quiet_NaN());
+  estimate.push_back(1.0);
+  sorted.push_back(1.0f);
+  estimate.push_back(std::numeric_limits<double>::quiet_NaN());
+  sorted.push_back(std::numeric_limits<float>::infinity());
+  estimate.push_back(std::numeric_limits<double>::infinity());
+  {
+    const std::size_t n = sorted.size();
+    std::vector<std::uint64_t> zs(n), zv(n);
+    ref::isabela_quantize(sorted.data(), estimate.data(), n, eps, floor_abs, zs.data());
+    k::isabela_quantize(sorted.data(), estimate.data(), n, eps, floor_abs, zv.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(zs[i], zv[i]) << "i=" << i << " sorted=" << sorted[i]
+                              << " estimate=" << estimate[i];
+    }
+  }
+  // Subnormal estimates: tiny steps, quotients far past 2^52 and some still
+  // exact (sorted == estimate rounds to the same float).
+  sorted.clear();
+  estimate.clear();
+  for (double e : {4.9e-324, -4.9e-324, 1e-310, -1e-310, 2.2e-308, 0.0}) {
+    for (float s : {0.0f, 1e-45f, -1e-45f, 1e-38f, 1.0f}) {
+      sorted.push_back(s);
+      estimate.push_back(e);
+    }
+  }
+  const std::size_t n = sorted.size();
+  for (double floor : {1e-300, 4.9e-324}) {
+    std::vector<std::uint64_t> zs(n), zv(n);
+    ref::isabela_quantize(sorted.data(), estimate.data(), n, 0.001, floor, zs.data());
+    k::isabela_quantize(sorted.data(), estimate.data(), n, 0.001, floor, zv.data());
+    ASSERT_TRUE(same_bytes(zs, zv)) << "floor=" << floor;
   }
 }
 

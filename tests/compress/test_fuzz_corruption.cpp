@@ -10,9 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <exception>
 #include <optional>
+#include <span>
 #include <string>
 
+#include "compress/isabela/isabela.h"
 #include "compress/variants.h"
 #include "util/rng.h"
 
@@ -64,6 +67,49 @@ TEST_P(CorruptionFuzz, ByteFlipsNeverCrash) {
   RecordProperty("decoded_ok", decoded_ok);
   RecordProperty("threw", threw);
   EXPECT_EQ(decoded_ok + threw, 200);
+}
+
+// Exhaustive damage on a small ISABELA stream: one default (1024-sample)
+// window and a 100-sample tail, so both the shared basis and a transient
+// one are on the decode path. Every truncation prefix must throw
+// FormatError, and every single-bit flip must either decode or throw
+// FormatError: no other error type, no crash, no UB under asan-ubsan.
+TEST(IsabelaCorruption, EveryPrefixAndSingleBitFlipDecodesOrThrowsFormatError) {
+  const IsabelaCodec codec(0.5);
+  std::vector<float> data(1024 + 100);
+  Pcg32 data_rng(2);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<float>(std::sin(i * 0.01) * 40.0 + data_rng.uniform(-1.0, 1.0));
+  }
+  const Bytes original = codec.encode(data, Shape::d1(data.size()));
+  ASSERT_EQ(codec.decode(original).size(), data.size());
+
+  // true: decoded; false: FormatError. Anything else fails the test.
+  const auto decodes = [&](std::span<const std::uint8_t> stream, const std::string& what) {
+    try {
+      const std::vector<float> out = codec.decode(stream);
+      EXPECT_LE(out.size(), wire::kMaxDecodeElements) << what;
+      return true;
+    } catch (const FormatError&) {
+      return false;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << ": " << e.what();
+      return false;
+    }
+  };
+
+  for (std::size_t len = 0; len < original.size(); ++len) {
+    EXPECT_FALSE(decodes({original.data(), len}, "prefix " + std::to_string(len)));
+  }
+  Bytes damaged = original;
+  std::size_t decoded = 0;
+  for (std::size_t bit = 0; bit < 8 * damaged.size(); ++bit) {
+    damaged[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    decoded += decodes(damaged, "bit " + std::to_string(bit)) ? 1 : 0;
+    damaged[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+  }
+  RecordProperty("flips_decoded", static_cast<int>(decoded));
+  RecordProperty("flips", static_cast<int>(8 * damaged.size()));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllVariants, CorruptionFuzz,

@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "compress/isabela/bspline.h"
+#include "support/bspline_reference.h"
+#include "support/generators.h"
 #include "util/rng.h"
+#include "util/trace.h"
 
 namespace cesm::comp {
 namespace {
@@ -23,11 +29,12 @@ std::vector<float> noisy_field(std::size_t n, std::uint64_t seed) {
 TEST(BSpline, FitsLineExactly) {
   std::vector<float> values(100);
   for (std::size_t i = 0; i < values.size(); ++i) values[i] = 2.0f * static_cast<float>(i) + 5.0f;
-  const CubicBSpline spline = CubicBSpline::fit(values, 8);
+  const SplineBasis basis(values.size(), 8);
+  const std::vector<double> coeffs = basis.fit(values);
   // Cubic B-splines reproduce linears exactly up to the stabilizing ridge
   // term, which perturbs at the ~1e-6 relative level.
   for (std::size_t i = 0; i < values.size(); ++i) {
-    EXPECT_NEAR(spline.evaluate(i), values[i], 1e-4 * (1.0 + std::fabs(values[i])));
+    EXPECT_NEAR(basis.evaluate(coeffs.data(), i), values[i], 1e-4 * (1.0 + std::fabs(values[i])));
   }
 }
 
@@ -36,10 +43,11 @@ TEST(BSpline, FitsSortedMonotoneCurveClosely) {
   std::vector<float> values(1024);
   for (auto& v : values) v = static_cast<float>(rng.uniform(-100.0, 100.0));
   std::sort(values.begin(), values.end());
-  const CubicBSpline spline = CubicBSpline::fit(values, 32);
+  const SplineBasis basis(values.size(), 32);
+  const std::vector<double> coeffs = basis.fit(values);
   double worst = 0.0;
   for (std::size_t i = 0; i < values.size(); ++i) {
-    worst = std::max(worst, std::fabs(spline.evaluate(i) - values[i]));
+    worst = std::max(worst, std::fabs(basis.evaluate(coeffs.data(), i) - values[i]));
   }
   // Sorted uniform noise is nearly linear; a 32-coefficient spline should
   // stay within a couple of percent of the 200-unit range.
@@ -47,26 +55,69 @@ TEST(BSpline, FitsSortedMonotoneCurveClosely) {
 }
 
 TEST(BSpline, CoefficientsRoundTripThroughConstructor) {
+  // The decoder evaluates stored coefficients on a basis of its own: a
+  // separately built basis of the same shape gives the same values.
   std::vector<float> values(50);
   for (std::size_t i = 0; i < values.size(); ++i) values[i] = static_cast<float>(i * i);
-  const CubicBSpline fitted = CubicBSpline::fit(values, 10);
-  const CubicBSpline rebuilt(fitted.coefficients(), values.size());
+  const SplineBasis fitted(values.size(), 10);
+  const std::vector<double> coeffs = fitted.fit(values);
+  const SplineBasis rebuilt(values.size(), 10);
   for (std::size_t i = 0; i < values.size(); ++i) {
-    EXPECT_DOUBLE_EQ(fitted.evaluate(i), rebuilt.evaluate(i));
+    EXPECT_DOUBLE_EQ(fitted.evaluate(coeffs.data(), i), rebuilt.evaluate(coeffs.data(), i));
   }
+}
+
+TEST(SplineBasis, MatchesPerWindowFormulasBitwise) {
+  // The basis precomputes what the per-window fit recomputed every call;
+  // coefficients and estimates must be the very same doubles. The shapes
+  // are the paper windows' (1024, 32), a shorter window with the same
+  // count, and a tail window as short as its coefficient count.
+  const struct { std::size_t n, ncoef; } shapes[] = {{1024, 32}, {384, 32}, {20, 20}};
+  for (const auto& shape : shapes) {
+    SCOPED_TRACE("n=" + std::to_string(shape.n) + " ncoef=" + std::to_string(shape.ncoef));
+    std::vector<float> values = testgen::smooth_field(shape.n, 0x5B + shape.n);
+    std::sort(values.begin(), values.end());
+    const SplineBasis basis(shape.n, shape.ncoef);
+    const std::vector<double> coeffs = basis.fit(values);
+    const reference::CubicBSpline ref = reference::CubicBSpline::fit(values, shape.ncoef);
+    ASSERT_EQ(coeffs.size(), ref.coefficients().size());
+    for (std::size_t j = 0; j < coeffs.size(); ++j) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(coeffs[j]),
+                std::bit_cast<std::uint64_t>(ref.coefficients()[j]))
+          << "coefficient " << j;
+    }
+    for (std::size_t i = 0; i < shape.n; ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(basis.evaluate(coeffs.data(), i)),
+                std::bit_cast<std::uint64_t>(ref.evaluate(i)))
+          << "sample " << i;
+    }
+  }
+}
+
+TEST(SplineBasis, SharedBasisIsBuiltOncePerShape) {
+  // A shape no codec in this binary uses, so the first call builds it.
+  trace::reset();
+  const SplineBasis& a = SplineBasis::shared(977, 13);
+  const SplineBasis& b = SplineBasis::shared(977, 13);
+  EXPECT_EQ(&a, &b);
+  EXPECT_EQ(a.sample_count(), 977u);
+  EXPECT_EQ(a.coeff_count(), 13u);
+  EXPECT_EQ(trace::counters().at("isabela.basis_built"), 1u);
+  trace::reset();
 }
 
 TEST(SolveBandedSpd, SolvesKnownSystem) {
   // Tridiagonal SPD system: A = diag(2) with -1 off-diagonals (bandwidth 1
-  // stored in a bandwidth-3 layout like the spline fit uses).
+  // stored in the bandwidth-3 layout the spline fit uses).
   const std::size_t n = 5;
-  std::vector<std::vector<double>> band(n, std::vector<double>(4, 0.0));
+  Band band(n, {0.0, 0.0, 0.0, 0.0});
   for (std::size_t i = 0; i < n; ++i) {
     band[i][0] = 2.0;
     if (i + 1 < n) band[i][1] = -1.0;
   }
   std::vector<double> b = {1.0, 0.0, 0.0, 0.0, 1.0};
-  solve_banded_spd(band, b, 3);
+  ASSERT_TRUE(factor_banded_spd(band));
+  solve_factored_banded(band, b);
   // Solution of this classic system is symmetric with x0 = x4 = 1, x2 = 1.
   EXPECT_NEAR(b[0], 1.0, 1e-12);
   EXPECT_NEAR(b[2], 1.0, 1e-12);
@@ -140,6 +191,22 @@ TEST(IsabelaCodec, DoublePathRoundTrips) {
   const auto out = codec.decode64(stream);
   for (std::size_t i = 0; i < data.size(); ++i) {
     ASSERT_NEAR(out[i], data[i], data[i] * 0.02);
+  }
+}
+
+TEST(IsabelaCodec, DecodesAnotherShapesStreamBitIdentically) {
+  // The decoder takes the window shape from the stream: a default codec
+  // (1024, 32) reads a (256, 16) stream, tail window included, exactly as
+  // its writer does.
+  const auto data = noisy_field(3 * 256 + 100, 25);
+  const IsabelaCodec writer(0.5, 256, 16);
+  const Bytes stream = writer.encode(data, Shape::d1(data.size()));
+  const std::vector<float> own = writer.decode(stream);
+  const std::vector<float> other = IsabelaCodec(0.5).decode(stream);
+  ASSERT_EQ(own.size(), other.size());
+  for (std::size_t i = 0; i < own.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(own[i]), std::bit_cast<std::uint32_t>(other[i]))
+        << "i=" << i;
   }
 }
 

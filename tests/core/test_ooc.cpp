@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "compress/isabela/isabela.h"
 #include "core/export.h"
 #include "core/hybrid.h"
 #include "core/rmsz.h"
@@ -393,6 +394,36 @@ TEST_F(OocTest, SweepReadsEachChunkOnceAndBuildsOnePlanPerIsabelaChunk) {
   EXPECT_EQ(counters.at("prep.plan_built"), members * chunks);
   EXPECT_EQ(counters.at("prep.plan_reused"), 2 * members * chunks);
   EXPECT_EQ(counters.at("sweep.variant_tasks"), 1u);  // one member-major pass
+}
+
+TEST_F(OocTest, StreamedIsabelaBuildsSplineBasesOnlyForTailWindows) {
+  // Full ISABELA windows fit and evaluate on the one shared basis of the
+  // codec shape (1024, 32), which exists before the run. The only bases a
+  // streamed variable builds are the transient ones of its chunks' short
+  // tail windows: one per chunk plan (shared by the three ISA variants)
+  // and one per ISA decode of the chunk, three per member.
+  OocConfig cfg = ooc_config();
+  cfg.suite.test_member_count = 1;
+  ASSERT_TRUE(cfg.suite.run_bias);
+  const climate::VariableSpec& spec = ensemble_->variable("U");
+  ASSERT_FALSE(spec.has_fill);
+  const climate::Grid& grid = ensemble_->grid();
+  const comp::Shape shape = spec.is_3d ? comp::Shape::d2(grid.levels(), grid.columns())
+                                       : comp::Shape::d1(grid.columns());
+  const comp::IsabelaCodec codec(0.5);
+  const std::vector<std::size_t> bounds = chunk_partition(shape, cfg.chunk_elems);
+  std::uint64_t tails = 0;
+  for (std::size_t c = 0; c + 1 < bounds.size(); ++c) {
+    tails += (bounds[c + 1] - bounds[c]) % codec.window() != 0 ? 1 : 0;
+  }
+  const std::uint64_t members = ensemble_->members();
+  ASSERT_GT(tails, 0u);
+
+  const std::vector<float> warm(codec.window(), 1.0f);
+  (void)codec.encode(warm, comp::Shape::d1(warm.size()));  // the shared basis exists
+  const auto counters = traced_counters(
+      [&] { (void)run_variable_streaming(*ensemble_, spec, cfg); });
+  EXPECT_EQ(counters.at("isabela.basis_built"), tails * members * (1 + 3));
 }
 
 TEST_F(OocTest, SpillReuseWarmRunSkipsSynthesisAndMatchesBitwise) {

@@ -184,6 +184,16 @@ void apax_quantize(const double* src, std::size_t first, std::size_t len, double
   }
 }
 
+void isabela_quantize(const float* sorted, const double* estimate, std::size_t n,
+                      double eps_frac, double floor_abs, std::uint64_t* zz) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double step = eps_frac * std::max(std::fabs(estimate[i]), floor_abs);
+    const double diff = static_cast<double>(sorted[i]) - estimate[i];
+    const auto m = static_cast<std::int64_t>(std::llround(diff / step));
+    zz[i] = zigzag_encode(static_cast<std::uint64_t>(m));
+  }
+}
+
 void grib2_quantize(const float* data, const std::uint8_t* valid, std::int64_t* q,
                     std::size_t n, double lo, double step) {
   for (std::size_t i = 0; i < n; ++i) {

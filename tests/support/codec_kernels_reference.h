@@ -90,6 +90,8 @@ void sort_perm_f32(const float* data, std::uint32_t* perm, std::size_t len);
 void sort_perm_f64(const double* data, std::uint32_t* perm, std::size_t len);
 void apax_quantize(const double* src, std::size_t first, std::size_t len, double scale,
                    unsigned bits, std::size_t extra, std::uint32_t* codes);
+void isabela_quantize(const float* sorted, const double* estimate, std::size_t n,
+                      double eps_frac, double floor_abs, std::uint64_t* zz);
 void grib2_quantize(const float* data, const std::uint8_t* valid, std::int64_t* q,
                     std::size_t n, double lo, double step);
 void dwt53_rows(std::int64_t* data, std::size_t cols, std::size_t r_lim, std::size_t c_lim,
