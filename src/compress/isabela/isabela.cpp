@@ -12,6 +12,7 @@
 #include "compress/rangecoder.h"
 #include "compress/residual.h"
 #include "compress/fpz/predictor.h"  // zigzag helpers
+#include "util/error.h"
 #include "util/failpoint.h"
 
 namespace cesm::comp {
@@ -67,6 +68,12 @@ template <typename T>
 std::shared_ptr<IsaPlan> isa_prep(std::span<const T> data, const Shape& shape,
                                   std::size_t window, std::size_t coefficients) {
   CESM_REQUIRE(shape.count() == data.size());
+  // One NaN or infinity would make its window's spline coefficients
+  // non-finite and decode the whole window as NaN. ISABELA has no special
+  // value path (capabilities().special_values), so reject it, as GRIB2 does.
+  if (!std::all_of(data.begin(), data.end(), [](T v) { return std::isfinite(v); })) {
+    throw InvalidArgument("isabela cannot encode non-finite data");
+  }
   const std::size_t n = data.size();
   const std::size_t nwin = (n + window - 1) / window;
 

@@ -13,7 +13,7 @@ namespace {
 // Salted into every key so a change to the key schema or the snapshot
 // layout (rmsz.cpp kStatsFormatVersion bumps alongside this) can never
 // alias an old disk entry.
-constexpr std::uint64_t kKeySchemaVersion = 2;
+constexpr std::uint64_t kKeySchemaVersion = 3;
 
 void make_tiers(const util::CacheConfig& cfg,
                 std::shared_ptr<util::LruCache<EnsembleStats>>& mem,
@@ -37,6 +37,17 @@ void make_tiers(const util::CacheConfig& cfg,
 }
 
 }  // namespace
+
+void hash_ensemble_spec(util::KeyHasher& h, const climate::EnsembleSpec& spec) {
+  h.u64(spec.grid.nlat).u64(spec.grid.nlon).u64(spec.grid.nlev);
+  h.u64(spec.members);
+  h.u64(spec.latent.k)
+      .f64(spec.latent.forcing)
+      .f64(spec.latent.dt)
+      .u64(spec.latent.spinup_steps)
+      .u64(spec.latent.average_steps)
+      .u64(spec.latent.seed);
+}
 
 EnsembleCache& EnsembleCache::global() {
   static EnsembleCache* instance =
@@ -72,15 +83,7 @@ std::uint64_t EnsembleCache::key(const climate::EnsembleSpec& spec,
                                  const climate::VariableSpec& var) {
   util::KeyHasher h;
   h.u64(kKeySchemaVersion);
-  // Ensemble side: grid shape, member count, full latent dynamics spec.
-  h.u64(spec.grid.nlat).u64(spec.grid.nlon).u64(spec.grid.nlev);
-  h.u64(spec.members);
-  h.u64(spec.latent.k)
-      .f64(spec.latent.forcing)
-      .f64(spec.latent.dt)
-      .u64(spec.latent.spinup_steps)
-      .u64(spec.latent.average_steps)
-      .u64(spec.latent.seed);
+  hash_ensemble_spec(h, spec);
   // Variable side: every VariableSpec field that shapes the synthesis.
   h.str(var.name)
       .str(var.units)

@@ -33,6 +33,11 @@
 
 namespace cesm::core {
 
+/// Hash every field of `spec` into `h`: grid shape, member count, then the
+/// full latent dynamics spec. The one spelling of an ensemble's identity,
+/// shared by EnsembleCache::key and cesmd's generator registry.
+void hash_ensemble_spec(util::KeyHasher& h, const climate::EnsembleSpec& spec);
+
 class EnsembleCache {
  public:
   /// Process-wide instance, configured from the environment (CESM_CACHE,

@@ -57,18 +57,11 @@ struct ReusedSpillInvalidator {
   }
 };
 
-/// Per-chunk working set of one member round-trip: the two walk buffers,
-/// the decoded chunk, and a transient-encode allowance of one more chunk
-/// (codec streams of roughly chunk size).
-std::uint64_t roundtrip_bytes_per_lane(std::size_t max_chunk) {
-  return static_cast<std::uint64_t>(4) * max_chunk * sizeof(float);
-}
-
 }  // namespace
 
 void stage_variable_at(const climate::EnsembleGenerator& ensemble,
                        const climate::VariableSpec& spec, const std::string& path,
-                       std::size_t chunk_elems, util::MemoryBudget& budget) {
+                       std::size_t chunk_elems) {
   trace::Span span("ooc.stage");
   const SpillLayout layout = spill_layout(ensemble, spec, chunk_elems);
   const std::vector<std::size_t>& offsets = layout.offsets;
@@ -79,9 +72,6 @@ void stage_variable_at(const climate::EnsembleGenerator& ensemble,
   ncio::ChunkStoreWriter writer(path, spec.name, layout.shape, fill,
                                 static_cast<std::uint32_t>(members), offsets);
 
-  const std::uint64_t stage_bytes =
-      static_cast<std::uint64_t>(buffer_lanes()) * layout.max_chunk * sizeof(float);
-  budget.charge("ooc.stage_buffers", stage_bytes);
   {
     // The synthesis span is the reuse acceptance signal: a warm run that
     // reuses every spill emits zero "ensemble.synthesize" spans.
@@ -101,17 +91,7 @@ void stage_variable_at(const climate::EnsembleGenerator& ensemble,
     });
   }
   writer.finish();
-  budget.release(stage_bytes);
   trace::add(trace::Counter::kOocVariablesStaged);
-}
-
-std::string stage_variable(const climate::EnsembleGenerator& ensemble,
-                           const climate::VariableSpec& spec, const std::string& dir,
-                           std::size_t chunk_elems, util::MemoryBudget& budget) {
-  const std::string path =
-      (std::filesystem::path(dir) / (spec.name + ".cnk1")).string();
-  stage_variable_at(ensemble, spec, path, chunk_elems, budget);
-  return path;
 }
 
 std::uint64_t spill_key(const climate::EnsembleSpec& spec,
@@ -165,17 +145,20 @@ std::uint64_t ooc_working_set_bytes(const climate::EnsembleGenerator& ensemble,
                                     std::size_t chunk_elems) {
   const SpillLayout layout = spill_layout(ensemble, spec, chunk_elems);
   const std::uint64_t n = layout.shape.count();
-  // Mirrors the charge sequence of one streaming run exactly; the peak is
-  // point_stats (+ mask) + member_stats + the verify-phase lane buffers,
-  // which dominates the stage (1 lane-buffer), pass-1 (1) and pass-2 (2)
-  // phases.
+  // The peak of one streaming run, as one sum. Per point: the stats
+  // build's sum and sum_sq (2 x 8 B, kept for verification), its extremes
+  // with runners-up and their arg planes (6 x 4 B, freed when the build
+  // returns) and the mask byte. Per member: the summary, RMSZ and E_nmax
+  // slots. Per lane: the verify phase's round-trip buffers — the two walk
+  // buffers, the decoded chunk and a transient-encode allowance of one
+  // more chunk — the widest of any phase (staging holds one chunk per
+  // lane, the build's passes one and two).
   const std::uint64_t point_stats = n * (40 + (spec.has_fill ? 1 : 0));
   const std::uint64_t member_stats =
       static_cast<std::uint64_t>(ensemble.members()) *
       (sizeof(stats::Summary) + 2 * sizeof(double));
   const std::uint64_t lane_buffers =
-      static_cast<std::uint64_t>(buffer_lanes()) *
-      roundtrip_bytes_per_lane(layout.max_chunk);
+      static_cast<std::uint64_t>(buffer_lanes()) * 4 * layout.max_chunk * sizeof(float);
   return point_stats + member_stats + lane_buffers;
 }
 
@@ -186,19 +169,16 @@ VariableResult run_variable_streaming(const climate::EnsembleGenerator& ensemble
   trace::Span span("ooc.variable");
   begin_variable(spec, config.suite);
 
-  // Admission: against a shared suite budget the variable acquires its
-  // whole working set as one all-or-nothing reservation (parking under
-  // contention, never holding a partial grant), then runs its fine-
-  // grained charges against a private sub-budget capped at exactly that
-  // reservation. Standalone runs keep the fail-fast budget.
-  std::optional<util::MemoryReservation> admission;
-  if (shared != nullptr) {
-    admission.emplace(*shared, "ooc.variable_working_set",
-                      ooc_working_set_bytes(ensemble, spec, config.chunk_elems));
-  }
-  util::MemoryBudget budget(shared != nullptr
-                                ? (shared->cap_bytes() != 0 ? admission->bytes() : 0)
-                                : config.memory_budget_bytes);
+  // Admission: the variable's whole working set is one all-or-nothing
+  // reservation, taken before anything is staged. On a shared suite
+  // budget it parks under contention; on its own budget a working set
+  // above the cap throws here. Nothing inside the variable reserves more.
+  std::optional<util::MemoryBudget> own_budget;
+  util::MemoryBudget& budget =
+      shared != nullptr ? *shared : own_budget.emplace(config.memory_budget_bytes);
+  const util::MemoryReservation admission(
+      budget, "ooc.variable_working_set",
+      ooc_working_set_bytes(ensemble, spec, config.chunk_elems));
 
   // Phase 1: synthesis -> CNK1 spill store, or content-addressed reuse of
   // a previous run's spill. A reuse candidate is only trusted after its
@@ -237,7 +217,7 @@ VariableResult run_variable_streaming(const climate::EnsembleGenerator& ensemble
     }
   }
   if (!store_slot.has_value()) {
-    stage_variable_at(ensemble, spec, path, config.chunk_elems, budget);
+    stage_variable_at(ensemble, spec, path, config.chunk_elems);
     store_slot.emplace(path);
   }
   const ncio::ChunkStoreReader& store = *store_slot;
@@ -249,17 +229,12 @@ VariableResult run_variable_streaming(const climate::EnsembleGenerator& ensemble
   const ReusedSpillInvalidator invalidator{path, reused};
 
   // Phase 2: the ensemble view in two read passes.
-  const StreamingStats stats(store, budget);
+  const StreamingStats stats(store);
 
   // Phase 3: tuning + verdicts through the one verifier, walking the
   // store chunk by chunk; a member task's buffers live while it runs.
-  const std::uint64_t verify_bytes =
-      static_cast<std::uint64_t>(buffer_lanes()) *
-      roundtrip_bytes_per_lane(max_chunk_elems(store.chunk_offsets()));
-  budget.charge("ooc.verify_buffers", verify_bytes);
   VariableResult result =
       verify_variable(spec, ChunkSource(store, stats, config.chunk_elems), config.suite);
-  budget.release(verify_bytes);
 
   // Keep the reusable store within its byte budget: oldest spills go
   // first, the one this run just used is protected. Eviction of a file
@@ -312,7 +287,7 @@ SuiteResults run_suite_streaming(const climate::EnsembleGenerator& ensemble,
     // Variable jobs live on dedicated admission threads, NOT on scheduler
     // workers: a parked reservation must never occupy a worker the
     // admitted variables need to make progress (that would deadlock the
-    // backpressure). The inner parallel_for/parallel_reduce work still
+    // backpressure). The inner parallel_for work still
     // lands on the global work-stealing scheduler — external threads
     // help-execute their own joins, so admission threads add concurrency
     // without oversubscribing the worker pool.

@@ -10,9 +10,11 @@
 // members. Both legs therefore produce bit-identical results for the same
 // chunk partition (SuiteConfig::chunk_elems == OocConfig::chunk_elems).
 //
-// Memory honesty: every slab the leg allocates (chunk buffers, per-point
-// arrays, codec scratch allowances) is charged to a util::MemoryBudget;
-// with CESM_MEM_MB set, exceeding the cap is an error, not a slowdown.
+// Memory honesty: a variable reserves its whole working set
+// (ooc_working_set_bytes: per-point arrays, per-member slots, per-lane
+// chunk buffers) on a util::MemoryBudget once, before it stages anything;
+// with CESM_MEM_MB set, a working set above the cap is an error, not a
+// slowdown.
 //
 // Multi-variable concurrency: run_suite_streaming runs variables as
 // concurrent jobs under ONE shared budget. Each variable acquires its
@@ -46,12 +48,12 @@ struct OocConfig {
   std::size_t chunk_elems = 1 << 16;
   /// Directory for CNK1 spill files (must exist and be writable).
   std::string spill_dir = "/tmp";
-  /// Logical working-set cap in bytes; 0 means "account only". Callers
+  /// Logical working-set cap in bytes; 0 means "no cap". Callers
   /// usually seed this from util::memory_budget_bytes() (CESM_MEM_MB).
   std::uint64_t memory_budget_bytes = 0;
   /// Concurrent variable jobs in run_suite_streaming: 0 = auto (one job
   /// per scheduler worker), 1 = serial, N = exactly N jobs. All jobs
-  /// charge one shared MemoryBudget via working-set reservations.
+  /// reserve their working sets on one shared MemoryBudget.
   std::size_t parallel_variables = 0;
   /// Content-address spill files on (EnsembleSpec, VariableSpec,
   /// chunk partition) and keep them after the run: a later run reuses a
@@ -71,12 +73,13 @@ struct OocConfig {
   SuiteConfig suite;
 };
 
-/// Upper bound on the resident working set of one streaming variable run
-/// at the current scheduler width: the per-point statistic planes, the
-/// per-member moment slots, and the widest per-lane chunk-buffer
-/// allowance of any phase. This is the exact peak the per-variable charge
-/// sequence can reach, so reserving it up front on a shared budget
-/// guarantees the variable never over-draws its admission.
+/// The working set of one streaming variable run at the current scheduler
+/// width, and the one definition of it: the per-point statistic planes,
+/// the per-member moment slots, and the widest per-lane chunk-buffer
+/// allowance of any phase. run_variable_streaming reserves exactly this
+/// before it stages anything. It counts the leg's own arrays and buffers,
+/// not allocator, codec or I/O overheads (docs/ooc.md, "What the cap does
+/// not cover").
 std::uint64_t ooc_working_set_bytes(const climate::EnsembleGenerator& ensemble,
                                     const climate::VariableSpec& spec,
                                     std::size_t chunk_elems);
@@ -119,13 +122,7 @@ class SpillSession {
 /// warm run never regenerated data.
 void stage_variable_at(const climate::EnsembleGenerator& ensemble,
                        const climate::VariableSpec& spec, const std::string& path,
-                       std::size_t chunk_elems, util::MemoryBudget& budget);
-
-/// stage_variable_at with the classic `dir/<variable>.cnk1` naming.
-/// Returns the store path.
-std::string stage_variable(const climate::EnsembleGenerator& ensemble,
-                           const climate::VariableSpec& spec, const std::string& dir,
-                           std::size_t chunk_elems, util::MemoryBudget& budget);
+                       std::size_t chunk_elems);
 
 /// run_variable over a CNK1 spill instead of resident members: stage (or
 /// reuse) the spill, build StreamingStats, and run the same verify_variable
@@ -135,13 +132,12 @@ std::string stage_variable(const climate::EnsembleGenerator& ensemble,
 /// a working set of chunks instead of members. Its phases run under the
 /// "ooc.stage" and "ooc.stats" spans (the rest is verification).
 ///
-/// `shared`, when non-null, is a suite-level admission budget: the
-/// variable reserves its full ooc_working_set_bytes on it (parking under
-/// contention) and runs its fine-grained charges against a private
-/// sub-budget capped at that reservation, so the shared cap stays a hard
-/// bound no matter how many variables are in flight. When null the
-/// variable budgets directly against config.memory_budget_bytes with
-/// fail-fast semantics.
+/// Before it stages anything, the variable reserves its whole
+/// ooc_working_set_bytes once: on `shared`, a suite-level admission
+/// budget, when non-null (parking under contention, so the shared cap
+/// stays a hard bound no matter how many variables are in flight),
+/// otherwise on its own budget of config.memory_budget_bytes. A working
+/// set above the cap throws there, naming "ooc.variable_working_set".
 VariableResult run_variable_streaming(const climate::EnsembleGenerator& ensemble,
                                       const climate::VariableSpec& spec,
                                       const OocConfig& config,

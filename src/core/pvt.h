@@ -349,7 +349,7 @@ class PvtVerifier {
   /// leaves the pass. Members not yet started are skipped once `*skip` is
   /// set. Each member task allocates its own walk buffers and stream
   /// sizes, alive only while it runs, so the buffers in flight stay within
-  /// the working set the out-of-core leg charges.
+  /// the per-lane allowance the out-of-core leg reserves.
   template <typename Done>
   void sweep(std::span<const comp::Codec* const> codecs, std::span<const std::size_t> members,
              std::size_t evaluated, bool decode, std::span<std::exception_ptr> errors,

@@ -7,7 +7,6 @@
 #include "core/pvt.h"
 #include "stats/kernels.h"
 #include "util/error.h"
-#include "util/memory.h"
 #include "util/scheduler.h"
 #include "util/trace.h"
 
@@ -16,7 +15,7 @@ namespace cesm::core {
 template <typename Read, typename Walk>
 void EnsembleView::build(std::size_t members, std::span<const std::size_t> offsets,
                          std::optional<float> fill, std::size_t buffer_elems,
-                         const Read& read, const Walk& walk, util::MemoryBudget& budget) {
+                         const Read& read, const Walk& walk) {
   member_count_ = members;
   CESM_REQUIRE(member_count_ >= 3);
   const std::size_t n = offsets.back();
@@ -24,19 +23,14 @@ void EnsembleView::build(std::size_t members, std::span<const std::size_t> offse
   const bool has_fill = fill.has_value();
   constexpr float kInf = std::numeric_limits<float>::infinity();
 
-  // Resident per-point arrays: sum + sum_sq (2 x 8) + the four extreme
-  // planes (4 x 4) + the two arg planes (2 x 4) = 40 bytes per point,
-  // plus the mask byte while it exists.
-  budget.charge("ooc.point_stats",
-                static_cast<std::uint64_t>(n) * (40 + (has_fill ? 1 : 0)));
+  // Per-point arrays: sum + sum_sq (2 x 8 B) stay with the view; the
+  // extremes with runners-up (4 x 4 B) and their arg planes (2 x 4 B),
+  // which only pass 2's leave-one-out max distances read, are scratch of
+  // this build. Plus the mask byte while it exists.
   sum_.assign(n, 0.0);
   sum_sq_.assign(n, 0.0);
-  max1_.assign(n, -kInf);
-  max2_.assign(n, -kInf);
-  min1_.assign(n, kInf);
-  min2_.assign(n, kInf);
-  argmax_.assign(n, 0);
-  argmin_.assign(n, 0);
+  std::vector<float> max1(n, -kInf), max2(n, -kInf), min1(n, kInf), min2(n, kInf);
+  std::vector<std::uint32_t> argmax(n, 0), argmin(n, 0);
   if (has_fill) mask_.assign(n, 1);
 
   // Pass 1 — parallel over chunks: each task owns a disjoint point slice
@@ -45,9 +39,6 @@ void EnsembleView::build(std::size_t members, std::span<const std::size_t> offse
   // are the serial loop's at every thread count. Member 0 derives the
   // validity mask slice; later members must agree on it, or sum_/sum_sq_
   // would silently absorb fill values.
-  const std::uint64_t pass1_bytes =
-      static_cast<std::uint64_t>(buffer_lanes()) * buffer_elems * sizeof(float);
-  budget.charge("ooc.pass1_buffers", pass1_bytes);
   const float fill_value = fill.value_or(0.0f);
   parallel_for(0, chunks, [&](std::size_t c) {
     const std::size_t lo = offsets[c];
@@ -71,15 +62,12 @@ void EnsembleView::build(std::size_t members, std::span<const std::size_t> offse
                                         std::span<double>(sum_sq_).subspan(lo, len));
       stats::kernels::update_extremes(
           x, mask_slice, static_cast<std::uint32_t>(m),
-          std::span<float>(max1_).subspan(lo, len),
-          std::span<float>(max2_).subspan(lo, len),
-          std::span<std::uint32_t>(argmax_).subspan(lo, len),
-          std::span<float>(min1_).subspan(lo, len),
-          std::span<float>(min2_).subspan(lo, len),
-          std::span<std::uint32_t>(argmin_).subspan(lo, len));
+          std::span<float>(max1).subspan(lo, len), std::span<float>(max2).subspan(lo, len),
+          std::span<std::uint32_t>(argmax).subspan(lo, len),
+          std::span<float>(min1).subspan(lo, len), std::span<float>(min2).subspan(lo, len),
+          std::span<std::uint32_t>(argmin).subspan(lo, len));
     }
   });
-  budget.release(pass1_bytes);
 
   // Normalize: a fill pattern that never fires is the same as no fill at
   // all, so downstream kernels take the dense path and verdicts match
@@ -88,7 +76,6 @@ void EnsembleView::build(std::size_t members, std::span<const std::size_t> offse
   if (has_fill && valid_points_ == n) {
     mask_.clear();
     mask_.shrink_to_fit();
-    budget.release(n);
   }
   CESM_REQUIRE(valid_points_ > 0);
 
@@ -100,11 +87,6 @@ void EnsembleView::build(std::size_t members, std::span<const std::size_t> offse
   member_summary_.resize(member_count_);
   rmsz_dist_.resize(member_count_);
   enmax_dist_.resize(member_count_);
-  budget.charge("ooc.member_stats", static_cast<std::uint64_t>(member_count_) *
-                                        (sizeof(stats::Summary) + 2 * sizeof(double)));
-  const std::uint64_t pass2_bytes =
-      static_cast<std::uint64_t>(buffer_lanes()) * 2 * buffer_elems * sizeof(float);
-  budget.charge("ooc.pass2_buffers", pass2_bytes);
   const bool masked = !mask_.empty();
   parallel_for(0, member_count_, [&](std::size_t m) {
     stats::kernels::MomentStream mom(masked);
@@ -123,8 +105,8 @@ void EnsembleView::build(std::size_t members, std::span<const std::size_t> offse
       for (std::size_t i = 0; i < x.size(); ++i) {
         const std::size_t j = lo + i;
         if (masked && mask_[j] == 0) continue;
-        const float hi_v = (argmax_[j] == m) ? max2_[j] : max1_[j];
-        const float lo_v = (argmin_[j] == m) ? min2_[j] : min1_[j];
+        const float hi_v = (argmax[j] == m) ? max2[j] : max1[j];
+        const float lo_v = (argmin[j] == m) ? min2[j] : min1[j];
         worst = std::max(worst,
                          std::max(static_cast<double>(hi_v) - static_cast<double>(x[i]),
                                   static_cast<double>(x[i]) - static_cast<double>(lo_v)));
@@ -135,7 +117,6 @@ void EnsembleView::build(std::size_t members, std::span<const std::size_t> offse
     const double range = member_summary_[m].range();
     enmax_dist_[m] = range > 0.0 ? worst / range : worst;
   });
-  budget.release(pass2_bytes);
   finalize_rmsz_range();
 }
 
@@ -156,17 +137,13 @@ EnsembleStats::EnsembleStats(std::vector<climate::Field> members)
     return std::span<const float>(members_[m].data)
         .subspan(offsets[c], offsets[c + 1] - offsets[c]);
   };
-  util::MemoryBudget resident;  // account only: the members are not buffers
-  build(
-      members_.size(), offsets, members_[0].fill, 0, view,
-      [&](std::size_t m, const auto& process) {
-        for (std::size_t c = 0; c + 1 < offsets.size(); ++c) process(c, view(m, c, {}));
-      },
-      resident);
+  build(members_.size(), offsets, members_[0].fill, 0, view,
+        [&](std::size_t m, const auto& process) {
+          for (std::size_t c = 0; c + 1 < offsets.size(); ++c) process(c, view(m, c, {}));
+        });
 }
 
-StreamingStats::StreamingStats(const ncio::ChunkStoreReader& store,
-                               util::MemoryBudget& budget) {
+StreamingStats::StreamingStats(const ncio::ChunkStoreReader& store) {
   trace::Span span("ooc.stats");
   const std::size_t max_chunk = max_chunk_elems(store.chunk_offsets());
   build(
@@ -179,8 +156,7 @@ StreamingStats::StreamingStats(const ncio::ChunkStoreReader& store,
         std::vector<float> b0(max_chunk);
         std::vector<float> b1(max_chunk);
         walk_store_chunks(store, m, b0, b1, process);
-      },
-      budget);
+      });
 }
 
 std::vector<double> EnsembleView::global_means() const {
@@ -223,7 +199,7 @@ namespace {
 // disk-cache container version): bump on any change to the field set or
 // their order below, so stale snapshots deserialize as FormatError and the
 // cache regenerates them instead of misreading bytes.
-constexpr std::uint32_t kStatsFormatVersion = 2;
+constexpr std::uint32_t kStatsFormatVersion = 3;
 
 template <typename T>
 void write_array(ByteWriter& w, const std::vector<T>& v) {
@@ -232,10 +208,8 @@ void write_array(ByteWriter& w, const std::vector<T>& v) {
     w.raw(reinterpret_cast<const std::uint8_t*>(v.data()), v.size());
   } else if constexpr (std::is_same_v<T, float>) {
     w.f32_array(v);
-  } else if constexpr (std::is_same_v<T, double>) {
-    w.f64_array(v);
   } else {
-    w.u32_array(v);
+    w.f64_array(v);
   }
 }
 
@@ -251,10 +225,8 @@ std::vector<T> read_array(ByteReader& r) {
     std::copy(src.begin(), src.end(), v.begin());
   } else if constexpr (std::is_same_v<T, float>) {
     r.f32_array(v);
-  } else if constexpr (std::is_same_v<T, double>) {
-    r.f64_array(v);
   } else {
-    r.u32_array(v);
+    r.f64_array(v);
   }
   return v;
 }
@@ -280,12 +252,6 @@ void EnsembleStats::serialize(ByteWriter& w) const {
   w.u64(valid_points_);
   write_array(w, sum_);
   write_array(w, sum_sq_);
-  write_array(w, max1_);
-  write_array(w, max2_);
-  write_array(w, min1_);
-  write_array(w, min2_);
-  write_array(w, argmax_);
-  write_array(w, argmin_);
   write_array(w, rmsz_dist_);
   write_array(w, enmax_dist_);
   for (const stats::Summary& sm : member_summary_) {
@@ -330,16 +296,8 @@ EnsembleStats EnsembleStats::deserialize(ByteReader& r) {
   s.valid_points_ = static_cast<std::size_t>(r.u64());
   s.sum_ = read_array<double>(r);
   s.sum_sq_ = read_array<double>(r);
-  s.max1_ = read_array<float>(r);
-  s.max2_ = read_array<float>(r);
-  s.min1_ = read_array<float>(r);
-  s.min2_ = read_array<float>(r);
-  s.argmax_ = read_array<std::uint32_t>(r);
-  s.argmin_ = read_array<std::uint32_t>(r);
-  for (std::size_t len : {s.sum_.size(), s.sum_sq_.size(), s.max1_.size(),
-                          s.max2_.size(), s.min1_.size(), s.min2_.size(),
-                          s.argmax_.size(), s.argmin_.size()}) {
-    if (len != n) throw FormatError("EnsembleStats point-array size mismatch");
+  if (s.sum_.size() != n || s.sum_sq_.size() != n) {
+    throw FormatError("EnsembleStats point-array size mismatch");
   }
   s.rmsz_dist_ = read_array<double>(r);
   s.enmax_dist_ = read_array<double>(r);
@@ -364,8 +322,6 @@ std::size_t EnsembleStats::memory_bytes() const {
   std::size_t bytes = members_.size() * n * sizeof(float);  // member data
   bytes += mask_.size();
   bytes += (sum_.size() + sum_sq_.size()) * sizeof(double);
-  bytes += (max1_.size() + max2_.size() + min1_.size() + min2_.size()) * sizeof(float);
-  bytes += (argmax_.size() + argmin_.size()) * sizeof(std::uint32_t);
   bytes += (rmsz_dist_.size() + enmax_dist_.size()) * sizeof(double);
   bytes += member_summary_.size() * sizeof(stats::Summary);
   return bytes;

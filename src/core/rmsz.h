@@ -23,9 +23,6 @@
 namespace cesm::ncio {
 class ChunkStoreReader;
 }
-namespace cesm::util {
-class MemoryBudget;
-}
 
 namespace cesm::core {
 
@@ -128,11 +125,12 @@ class EnsembleView {
   ///                       or read into `buf` (buffer_elems != 0);
   ///   walk(m, process) -> process(c, chunk) for every chunk of member m.
   /// `fill` marks invalid points; `buffer_elems` is the widest read buffer
-  /// a task holds; `budget` is charged for every array and buffer.
+  /// a task holds. The per-point extremes pass 2 reads are locals, freed
+  /// when build returns.
   template <typename Read, typename Walk>
   void build(std::size_t members, std::span<const std::size_t> offsets,
              std::optional<float> fill, std::size_t buffer_elems, const Read& read,
-             const Walk& walk, util::MemoryBudget& budget);
+             const Walk& walk);
   /// Derive the cached rmsz_range() extremes from rmsz_dist_.
   void finalize_rmsz_range();
 
@@ -143,9 +141,6 @@ class EnsembleView {
   // Per-point sufficient statistics over all members.
   std::vector<double> sum_;
   std::vector<double> sum_sq_;
-  // Per-point extremes with runners-up, for leave-one-out max distances.
-  std::vector<float> max1_, max2_, min1_, min2_;
-  std::vector<std::uint32_t> argmax_, argmin_;
 
   std::vector<stats::Summary> member_summary_;
   std::vector<double> rmsz_dist_;
@@ -206,12 +201,12 @@ class EnsembleStats final : public EnsembleView {
 };
 
 /// The ensemble view built from a CNK1 chunk store (core/ooc.h) in two
-/// bounded-memory read passes instead of from resident members — with
-/// the next chunk's read prefetched in pass 2, and every resident array
-/// and buffer charged to `budget`.
+/// bounded-memory read passes instead of from resident members, with the
+/// next chunk's read prefetched in pass 2. Its peak is part of the
+/// working set the streaming leg reserves (ooc_working_set_bytes).
 class StreamingStats final : public EnsembleView {
  public:
-  StreamingStats(const ncio::ChunkStoreReader& store, util::MemoryBudget& budget);
+  explicit StreamingStats(const ncio::ChunkStoreReader& store);
 };
 
 }  // namespace cesm::core

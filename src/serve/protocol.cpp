@@ -371,35 +371,14 @@ std::map<std::string, std::uint64_t> parse_counters(std::span<const std::uint8_t
 }
 
 std::uint64_t coalescing_key(const VerifyRequest& request) {
-  util::KeyHasher h;
-  h.str("cesmd.verify.v1");
-  h.u64(request.ensemble.grid.nlat)
-      .u64(request.ensemble.grid.nlon)
-      .u64(request.ensemble.grid.nlev)
-      .u64(request.ensemble.members)
-      .u64(request.ensemble.latent.k)
-      .f64(request.ensemble.latent.forcing)
-      .f64(request.ensemble.latent.dt)
-      .u64(request.ensemble.latent.spinup_steps)
-      .u64(request.ensemble.latent.average_steps)
-      .u64(request.ensemble.latent.seed);
-  h.str(request.variable);
-  h.u64(request.config.test_member_count)
-      .u64(request.config.member_seed)
-      .boolean(request.config.run_bias)
-      .f64(request.config.thresholds.pearson_min)
-      .f64(request.config.thresholds.rmsz_diff_max)
-      .f64(request.config.thresholds.enmax_ratio_max)
-      .f64(request.config.thresholds.bias_confidence)
-      .f64(request.config.thresholds.rmsz_range_slack)
-      .i64(request.config.grib_significant_digits)
-      .i64(request.config.grib_max_extra_digits)
-      .boolean(request.config.lossless_fallback)
-      .u64(request.config.variable_retry_limit)
-      .boolean(request.config.continue_on_variable_error);
-  // request.variants deliberately not hashed: the filter selects verdicts
-  // out of the shared computation at response time.
-  return h.digest();
+  // The request's wire bytes without the variant filter, which selects
+  // verdicts out of the shared computation at response time: every field
+  // the wire carries joins the key by construction.
+  const VerifyRequest computation{request.ensemble, request.variable, request.config, {}};
+  return util::KeyHasher()
+      .str("cesmd.verify.v2")
+      .bytes(serialize_verify_request(computation))
+      .digest();
 }
 
 core::VariableResult filter_result(const core::VariableResult& result,

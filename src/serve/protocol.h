@@ -16,8 +16,9 @@
 //     exactly — the CI gate compares them with memcmp, not a tolerance.
 //   * Coalescing key: requests that agree on everything except the
 //     variant filter share one suite computation. coalescing_key()
-//     hashes exactly that agreement set; the filter is applied at
-//     response-serialization time.
+//     hashes the request's wire encoding with the filter cleared, so a
+//     field added to the wire joins the key by construction; the filter
+//     is applied at response-serialization time.
 //
 // Messages travel in util/net.h frames. Each frame type's payload is
 // versioned with kProtocolVersion; a reader rejects a version it does
@@ -96,10 +97,11 @@ std::map<std::string, std::uint64_t> parse_counters(std::span<const std::uint8_t
 
 // --- request semantics ------------------------------------------------------
 
-/// Hash of the computation a request demands: ensemble spec + variable +
-/// suite config, EXCLUDING the variant filter (a filter selects verdicts
-/// out of the one shared computation, it does not change it). Concurrent
-/// requests with equal keys are coalesced onto a single run_suite.
+/// Hash of the computation a request demands: its serialize_verify_request
+/// bytes (ensemble spec + variable + suite config) with the variant
+/// filter cleared (a filter selects verdicts out of the one shared
+/// computation, it does not change it). Concurrent requests with equal
+/// keys are coalesced onto a single run_suite.
 std::uint64_t coalescing_key(const VerifyRequest& request);
 
 /// Restrict a result to the requested variants, preserving request

@@ -25,16 +25,7 @@ struct AdmissionReject {};
 std::uint64_t ensemble_spec_key(const climate::EnsembleSpec& spec) {
   util::KeyHasher h;
   h.str("cesmd.ensemble.v1");
-  h.u64(spec.grid.nlat)
-      .u64(spec.grid.nlon)
-      .u64(spec.grid.nlev)
-      .u64(spec.members)
-      .u64(spec.latent.k)
-      .f64(spec.latent.forcing)
-      .f64(spec.latent.dt)
-      .u64(spec.latent.spinup_steps)
-      .u64(spec.latent.average_steps)
-      .u64(spec.latent.seed);
+  core::hash_ensemble_spec(h, spec);
   return h.digest();
 }
 

@@ -1,5 +1,6 @@
 #include "util/memory.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -57,8 +58,6 @@ std::size_t peak_rss_bytes() {
   return 0;
 }
 
-std::size_t current_rss_bytes() { return proc_status_kb("VmRSS") * 1024; }
-
 bool reset_peak_rss() {
 #if defined(__linux__)
   std::FILE* f = std::fopen("/proc/self/clear_refs", "we");
@@ -82,31 +81,14 @@ std::optional<std::uint64_t> memory_budget_bytes() {
   return *mb << 20;
 }
 
-void MemoryBudget::reject(const char* what, std::uint64_t bytes) const {
-  trace::add(trace::Counter::kMemBudgetExceeded);
-  throw Error("memory budget exceeded: allocating " + std::to_string(bytes) +
-              " bytes for " + what + " would bring the total to " +
-              std::to_string(charged_ + bytes) +
-              " bytes against a CESM_MEM_MB cap of " + std::to_string(cap_) +
-              " bytes");
-}
-
-void MemoryBudget::admit_locked(const char* what, std::uint64_t bytes) {
-  (void)what;
-  charged_ += bytes;
-  if (charged_ > peak_) peak_ = charged_;
-  trace::add(trace::Counter::kMemChargedBytes, bytes);
-}
-
-void MemoryBudget::charge(const char* what, std::uint64_t bytes) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!fits_locked(bytes)) reject(what, bytes);
-  admit_locked(what, bytes);
-}
-
 void MemoryBudget::reserve(const char* what, std::uint64_t bytes) {
   std::unique_lock<std::mutex> lock(mu_);
-  if (cap_ != 0 && bytes > cap_) reject(what, bytes);  // can never fit
+  if (cap_ != 0 && bytes > cap_) {  // can never fit: parking would hang
+    trace::add(trace::Counter::kMemBudgetExceeded);
+    throw Error("memory budget exceeded: reserving " + std::to_string(bytes) +
+                " bytes for " + what + " against a CESM_MEM_MB cap of " +
+                std::to_string(cap_) + " bytes");
+  }
   const std::uint64_t ticket = next_ticket_++;
   const bool parked = !(serving_ticket_ == ticket && fits_locked(bytes));
   if (parked) {
@@ -114,7 +96,9 @@ void MemoryBudget::reserve(const char* what, std::uint64_t bytes) {
     trace::add(trace::Counter::kMemReserveWaits);
     cv_.wait(lock, [&] { return serving_ticket_ == ticket && fits_locked(bytes); });
   }
-  admit_locked(what, bytes);
+  charged_ += bytes;
+  peak_ = std::max(peak_, charged_);
+  trace::add(trace::Counter::kMemChargedBytes, bytes);
   ++serving_ticket_;
   cv_.notify_all();
 }

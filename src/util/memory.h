@@ -3,9 +3,8 @@
 //
 // The out-of-core suite mode promises "bounded memory": that promise is
 // only honest if the bound is measured (peak RSS, from the kernel) and
-// enforced (a logical budget the streaming pipeline charges its real
-// allocations against, failing fast instead of paging). This header
-// carries both halves:
+// enforced (a logical budget every streamed variable is admitted against,
+// failing fast instead of paging). This header carries both halves:
 //
 //   * peak_rss_bytes() reads the process high-water mark — VmHWM from
 //     /proc/self/status where available, getrusage(ru_maxrss) otherwise —
@@ -13,31 +12,28 @@
 //   * reset_peak_rss() asks the kernel to clear the high-water mark
 //     (/proc/self/clear_refs). Best-effort: when unsupported the HWM stays
 //     monotonic, which only ever over-reports a later phase — gate-safe.
-//   * MemoryBudget is the logical accounting object: the streaming runner
-//     charges every slab it allocates (chunk buffers, derived per-point
-//     arrays, codec scratch) and the budget throws a clear Error the
-//     moment a charge would exceed the cap, naming the offending
-//     allocation. The cap comes from CESM_MEM_MB (via memory_budget_bytes)
-//     or an explicit byte count; a zero cap disables enforcement but keeps
-//     the high-water accounting for the mem.* trace counters.
+//   * MemoryBudget is the logical admission ledger: a streamed variable
+//     reserves its whole working set (core::ooc_working_set_bytes) once,
+//     before it stages anything, and releases it when it is done. The
+//     cap comes from CESM_MEM_MB (via memory_budget_bytes) or an explicit
+//     byte count; a zero cap disables enforcement but keeps the
+//     high-water accounting for the mem.* trace counters.
 //
-// Concurrency: MemoryBudget is thread-safe. charge() keeps its fail-fast
-// contract (a charge that does not fit throws immediately), which is what
-// a single pipeline wants when its own working set is simply too big for
-// the cap. reserve() is the multi-tenant admission primitive layered on
-// top: it *parks* the caller until the requested bytes fit, so several
-// variable pipelines can race one shared cap without any of them dying —
-// backpressure instead of failure. Reservations are admitted in strict
-// FIFO ticket order, so a large reservation behind a stream of small ones
-// is never starved, and because every tenant acquires its full working
-// set in one reservation (all-or-nothing, no hold-and-wait), admission
-// order cannot deadlock: the head waiter only ever waits on releases from
-// tenants that are already fully admitted and running.
+// Concurrency: MemoryBudget is thread-safe. reserve() *parks* the caller
+// until the requested bytes fit, so several variable pipelines can race
+// one shared cap without any of them dying — backpressure instead of
+// failure. A reservation larger than the cap itself can never fit and
+// throws at once, naming what it was for. Reservations are admitted in
+// strict FIFO ticket order, so a large reservation behind a stream of
+// small ones is never starved, and because every tenant acquires its
+// full working set in one reservation (all-or-nothing, no hold-and-wait),
+// admission order cannot deadlock: the head waiter only ever waits on
+// releases from tenants that are already fully admitted and running.
 //
 // Trace counters (enabled runs only): "mem.charged_bytes" accumulates
-// charges, "mem.budget_exceeded" counts rejected charges,
-// "mem.reserve_waits" counts reservations that had to park; callers
-// snapshot peak_logical_bytes() for phase breakdowns.
+// admitted reservations, "mem.budget_exceeded" counts reservations larger
+// than the cap, "mem.reserve_waits" counts reservations that had to park;
+// callers snapshot peak_logical_bytes() for phase breakdowns.
 
 #include <condition_variable>
 #include <cstddef>
@@ -52,9 +48,6 @@ namespace cesm::util {
 /// getrusage). Returns 0 when neither source is available.
 std::size_t peak_rss_bytes();
 
-/// Current resident set size in bytes (VmRSS; 0 when unavailable).
-std::size_t current_rss_bytes();
-
 /// Reset the kernel's peak-RSS high-water mark so a later phase can be
 /// measured independently. Returns true when the kernel accepted the
 /// reset; false leaves the (monotonic) HWM untouched.
@@ -64,9 +57,8 @@ bool reset_peak_rss();
 /// Unset, zero, or malformed (warned by env_u64) -> nullopt (no cap).
 std::optional<std::uint64_t> memory_budget_bytes();
 
-/// Logical allocation ledger for bounded-memory pipeline phases.
-/// Thread-safe; see the header comment for the charge()/reserve()
-/// split (fail-fast vs park-and-wait).
+/// Logical admission ledger for bounded-memory pipelines. Thread-safe;
+/// see the header comment.
 class MemoryBudget {
  public:
   /// cap_bytes == 0 means "account but never reject".
@@ -75,25 +67,17 @@ class MemoryBudget {
   MemoryBudget(const MemoryBudget&) = delete;
   MemoryBudget& operator=(const MemoryBudget&) = delete;
 
-  /// Record an allocation of `bytes` for `what`. Throws cesm::Error when a
-  /// cap is set and the running total would exceed it; the message names
-  /// the allocation, its size, the total, and the cap so the caller can
-  /// tell "one slab is too big" from "death by a thousand buffers".
-  void charge(const char* what, std::uint64_t bytes);
-
   /// Blocking admission: parks the calling thread until `bytes` fit under
-  /// the cap, then records them like charge(). Reservations are admitted
-  /// in FIFO order (anti-starvation); a reservation larger than the cap
-  /// itself can never fit and throws immediately with the same message
-  /// shape as charge(). With no cap this never blocks.
+  /// the cap, then records them. Reservations are admitted in FIFO order
+  /// (anti-starvation). A reservation larger than the cap itself can never
+  /// fit and throws cesm::Error immediately; the message names `what`, its
+  /// size and the cap. With no cap this never blocks.
   void reserve(const char* what, std::uint64_t bytes);
 
-  /// Return `bytes` to the budget (clamped at zero; release of buffers
-  /// charged before an exception must never underflow) and wake any
-  /// parked reservations.
+  /// Return `bytes` to the budget (clamped at zero, so a mismatched
+  /// release can never underflow) and wake any parked reservations.
   void release(std::uint64_t bytes);
 
-  [[nodiscard]] std::uint64_t cap_bytes() const { return cap_; }
   [[nodiscard]] std::uint64_t charged_bytes() const;
   [[nodiscard]] std::uint64_t peak_logical_bytes() const;
   /// Number of reserve() calls that had to park at least once.
@@ -103,8 +87,6 @@ class MemoryBudget {
   [[nodiscard]] bool fits_locked(std::uint64_t bytes) const {
     return cap_ == 0 || charged_ + bytes <= cap_;
   }
-  void admit_locked(const char* what, std::uint64_t bytes);
-  [[noreturn]] void reject(const char* what, std::uint64_t bytes) const;
 
   const std::uint64_t cap_ = 0;
   mutable std::mutex mu_;
@@ -118,7 +100,7 @@ class MemoryBudget {
 
 /// RAII working-set reservation: reserve() on construction, release() on
 /// destruction. The unit of all-or-nothing admission for one streaming
-/// variable against the suite's shared budget.
+/// variable, against the suite's shared budget or its own.
 class MemoryReservation {
  public:
   MemoryReservation(MemoryBudget& budget, const char* what, std::uint64_t bytes)

@@ -18,17 +18,11 @@
 //
 // parallel_for is a template over the loop body: no per-index
 // std::function indirect call, no per-task heap allocation in submit
-// (one contiguous chunk-task array per loop). parallel_reduce combines
-// per-chunk partials in a fixed chunk order whose boundaries depend only
-// on the range and grain — never on the worker count or on steal
-// interleaving — so reductions are bit-identical across thread counts.
+// (one contiguous chunk-task array per loop).
 //
 // Determinism contract: parallel_for invokes body(i) exactly once per
 // index; loops whose iterations write disjoint slots are deterministic
-// by construction. parallel_reduce's result is defined as the serial
-// left fold, in chunk order, of per-chunk partials each seeded from a
-// copy of `init` — the one-thread execution computes exactly the same
-// arithmetic, so thread count never changes a single bit.
+// by construction, so thread count never changes a single bit.
 //
 // Worker count: explicit constructor argument, else
 // Scheduler::set_default_threads() (the bench --threads flag), else the
@@ -243,48 +237,6 @@ void parallel_for(std::size_t begin, std::size_t end, const Body& body,
   for (std::size_t c = 1; c < used; ++c) group.spawn(tasks[c]);
   group.run_inline(tasks[0]);  // the caller works instead of blocking
   group.wait();
-}
-
-/// Default chunk count for parallel_reduce when grain == 0.
-inline constexpr std::size_t kDefaultReduceChunks = 64;
-
-/// Deterministic parallel reduction over [begin, end).
-///
-///   chunk_fn(lo, hi, T acc) -> T   serial fold of one chunk, seeded from
-///                                  a copy of `init`;
-///   combine(T acc, T partial) -> T combination of adjacent partials.
-///
-/// The result is DEFINED as the left fold, in ascending chunk order, of
-/// the per-chunk partials: chunk boundaries depend only on (n, grain), and
-/// the single-thread path computes the identical chunked expression, so
-/// the result is bit-identical for every worker count and steal
-/// interleaving — including non-associative floating-point folds.
-/// `grain` is the chunk width in indices (0 = split into at most
-/// kDefaultReduceChunks chunks). T must be copyable; partials are stored
-/// in one vector of `chunks` elements.
-template <class T, class ChunkFn, class CombineFn>
-[[nodiscard]] T parallel_reduce(std::size_t begin, std::size_t end, T init,
-                                const ChunkFn& chunk_fn, const CombineFn& combine,
-                                std::size_t grain = 0) {
-  if (begin >= end) return init;
-  const std::size_t n = end - begin;
-  if (grain == 0) grain = (n + kDefaultReduceChunks - 1) / kDefaultReduceChunks;
-  const std::size_t chunks = (n + grain - 1) / grain;
-  if (chunks == 1) return chunk_fn(begin, end, std::move(init));
-  std::vector<T> partials(chunks);
-  parallel_for(
-      0, chunks,
-      [&](std::size_t c) {
-        const std::size_t lo = begin + c * grain;
-        const std::size_t hi = std::min(end, lo + grain);
-        partials[c] = chunk_fn(lo, hi, T(init));
-      },
-      1);
-  T acc = std::move(partials[0]);
-  for (std::size_t c = 1; c < chunks; ++c) {
-    acc = combine(std::move(acc), std::move(partials[c]));
-  }
-  return acc;
 }
 
 }  // namespace cesm

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -214,6 +215,29 @@ TEST(IsabelaCodec, ThrowsOnCorruptStream) {
   const IsabelaCodec codec(0.5);
   Bytes garbage(32, 0xcd);
   EXPECT_THROW(codec.decode(garbage), FormatError);
+}
+
+TEST(IsabelaCodec, RejectsNonFiniteInput) {
+  // One special value would make its window's spline non-finite and decode
+  // the whole window as NaN, so the float path, its plan stage and the
+  // double path all refuse it, in a full window and in the tail.
+  const IsabelaCodec codec(0.5);
+  const std::vector<float> clean = noisy_field(2 * 1024 + 100, 26);
+  const Shape shape = Shape::d1(clean.size());
+  for (const double special : {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()}) {
+    for (const std::size_t at : {std::size_t{0}, std::size_t{1500}, clean.size() - 1}) {
+      SCOPED_TRACE(std::to_string(special) + " at " + std::to_string(at));
+      std::vector<float> data = clean;
+      data[at] = static_cast<float>(special);
+      EXPECT_THROW((void)codec.encode(data, shape), InvalidArgument);
+      EXPECT_THROW((void)codec.build_prep(data, shape), InvalidArgument);
+      std::vector<double> wide(clean.begin(), clean.end());
+      wide[at] = special;
+      EXPECT_THROW((void)codec.encode64(wide, shape), InvalidArgument);
+    }
+  }
 }
 
 TEST(IsabelaCodec, RejectsBadParameters) {

@@ -142,23 +142,29 @@ TEST(PrepParity, EveryPaperVariantOverHostileFieldsAndShapes) {
   }
 }
 
-TEST(PrepParity, NonFiniteInputThrowParityForGrib2) {
-  // GRIB2 rejects NaN/inf at the range scan: the planned path must reject
-  // with the same error class and leave the shared plans usable.
+TEST(PrepParity, NonFiniteInputThrowParityForGrib2AndIsabela) {
+  // GRIB2 rejects NaN/inf at the range scan, ISABELA before its window
+  // sort: the planned path must reject with the same error class and
+  // leave the shared plans usable.
   SCOPED_TRACE(testgen::seed_banner(kSeed));
   std::vector<float> data = testgen::smooth_field(4096, kSeed);
   testgen::salt_specials(data, hash_combine(kSeed, 5));
   const comp::Grib2Codec grib(4);
-  SharedPlans plans;
-  const EncodeOutcome direct = direct_encode(grib, data, comp::Shape::d2(32, 128));
-  const EncodeOutcome planned = planned_encode(plans, grib, data, comp::Shape::d2(32, 128));
-  ASSERT_TRUE(direct.threw);
-  EXPECT_TRUE(direct.invalid_argument);
-  EXPECT_EQ(direct.threw, planned.threw);
-  EXPECT_EQ(direct.invalid_argument, planned.invalid_argument);
-  // The plans stay healthy for clean inputs afterwards.
-  const std::vector<float> clean = testgen::smooth_field(4096, kSeed);
-  expect_parity(plans, grib, clean, comp::Shape::d2(32, 128));
+  const comp::IsabelaCodec isabela(0.5);
+  for (const comp::Codec* codec : {static_cast<const comp::Codec*>(&grib),
+                                   static_cast<const comp::Codec*>(&isabela)}) {
+    SCOPED_TRACE(codec->name());
+    SharedPlans plans;
+    const EncodeOutcome direct = direct_encode(*codec, data, comp::Shape::d2(32, 128));
+    const EncodeOutcome planned = planned_encode(plans, *codec, data, comp::Shape::d2(32, 128));
+    ASSERT_TRUE(direct.threw);
+    EXPECT_TRUE(direct.invalid_argument);
+    EXPECT_EQ(direct.threw, planned.threw);
+    EXPECT_EQ(direct.invalid_argument, planned.invalid_argument);
+    // The plans stay healthy for clean inputs afterwards.
+    const std::vector<float> clean = testgen::smooth_field(4096, kSeed);
+    expect_parity(plans, *codec, clean, comp::Shape::d2(32, 128));
+  }
 }
 
 TEST(PrepParity, PlanBuiltByOneVariantIsReusedByItsSiblings) {

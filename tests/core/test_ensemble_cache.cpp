@@ -157,6 +157,25 @@ TEST_F(EnsembleCacheTest, SnapshotRoundTripsExactBits) {
             built->rmsz_of(0, built->member(0).data));
 }
 
+TEST_F(EnsembleCacheTest, SnapshotHoldsNoBuildScratch) {
+  // A snapshot keeps the members and what verification reads of the
+  // build: sum and sum_sq (16 B/point), the mask and the per-member
+  // arrays. The extreme planes only the build's second pass reads
+  // (24 B/point) are freed with the build.
+  const climate::EnsembleGenerator ens(tiny_spec());
+  EnsembleCache cache(disabled());
+  for (const char* name : {"U", "SST"}) {
+    SCOPED_TRACE(name);
+    const auto built = cache.stats(ens, ens.variable(name));
+    const std::size_t n = built->member(0).size();
+    const std::size_t members = built->member_count();
+    EXPECT_EQ(built->mask().empty(), std::string(name) == "U");
+    EXPECT_EQ(built->memory_bytes(),
+              members * n * sizeof(float) + 16 * n + built->mask().size() +
+                  members * (sizeof(stats::Summary) + 2 * sizeof(double)));
+  }
+}
+
 TEST_F(EnsembleCacheTest, TruncatedSnapshotThrowsFormatError) {
   const climate::EnsembleGenerator ens(tiny_spec());
   EnsembleCache cache(disabled());

@@ -155,11 +155,11 @@ TEST_F(OocTest, StreamingStatsMatchesEnsembleStatsBitwise) {
     const climate::VariableSpec& spec = ensemble_->variable(name);
     const EnsembleStats stats(ensemble_->ensemble_fields(spec));
 
-    util::MemoryBudget budget;
     const std::string path =
-        stage_variable(*ensemble_, spec, ::testing::TempDir(), 1024, budget);
+        (std::filesystem::path(::testing::TempDir()) / (spec.name + ".cnk1")).string();
+    stage_variable_at(*ensemble_, spec, path, 1024);
     const ncio::ChunkStoreReader store(path);
-    const StreamingStats streaming(store, budget);
+    const StreamingStats streaming(store);
 
     ASSERT_EQ(streaming.member_count(), stats.member_count());
     EXPECT_EQ(streaming.point_count(), stats.point_count());
@@ -363,6 +363,25 @@ std::map<std::string, std::uint64_t> traced_counters(Fn&& fn) {
   trace::set_enabled(had_trace);
   trace::reset();
   return counters;
+}
+
+TEST_F(OocTest, OverCapVariableFailsBeforeStaging) {
+  // A standalone variable whose working set exceeds the cap, here by one
+  // byte, is refused at admission, naming the reservation, before it
+  // synthesizes or writes any of its spill.
+  OocConfig cfg = ooc_config();
+  const climate::VariableSpec& spec = ensemble_->variable("U");
+  cfg.memory_budget_bytes = ooc_working_set_bytes(*ensemble_, spec, cfg.chunk_elems) - 1;
+  std::string message;
+  const auto counters = traced_counters([&] {
+    try {
+      (void)run_variable_streaming(*ensemble_, spec, cfg);
+    } catch (const Error& e) {
+      message = e.what();
+    }
+  });
+  EXPECT_NE(message.find("ooc.variable_working_set"), std::string::npos) << message;
+  EXPECT_EQ(counters.at("ooc.variables_staged"), 0u);
 }
 
 TEST_F(OocTest, SweepReadsEachChunkOnceAndBuildsOnePlanPerIsabelaChunk) {

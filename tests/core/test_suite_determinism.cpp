@@ -2,8 +2,8 @@
 //
 // The paper's methodology is a reproducibility argument: a verdict that
 // depends on how many cores evaluated it is worthless. The scheduler's
-// contract (disjoint-slot parallel_for writes, fixed-chunk-order
-// parallel_reduce, point-sliced ensemble accumulation) promises that
+// contract (disjoint-slot parallel_for writes, point-sliced ensemble
+// accumulation) promises that
 // run_suite is a pure function of its inputs — these tests pin that down
 // by comparing every float, flag, and tally bitwise across worker counts
 // 1, 2, and hardware concurrency, steal interleavings and all.

@@ -11,6 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "util/error.h"
 
 namespace cesm::serve {
@@ -187,6 +190,47 @@ TEST(Protocol, CoalescingKeyIgnoresVariantFilterOnly) {
   VerifyRequest different_grid = base;
   different_grid.ensemble.grid.nlev += 1;
   EXPECT_NE(coalescing_key(base), coalescing_key(different_grid));
+
+  // Every single wire field of the spec and the config is part of the
+  // computation, so changing any one of them changes the key.
+  const std::vector<std::pair<const char*, void (*)(VerifyRequest&)>> fields = {
+      {"grid.nlat", [](VerifyRequest& q) { q.ensemble.grid.nlat += 1; }},
+      {"grid.nlon", [](VerifyRequest& q) { q.ensemble.grid.nlon += 1; }},
+      {"grid.nlev", [](VerifyRequest& q) { q.ensemble.grid.nlev += 1; }},
+      {"members", [](VerifyRequest& q) { q.ensemble.members += 1; }},
+      {"latent.k", [](VerifyRequest& q) { q.ensemble.latent.k += 1; }},
+      {"latent.forcing", [](VerifyRequest& q) { q.ensemble.latent.forcing += 0.25; }},
+      {"latent.dt", [](VerifyRequest& q) { q.ensemble.latent.dt *= 2.0; }},
+      {"latent.spinup_steps", [](VerifyRequest& q) { q.ensemble.latent.spinup_steps += 1; }},
+      {"latent.average_steps", [](VerifyRequest& q) { q.ensemble.latent.average_steps += 1; }},
+      {"latent.seed", [](VerifyRequest& q) { q.ensemble.latent.seed += 1; }},
+      {"variable", [](VerifyRequest& q) { q.variable = "U"; }},
+      {"test_member_count", [](VerifyRequest& q) { q.config.test_member_count += 1; }},
+      {"member_seed", [](VerifyRequest& q) { q.config.member_seed += 1; }},
+      {"run_bias", [](VerifyRequest& q) { q.config.run_bias = !q.config.run_bias; }},
+      {"pearson_min", [](VerifyRequest& q) { q.config.thresholds.pearson_min = 0.99; }},
+      {"rmsz_diff_max", [](VerifyRequest& q) { q.config.thresholds.rmsz_diff_max *= 2.0; }},
+      {"enmax_ratio_max", [](VerifyRequest& q) { q.config.thresholds.enmax_ratio_max *= 2.0; }},
+      {"bias_confidence", [](VerifyRequest& q) { q.config.thresholds.bias_confidence = 0.9; }},
+      {"rmsz_range_slack",
+       [](VerifyRequest& q) { q.config.thresholds.rmsz_range_slack += 0.5; }},
+      {"grib_significant_digits", [](VerifyRequest& q) { q.config.grib_significant_digits += 1; }},
+      {"grib_max_extra_digits", [](VerifyRequest& q) { q.config.grib_max_extra_digits += 1; }},
+      {"lossless_fallback",
+       [](VerifyRequest& q) { q.config.lossless_fallback = !q.config.lossless_fallback; }},
+      {"variable_retry_limit", [](VerifyRequest& q) { q.config.variable_retry_limit += 1; }},
+      {"continue_on_variable_error",
+       [](VerifyRequest& q) {
+         q.config.continue_on_variable_error = !q.config.continue_on_variable_error;
+       }},
+  };
+  for (const auto& [name, change] : fields) {
+    SCOPED_TRACE(name);
+    VerifyRequest changed = base;
+    change(changed);
+    ASSERT_NE(serialize_verify_request(changed), serialize_verify_request(base));
+    EXPECT_NE(coalescing_key(changed), coalescing_key(base));
+  }
 }
 
 TEST(Protocol, FilterResultSelectsInRequestOrder) {

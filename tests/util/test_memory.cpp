@@ -29,32 +29,25 @@ bool eventually(Pred&& pred) {
   return pred();
 }
 
-TEST(MemoryBudget, ChargeAccumulatesAndTracksPeak) {
+TEST(MemoryBudget, ReserveAccumulatesAndTracksPeak) {
   MemoryBudget budget;  // no cap: account only
-  budget.charge("a", 100);
-  budget.charge("b", 50);
+  budget.reserve("a", 100);
+  budget.reserve("b", 50);
   EXPECT_EQ(budget.charged_bytes(), 150u);
   budget.release(120);
-  budget.charge("c", 10);
+  budget.reserve("c", 10);
   EXPECT_EQ(budget.charged_bytes(), 40u);
   EXPECT_EQ(budget.peak_logical_bytes(), 150u);
 }
 
-TEST(MemoryBudget, ChargeStaysFailFastUnderCap) {
-  MemoryBudget budget(100);
-  budget.charge("a", 60);
-  EXPECT_THROW(budget.charge("b", 50), Error);
-  // The rejected charge must not be recorded.
-  EXPECT_EQ(budget.charged_bytes(), 60u);
-  EXPECT_NO_THROW(budget.charge("b", 40));
-}
-
 TEST(MemoryBudget, ReleaseClampsAtZero) {
   MemoryBudget budget(100);
-  budget.charge("a", 30);
-  budget.release(1000);  // release after a partial unwind must not underflow
+  budget.reserve("a", 30);
+  budget.release(1000);  // a mismatched release must not underflow
   EXPECT_EQ(budget.charged_bytes(), 0u);
-  EXPECT_NO_THROW(budget.charge("b", 100));
+  budget.reserve("b", 100);  // the whole cap is free again: admitted at once
+  EXPECT_EQ(budget.charged_bytes(), 100u);
+  EXPECT_EQ(budget.reserve_waits(), 0u);
 }
 
 TEST(MemoryBudget, ReserveLargerThanCapThrowsInsteadOfParking) {

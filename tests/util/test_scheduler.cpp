@@ -2,11 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
-#include <bit>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <functional>
 #include <numeric>
@@ -206,90 +203,6 @@ TEST(ParallelFor, DeepNestingCompletesWithinHelpDepthCap) {
   };
   nest(4);
   EXPECT_EQ(counter.load(), 81);
-}
-
-/// Adversarial float inputs for reduction-order tests: values spanning 30
-/// orders of magnitude with alternating signs, so any reassociation of the
-/// serial fold changes the result bitwise.
-std::vector<double> adversarial_values(std::size_t n) {
-  std::vector<double> v(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double mag = std::pow(10.0, static_cast<double>(i % 31) - 15.0);
-    v[i] = (i % 2 == 0 ? 1.0 : -1.0) * mag * (1.0 + 1e-13 * static_cast<double>(i));
-  }
-  return v;
-}
-
-double reduce_sum(const std::vector<double>& v, std::size_t grain) {
-  return parallel_reduce(
-      0, v.size(), 0.0,
-      [&](std::size_t lo, std::size_t hi, double acc) {
-        for (std::size_t i = lo; i < hi; ++i) acc += v[i];
-        return acc;
-      },
-      [](double a, double b) { return a + b; }, grain);
-}
-
-TEST(ParallelReduce, BitIdenticalAcrossThreadCounts) {
-  const std::vector<double> v = adversarial_values(100000);
-  constexpr std::size_t kGrain = 1024;
-  double expected;
-  {
-    ScopedScheduler scoped(1);
-    expected = reduce_sum(v, kGrain);
-  }
-  for (const std::size_t threads : {2u, 4u, 8u}) {
-    ScopedScheduler scoped(threads);
-    for (int rep = 0; rep < 3; ++rep) {  // steal interleavings vary per run
-      const double got = reduce_sum(v, kGrain);
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
-                std::bit_cast<std::uint64_t>(expected))
-          << "threads=" << threads << " rep=" << rep;
-    }
-  }
-}
-
-TEST(ParallelReduce, MatchesExplicitChunkedFold) {
-  // The contract: left fold over per-chunk partials in ascending chunk
-  // order, each seeded from `init`. Verify against a hand-rolled copy.
-  const std::vector<double> v = adversarial_values(10000);
-  constexpr std::size_t kGrain = 512;
-  double expected = 0.0;
-  bool first = true;
-  for (std::size_t lo = 0; lo < v.size(); lo += kGrain) {
-    const std::size_t hi = std::min(v.size(), lo + kGrain);
-    double partial = 0.0;
-    for (std::size_t i = lo; i < hi; ++i) partial += v[i];
-    expected = first ? partial : expected + partial;
-    first = false;
-  }
-  ScopedScheduler scoped(4);
-  const double got = reduce_sum(v, kGrain);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(expected));
-}
-
-TEST(ParallelReduce, EmptyRangeReturnsInit) {
-  EXPECT_EQ(parallel_reduce(
-                3, 3, 42.0,
-                [](std::size_t, std::size_t, double acc) { return acc + 1.0; },
-                [](double a, double b) { return a + b; }),
-            42.0);
-}
-
-TEST(ParallelReduce, MaxReduction) {
-  std::vector<double> v(5000);
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    v[i] = static_cast<double>((i * 2654435761u) % 100000);
-  }
-  ScopedScheduler scoped(4);
-  const double got = parallel_reduce(
-      0, v.size(), 0.0,
-      [&](std::size_t lo, std::size_t hi, double acc) {
-        for (std::size_t i = lo; i < hi; ++i) acc = std::max(acc, v[i]);
-        return acc;
-      },
-      [](double a, double b) { return std::max(a, b); });
-  EXPECT_EQ(got, *std::max_element(v.begin(), v.end()));
 }
 
 TEST(SchedulerStats, StealRatioAndBusyTimeArePopulated) {
