@@ -11,7 +11,9 @@
 #include <thread>
 #include <utility>
 
+#include "compress/variants.h"
 #include "core/ensemble_cache.h"
+#include "stats/kernels.h"
 #include "util/cache.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -149,16 +151,31 @@ std::uint64_t ooc_working_set_bytes(const climate::EnsembleGenerator& ensemble,
   // build's sum and sum_sq (2 x 8 B, kept for verification), its extremes
   // with runners-up and their arg planes (6 x 4 B, freed when the build
   // returns) and the mask byte. Per member: the summary, RMSZ and E_nmax
-  // slots. Per lane: the verify phase's round-trip buffers — the two walk
-  // buffers, the decoded chunk and a transient-encode allowance of one
-  // more chunk — the widest of any phase (staging holds one chunk per
-  // lane, the build's passes one and two).
+  // slots. Per lane (buffer_lanes: no member task waits on another while
+  // it holds buffers), the verify phase's member task, the widest of any
+  // phase (staging holds one chunk per lane, each build pass one chunk
+  // and at most two kernel streams).
   const std::uint64_t point_stats = n * (40 + (spec.has_fill ? 1 : 0));
   const std::uint64_t member_stats =
       static_cast<std::uint64_t>(ensemble.members()) *
       (sizeof(stats::Summary) + 2 * sizeof(double));
-  const std::uint64_t lane_buffers =
-      static_cast<std::uint64_t>(buffer_lanes()) * 4 * layout.max_chunk * sizeof(float);
+  const std::uint64_t chunk_bytes = layout.max_chunk * sizeof(float);
+  const std::uint64_t read_buffer = chunk_bytes;  // ChunkSource::walk_elems()
+  const std::uint64_t decoded_chunk = chunk_bytes;
+  // Each swept codec's ZScoreStream (two floats, two doubles and a mask
+  // byte per element), ErrorNormStream and CoMomentStream (two floats and
+  // a mask byte each) stage one kernel block apiece.
+  constexpr std::uint64_t kStagedBytesPerElem = (2 * 4 + 2 * 8 + 1) + 2 * (2 * 4 + 1);
+  const std::uint64_t stream_staging = comp::paper_variant_names().size() *
+                                       kStagedBytesPerElem * stats::kernels::kBlock;
+  // A codec's own encode and decode scratch and its stream. The widest is
+  // GRIB2: its round trip peaks at 0.79 MiB of live heap on a
+  // 48,672-value (0.19 MiB) chunk, 4.3 chunk-floats, measured with a
+  // counting operator new; this allowance plus the decoded chunk cover it.
+  constexpr std::uint64_t kRoundTripChunks = 4;
+  const std::uint64_t round_trip = kRoundTripChunks * chunk_bytes;
+  const std::uint64_t lane_buffers = static_cast<std::uint64_t>(buffer_lanes()) *
+                                     (read_buffer + decoded_chunk + stream_staging + round_trip);
   return point_stats + member_stats + lane_buffers;
 }
 

@@ -12,7 +12,8 @@
 //
 // Memory honesty: a variable reserves its whole working set
 // (ooc_working_set_bytes: per-point arrays, per-member slots, per-lane
-// chunk buffers) on a util::MemoryBudget once, before it stages anything;
+// chunk buffers, stream staging and codec round trip) on a
+// util::MemoryBudget once, before it stages anything;
 // with CESM_MEM_MB set, a working set above the cap is an error, not a
 // slowdown.
 //
@@ -75,11 +76,13 @@ struct OocConfig {
 
 /// The working set of one streaming variable run at the current scheduler
 /// width, and the one definition of it: the per-point statistic planes,
-/// the per-member moment slots, and the widest per-lane chunk-buffer
-/// allowance of any phase. run_variable_streaming reserves exactly this
-/// before it stages anything. It counts the leg's own arrays and buffers,
-/// not allocator, codec or I/O overheads (docs/ooc.md, "What the cap does
-/// not cover").
+/// the per-member moment slots, and per lane the verify phase's member
+/// task, the widest of any phase: its read buffer, the decoded chunk,
+/// each swept codec's stream staging and a codec round-trip allowance.
+/// run_variable_streaming reserves exactly this before it stages
+/// anything. It counts the leg's own arrays and buffers, not allocator or
+/// I/O overheads or the generator's state (docs/ooc.md, "What the cap
+/// does not cover").
 std::uint64_t ooc_working_set_bytes(const climate::EnsembleGenerator& ensemble,
                                     const climate::VariableSpec& spec,
                                     std::size_t chunk_elems);

@@ -202,7 +202,7 @@ void PvtVerifier::sweep(std::span<const comp::Codec* const> codecs,
       any_live = any_live || live[k] != 0;
     }
     if (!any_live) return;
-    std::vector<float> buffers(walk);
+    std::vector<float> buffer(walk);
     std::vector<std::size_t> chunk_sizes(n * chunks);
     std::vector<Slot> slots;
     slots.reserve(n);
@@ -213,7 +213,7 @@ void PvtVerifier::sweep(std::span<const comp::Codec* const> codecs,
                        stats::kernels::CoMomentStream(masked)});
     }
 
-    source_.walk(member, buffers, [&](std::size_t c, std::span<const float> x) {
+    source_.walk(member, buffer, [&](std::size_t c, std::span<const float> x) {
       const comp::Shape shape = source_.chunk_shape(c);
       const std::size_t lo = offsets[c];
       const std::span<const std::uint8_t> mask =

@@ -93,69 +93,11 @@ struct VariableVerdict {
 };
 
 /// Concurrent buffer "lanes": tasks of a parallel loop execute on the
-/// worker threads plus the caller (parallel_for helps). Per-task buffers
-/// of the out-of-core leg are budgeted for this many simultaneous tasks.
+/// worker threads plus the caller (parallel_for helps). A member task
+/// never waits on another task while it holds its buffers, so at most
+/// this many member tasks hold them at once; the out-of-core leg's
+/// per-task buffers are budgeted for that many.
 inline std::size_t buffer_lanes() { return Scheduler::global().thread_count() + 1; }
-
-/// Walk every chunk of one stored member in store order, calling
-/// `process(chunk_index, data)` with the chunk resident in one of the two
-/// buffers. With workers available the next chunk's read is in flight on
-/// the scheduler while the current chunk is processed (double buffering);
-/// single-threaded schedulers read synchronously — spawning there would
-/// only add a steal point where a helping wait() could stack a sibling
-/// member task's buffers onto this thread.
-template <typename Process>
-void walk_store_chunks(const ncio::ChunkStoreReader& store, std::size_t member,
-                       std::span<float> buf0, std::span<float> buf1, Process&& process) {
-  struct ReadTask final : Task {
-    const ncio::ChunkStoreReader* store = nullptr;
-    std::uint32_t member = 0;
-    std::size_t chunk = 0;
-    std::span<float> out;
-    static void run(Task* task) {
-      auto* self = static_cast<ReadTask*>(task);
-      self->store->read_chunk(self->member, self->chunk, self->out);
-    }
-  };
-  const std::size_t chunks = store.chunk_count();
-  if (chunks == 0) return;
-  const bool overlap = Scheduler::global().thread_count() > 1;
-  const std::span<float> bufs[2] = {buf0, buf1};
-  const auto m = static_cast<std::uint32_t>(member);
-  ReadTask read;
-  read.invoke = &ReadTask::run;
-  read.store = &store;
-  read.member = m;
-  TaskGroup group;
-
-  store.read_chunk(m, 0, bufs[0].first(store.chunk_elems(0)));
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const bool pending = overlap && c + 1 < chunks;
-    if (pending) {
-      read.chunk = c + 1;
-      read.out = bufs[(c + 1) % 2].first(store.chunk_elems(c + 1));
-      group.spawn(read);
-    }
-    try {
-      process(c, std::span<const float>(bufs[c % 2].first(store.chunk_elems(c))));
-    } catch (...) {
-      if (pending) {
-        // The read task aliases this frame's buffers: it must finish
-        // before unwinding. The processing error wins over a read error.
-        try {
-          group.wait();
-        } catch (...) {
-        }
-      }
-      throw;
-    }
-    if (pending) {
-      group.wait();
-    } else if (c + 1 < chunks) {
-      store.read_chunk(m, c + 1, bufs[(c + 1) % 2].first(store.chunk_elems(c + 1)));
-    }
-  }
-}
 
 /// The smallest nonzero chunk_elems a partition accepts.
 inline constexpr std::size_t kMinChunkElems = 1024;
@@ -187,8 +129,8 @@ std::size_t max_chunk_elems(std::span<const std::size_t> offsets);
 ///
 /// Resident: the EnsembleStats member fields, cut on chunk_partition for
 /// chunk_elems without copying; chunk_elems == 0 yields one index-less
-/// chunk per member. Store: the members of a CNK1 spill, walked with
-/// walk_store_chunks (double-buffered prefetch).
+/// chunk per member. Store: the members of a CNK1 spill, each chunk read
+/// into the walk's one buffer just before it is processed.
 class ChunkSource {
  public:
   explicit ChunkSource(const EnsembleStats& stats, std::size_t chunk_elems = 0);
@@ -213,24 +155,24 @@ class ChunkSource {
   /// stream's size unchunked, else chunked_stored_bytes.
   [[nodiscard]] std::size_t stored_bytes(std::span<const std::size_t> chunk_sizes) const;
 
-  /// Read-buffer floats one walk needs: two chunks for the store's double
-  /// buffering, none for resident members.
-  [[nodiscard]] std::size_t walk_elems() const {
-    return store_ != nullptr ? 2 * max_chunk_ : 0;
-  }
+  /// Read-buffer floats one walk needs: one chunk for the store, none for
+  /// resident members.
+  [[nodiscard]] std::size_t walk_elems() const { return store_ != nullptr ? max_chunk_ : 0; }
 
   /// Call `process(chunk_index, data)` for every chunk of member `m`, in
-  /// order. `buffers` holds walk_elems() floats.
+  /// order, synchronously: a view of a resident member, or a store chunk
+  /// read into `buffer`, which holds walk_elems() floats.
   template <typename Process>
-  void walk(std::size_t m, std::span<float> buffers, Process&& process) const {
-    if (store_ != nullptr) {
-      walk_store_chunks(*store_, m, buffers.first(max_chunk_),
-                        buffers.subspan(max_chunk_, max_chunk_), process);
-      return;
-    }
-    const std::span<const float> data(resident_->member(m).data);
+  void walk(std::size_t m, std::span<float> buffer, Process&& process) const {
     for (std::size_t c = 0; c + 1 < offsets_.size(); ++c) {
-      process(c, data.subspan(offsets_[c], offsets_[c + 1] - offsets_[c]));
+      const std::size_t len = offsets_[c + 1] - offsets_[c];
+      if (store_ != nullptr) {
+        const std::span<float> out = buffer.first(len);
+        store_->read_chunk(static_cast<std::uint32_t>(m), c, out);
+        process(c, std::span<const float>(out));
+      } else {
+        process(c, std::span<const float>(resident_->member(m).data).subspan(offsets_[c], len));
+      }
     }
   }
 
@@ -347,9 +289,10 @@ class PvtVerifier {
   /// which are not live on them. A member with no live codec is not
   /// walked. A codec that throws cesm::Error records it in errors[k] and
   /// leaves the pass. Members not yet started are skipped once `*skip` is
-  /// set. Each member task allocates its own walk buffers and stream
-  /// sizes, alive only while it runs, so the buffers in flight stay within
-  /// the per-lane allowance the out-of-core leg reserves.
+  /// set. Each member task allocates its own walk buffer, stream sizes and
+  /// codec streams, alive only while it runs and never across a join, so
+  /// the buffers in flight stay within the per-lane allowance the
+  /// out-of-core leg reserves.
   template <typename Done>
   void sweep(std::span<const comp::Codec* const> codecs, std::span<const std::size_t> members,
              std::size_t evaluated, bool decode, std::span<std::exception_ptr> errors,

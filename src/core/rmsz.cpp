@@ -12,10 +12,10 @@
 
 namespace cesm::core {
 
-template <typename Read, typename Walk>
+template <typename Read>
 void EnsembleView::build(std::size_t members, std::span<const std::size_t> offsets,
                          std::optional<float> fill, std::size_t buffer_elems,
-                         const Read& read, const Walk& walk) {
+                         const Read& read) {
   member_count_ = members;
   CESM_REQUIRE(member_count_ >= 3);
   const std::size_t n = offsets.back();
@@ -43,7 +43,7 @@ void EnsembleView::build(std::size_t members, std::span<const std::size_t> offse
   parallel_for(0, chunks, [&](std::size_t c) {
     const std::size_t lo = offsets[c];
     const std::size_t len = offsets[c + 1] - lo;
-    std::vector<float> buf(buffer_elems != 0 ? len : 0);
+    std::vector<float> buf(buffer_elems);
     const std::span<std::uint8_t> mask_slice =
         has_fill ? std::span<std::uint8_t>(mask_).subspan(lo, len)
                  : std::span<std::uint8_t>{};
@@ -79,11 +79,13 @@ void EnsembleView::build(std::size_t members, std::span<const std::size_t> offse
   }
   CESM_REQUIRE(valid_points_ > 0);
 
-  // Pass 2 — parallel over members: each member streams its chunks once
-  // more through the block-realigning moment/z-score streams (bit-equal
-  // to the one-shot kernels on the whole array) and folds its E_nmax
-  // distance (eq. 10): the pointwise leave-one-out distance, maxed over
-  // valid points — order-invariant, so the partition cannot change it.
+  // Pass 2 — parallel over members: each member reads its chunks once
+  // more, in order, into one buffer of its own (none when the data is
+  // resident), through the block-realigning moment/z-score streams
+  // (bit-equal to the one-shot kernels on the whole array) and folds its
+  // E_nmax distance (eq. 10): the pointwise leave-one-out distance, maxed
+  // over valid points — order-invariant, so the partition cannot change
+  // it.
   member_summary_.resize(member_count_);
   rmsz_dist_.resize(member_count_);
   enmax_dist_.resize(member_count_);
@@ -93,8 +95,10 @@ void EnsembleView::build(std::size_t members, std::span<const std::size_t> offse
     stats::kernels::ZScoreStream zs(static_cast<double>(member_count_),
                                     kDegenerateSpreadRelTol, masked);
     double worst = 0.0;
-    walk(m, [&](std::size_t c, std::span<const float> x) {
+    std::vector<float> buf(buffer_elems);
+    for (std::size_t c = 0; c < chunks; ++c) {
       const std::size_t lo = offsets[c];
+      const std::span<const float> x = read(m, c, std::span<float>(buf));
       const std::span<const std::uint8_t> mask_slice =
           masked ? std::span<const std::uint8_t>(mask_).subspan(lo, x.size())
                  : std::span<const std::uint8_t>{};
@@ -111,7 +115,7 @@ void EnsembleView::build(std::size_t members, std::span<const std::size_t> offse
                          std::max(static_cast<double>(hi_v) - static_cast<double>(x[i]),
                                   static_cast<double>(x[i]) - static_cast<double>(lo_v)));
       }
-    });
+    }
     member_summary_[m] = stats::summary_from(mom.finish());
     rmsz_dist_[m] = rmsz_from_accum(zs.finish());
     const double range = member_summary_[m].range();
@@ -137,26 +141,18 @@ EnsembleStats::EnsembleStats(std::vector<climate::Field> members)
     return std::span<const float>(members_[m].data)
         .subspan(offsets[c], offsets[c + 1] - offsets[c]);
   };
-  build(members_.size(), offsets, members_[0].fill, 0, view,
-        [&](std::size_t m, const auto& process) {
-          for (std::size_t c = 0; c + 1 < offsets.size(); ++c) process(c, view(m, c, {}));
-        });
+  build(members_.size(), offsets, members_[0].fill, 0, view);
 }
 
 StreamingStats::StreamingStats(const ncio::ChunkStoreReader& store) {
   trace::Span span("ooc.stats");
   const std::size_t max_chunk = max_chunk_elems(store.chunk_offsets());
-  build(
-      store.member_count(), store.chunk_offsets(), store.fill(), max_chunk,
-      [&](std::size_t m, std::size_t c, std::span<float> buf) {
-        store.read_chunk(static_cast<std::uint32_t>(m), c, buf);
-        return std::span<const float>(buf);
-      },
-      [&](std::size_t m, const auto& process) {
-        std::vector<float> b0(max_chunk);
-        std::vector<float> b1(max_chunk);
-        walk_store_chunks(store, m, b0, b1, process);
-      });
+  build(store.member_count(), store.chunk_offsets(), store.fill(), max_chunk,
+        [&](std::size_t m, std::size_t c, std::span<float> buf) {
+          const std::span<float> out = buf.first(store.chunk_elems(c));
+          store.read_chunk(static_cast<std::uint32_t>(m), c, out);
+          return std::span<const float>(out);
+        });
 }
 
 std::vector<double> EnsembleView::global_means() const {

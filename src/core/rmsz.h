@@ -121,16 +121,15 @@ class EnsembleView {
  protected:
   /// Fill every derived array, in two passes, from `members` members cut
   /// on `offsets`; the partition cannot change a bit of the result.
-  ///   read(m, c, buf)  -> chunk c of member m: a view of resident data,
-  ///                       or read into `buf` (buffer_elems != 0);
-  ///   walk(m, process) -> process(c, chunk) for every chunk of member m.
-  /// `fill` marks invalid points; `buffer_elems` is the widest read buffer
-  /// a task holds. The per-point extremes pass 2 reads are locals, freed
-  /// when build returns.
-  template <typename Read, typename Walk>
+  ///   read(m, c, buf) -> chunk c of member m: a view of resident data, or
+  ///                      read into the front of `buf` (buffer_elems != 0).
+  /// Both passes call it chunk by chunk, each task with one buffer of its
+  /// own. `fill` marks invalid points; `buffer_elems` is the widest chunk
+  /// a task reads into. The per-point extremes pass 2 reads are locals,
+  /// freed when build returns.
+  template <typename Read>
   void build(std::size_t members, std::span<const std::size_t> offsets,
-             std::optional<float> fill, std::size_t buffer_elems, const Read& read,
-             const Walk& walk);
+             std::optional<float> fill, std::size_t buffer_elems, const Read& read);
   /// Derive the cached rmsz_range() extremes from rmsz_dist_.
   void finalize_rmsz_range();
 
@@ -201,8 +200,10 @@ class EnsembleStats final : public EnsembleView {
 };
 
 /// The ensemble view built from a CNK1 chunk store (core/ooc.h) in two
-/// bounded-memory read passes instead of from resident members, with the
-/// next chunk's read prefetched in pass 2. Its peak is part of the
+/// bounded-memory read passes instead of from resident members. Each task
+/// of either pass reads one chunk at a time into one buffer of its own
+/// and never waits on another task while it holds it, so the build's
+/// buffers are one chunk per lane (buffer_lanes). Its peak is part of the
 /// working set the streaming leg reserves (ooc_working_set_bytes).
 class StreamingStats final : public EnsembleView {
  public:
