@@ -21,8 +21,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <new>
 
+#include "core/ensemble_cache.h"
 #include "core/ooc.h"
 #include "util/scheduler.h"
 
@@ -129,7 +131,9 @@ TEST(OocHeapGate, PeakLiveHeapStaysWithinTheWorkingSet) {
   for (const char* name : {"U", "FSDSC"}) {
     const climate::VariableSpec& var = ensemble.variable(name);
     // The generator's synthesizer for `var` is built once and kept for
-    // the generator's lifetime, outside every reservation: warm it.
+    // the generator's lifetime, outside every reservation. It is small
+    // (the factored basis, 24 x (nlat + nlon) doubles), but it is not part
+    // of the run's peak: warm it.
     (void)ensemble.field_elems(var);
     for (const std::size_t workers : {1, 2, 4}) {
       const ScopedScheduler scheduler(workers);
@@ -143,6 +147,37 @@ TEST(OocHeapGate, PeakLiveHeapStaysWithinTheWorkingSet) {
       EXPECT_LE(peak, reserved) << name << " at " << workers << " workers";
     }
   }
+}
+
+// The generator memoizes one synthesizer per variable for its lifetime,
+// outside every reservation, so whatever it keeps per variable accumulates
+// across a streamed catalog. It must stay small: the factored basis is
+// 24 x (50 + 100) doubles (28.1 KiB) here, where a per-column basis would
+// be 24 x 5,000 (0.92 MiB). A cold generator, so every synthesizer is
+// built inside the runs. The bound is on the total after all runs: the
+// first run in a process also keeps one-time state (the codecs' shared
+// tables, per-thread trace buffers) that is not per variable.
+TEST(OocHeapGate, StreamedVariablesRetainLittleHeap) {
+  constexpr std::uint64_t kPerVariable = 64 << 10;
+  EnsembleCache::global().configure(util::CacheConfig{.enabled = false});
+  climate::EnsembleSpec spec;
+  spec.grid = climate::GridSpec{50, 100, 30};
+  spec.members = 11;
+  const climate::EnsembleGenerator ensemble(spec);
+  OocConfig cfg;
+  cfg.chunk_elems = 8192;
+  cfg.spill_dir = ::testing::TempDir();
+  cfg.suite.run_bias = false;
+
+  const std::uint64_t base = g_live.load();
+  const char* const names[] = {"U", "FSDSC", "SST", "Q", "CLOUD"};
+  for (const char* name : names) {
+    (void)run_variable_streaming(ensemble, ensemble.variable(name), cfg);
+    std::printf("[heap] after %s: %.1f KiB kept above the generator's baseline\n", name,
+                static_cast<double>(g_live.load() - base) / 1024.0);
+  }
+  EXPECT_LT(g_live.load() - base, std::size(names) * kPerVariable);
+  EnsembleCache::global().configure(util::CacheConfig::from_env());
 }
 
 }  // namespace
