@@ -102,6 +102,7 @@ Bytes fpz_encode_impl(std::span<const T> data, const Shape& shape, unsigned prec
     coder.encode(enc, zz[i]);
   }
   enc.finish();
+  coder.tally().add_to_counters();
   return out;
 }
 

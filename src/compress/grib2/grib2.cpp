@@ -129,6 +129,7 @@ Bytes Grib2Codec::encode(std::span<const float> data, const Shape& shape) const 
     coeff_coder.encode(enc, zigzag_encode(static_cast<std::uint64_t>(q[i])));
   }
   enc.finish();
+  coeff_coder.tally().add_to_counters();
   return out;
 }
 

@@ -148,6 +148,7 @@ Bytes isa_encode(const IsaPlan& plan, const Shape& shape, std::uint8_t elem_size
   const std::size_t most = std::min(window, plan.n);
   std::vector<double> estimate(most);
   std::vector<std::uint64_t> zz(most);
+  ResidualTally tally;
   for (const IsaWindow& win : plan.windows) {
     const std::size_t len = win.sorted.size();
     const std::size_t at = out.size();
@@ -161,10 +162,12 @@ Bytes isa_encode(const IsaPlan& plan, const Shape& shape, std::uint8_t elem_size
     ResidualEncoder coder;
     for (std::size_t i = 0; i < len; ++i) coder.encode(enc, zz[i]);
     enc.finish();
+    tally += coder.tally();
 
     const auto payload = static_cast<std::uint32_t>(out.size() - at - 4);
     for (std::size_t k = 0; k < 4; ++k) out[at + k] = static_cast<std::uint8_t>(payload >> (8 * k));
   }
+  tally.add_to_counters();
   return out;
 }
 

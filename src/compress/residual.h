@@ -38,8 +38,32 @@
 
 #include "compress/rangecoder.h"
 #include "util/error.h"
+#include "util/trace.h"
 
 namespace cesm::comp {
+
+/// What encoding residuals cost the range coder: symbols, adaptive class
+/// decisions (k + 1 per symbol of class k) and raw bits (k - 1 per symbol
+/// with k > 1). Encoders tally per symbol; codecs add the tally to the
+/// codec.residual_* counters once per stream.
+struct ResidualTally {
+  std::uint64_t symbols = 0;
+  std::uint64_t class_decisions = 0;
+  std::uint64_t raw_bits = 0;
+
+  ResidualTally& operator+=(const ResidualTally& other) {
+    symbols += other.symbols;
+    class_decisions += other.class_decisions;
+    raw_bits += other.raw_bits;
+    return *this;
+  }
+
+  void add_to_counters() const {
+    trace::add(trace::Counter::kCodecResidualSymbols, symbols);
+    trace::add(trace::Counter::kCodecResidualClassDecisions, class_decisions);
+    trace::add(trace::Counter::kCodecResidualRawBits, raw_bits);
+  }
+};
 
 class ResidualEncoder {
  public:
@@ -48,6 +72,9 @@ class ResidualEncoder {
 
   void encode(RangeEncoder& enc, std::uint64_t z) {
     const unsigned k = z == 0 ? 0 : static_cast<unsigned>(std::bit_width(z));
+    ++tally_.symbols;
+    tally_.class_decisions += k + 1;
+    tally_.raw_bits += k > 1 ? k - 1 : 0;
     for (unsigned i = 0; i < k; ++i) enc.encode(models_[i], true);
     enc.encode(models_[k], false);
     if (k > 1) {
@@ -61,8 +88,12 @@ class ResidualEncoder {
     }
   }
 
+  /// Everything encode() has coded so far.
+  [[nodiscard]] const ResidualTally& tally() const { return tally_; }
+
  private:
   BitModel models_[kMaxClass + 1];
+  ResidualTally tally_;
 };
 
 /// Decoder of one range-coded residual stream (see the header comment).
@@ -182,6 +213,7 @@ inline void encode_validity_runs(RangeEncoder& enc, std::span<const std::uint8_t
     i += run;
     current = !current;
   }
+  coder.tally().add_to_counters();
 }
 
 /// Inverse of encode_validity_runs for an `n`-point bitmap, with model set

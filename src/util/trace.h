@@ -59,6 +59,9 @@
   X(kCodecElementsIn, "codec.elements_in")                           \
   X(kCodecElementsOut, "codec.elements_out")                         \
   X(kCodecEncodeCalls, "codec.encode_calls")                         \
+  X(kCodecResidualClassDecisions, "codec.residual_class_decisions")  \
+  X(kCodecResidualRawBits, "codec.residual_raw_bits")                \
+  X(kCodecResidualSymbols, "codec.residual_symbols")                 \
   X(kEnsembleElements, "ensemble.elements")                          \
   X(kEnsembleFields, "ensemble.fields")                              \
   X(kGribTuneAttempts, "grib.tune_attempts")                         \

@@ -5,8 +5,10 @@
 #include <vector>
 
 #include "compress/residual.h"
+#include "compress/variants.h"
 #include "support/residual_oracle.h"
 #include "util/rng.h"
+#include "util/trace.h"
 
 namespace cesm::comp {
 namespace {
@@ -123,6 +125,40 @@ TEST(ResidualCoder, SmallResidualsCompressTightly) {
   }
   enc.finish();
   EXPECT_LT(buf.size(), static_cast<std::size_t>(kN) / 8);
+}
+
+// Per symbol of class k the encoder tallies k + 1 class decisions and, for
+// k > 1, k - 1 raw bits.
+TEST(ResidualCoder, TallyCountsDecisionsAndRawBits) {
+  Bytes buf;
+  RangeEncoder enc(buf);
+  ResidualEncoder coder;
+  for (const std::uint64_t v : {0ull, 1ull, 3ull, 200ull, ~0ull}) coder.encode(enc, v);
+  enc.finish();
+  EXPECT_EQ(coder.tally().symbols, 5u);
+  EXPECT_EQ(coder.tally().class_decisions, 1u + 2u + 3u + 9u + 65u);
+  EXPECT_EQ(coder.tally().raw_bits, 0u + 0u + 1u + 7u + 63u);
+}
+
+// A codec adds its streams' tallies to the codec.residual_* counters on
+// encode; decoding adds nothing.
+TEST(ResidualCoder, CodecEncodeAddsTallyToCounters) {
+  const std::vector<float> data = {1.0f, 1.5f, 2.0f, 8.0f, -3.0f, 0.25f, 4.0f, 4.0f};
+  const CodecPtr codec = make_variant("fpzip-24");
+  const auto before = trace::counters();
+  const Bytes stream = codec->encode(data, Shape::d1(data.size()));
+  const auto mid = trace::counters();
+  (void)codec->decode(stream);
+  const auto after = trace::counters();
+  EXPECT_EQ(mid.at("codec.residual_symbols") - before.at("codec.residual_symbols"),
+            data.size());
+  EXPECT_GE(mid.at("codec.residual_class_decisions") -
+                before.at("codec.residual_class_decisions"),
+            data.size());
+  for (const char* name : {"codec.residual_symbols", "codec.residual_class_decisions",
+                           "codec.residual_raw_bits"}) {
+    EXPECT_EQ(after.at(name), mid.at(name)) << name;
+  }
 }
 
 TEST(RangeCoder, EmptyStreamDecodesNothing) {
