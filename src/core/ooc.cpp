@@ -79,7 +79,7 @@ void stage_variable_at(const climate::EnsembleGenerator& ensemble,
     // reuses every spill emits zero "ensemble.synthesize" spans.
     trace::Span synth("ensemble.synthesize");
     // Warm the memoized synthesizer before fanning out (same trick as
-    // ensemble_fields): the first access builds the spatial basis.
+    // ensemble_fields): the first access builds its basis factor tables.
     (void)ensemble.field_elems(spec);
     parallel_for(0, members, [&](std::size_t m) {
       std::vector<float> buf(layout.max_chunk);
