@@ -245,8 +245,6 @@ std::vector<float> ApaxCodec::decode(std::span<const std::uint8_t> stream) const
     }
 
     if (fixed_rate) {
-      const auto budget_bits =
-          static_cast<std::size_t>(std::llround(rate_bits * static_cast<double>(len)));
       std::size_t used = br.bits_consumed() - bits_before;
       while (used < budget_bits) {
         const unsigned chunk = static_cast<unsigned>(std::min<std::size_t>(32, budget_bits - used));

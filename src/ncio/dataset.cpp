@@ -216,8 +216,8 @@ Dataset Dataset::deserialize(std::span<const std::uint8_t> bytes) {
       throw FormatError("codec storage without codec spec");
     }
     const bool has_fill = r.u8() != 0;
-    const double fill = r.f64();
-    if (has_fill) v.fill_value = fill;
+    const double stored_fill = r.f64();
+    if (has_fill) v.fill_value = stored_fill;
 
     const std::uint32_t rank = r.u32();
     if (rank > 8) throw FormatError("implausible rank");

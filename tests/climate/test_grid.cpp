@@ -55,7 +55,7 @@ TEST(Grid, LevelFractionSpansZeroToOne) {
   const Grid grid(GridSpec{4, 4, 10});
   EXPECT_DOUBLE_EQ(grid.level_fraction(0), 0.0);
   EXPECT_DOUBLE_EQ(grid.level_fraction(9), 1.0);
-  EXPECT_THROW(grid.level_fraction(10), InvalidArgument);
+  EXPECT_THROW((void)grid.level_fraction(10), InvalidArgument);
 }
 
 TEST(Grid, SingleLevelFractionIsMid) {

@@ -107,7 +107,7 @@ TEST(HuffmanDecoder, ThrowsOnInvalidCodeword) {
   const HuffmanDecoder dec(lengths);
   Bytes buf = {0xff};
   BitReader br(buf);
-  EXPECT_THROW(dec.get(br), FormatError);
+  EXPECT_THROW((void)dec.get(br), FormatError);
 }
 
 }  // namespace

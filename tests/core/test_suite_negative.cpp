@@ -28,13 +28,13 @@ SuiteResults tiny_results() {
 
 TEST(SuiteNegative, UnknownVariantIndexThrows) {
   const SuiteResults r = tiny_results();
-  EXPECT_THROW(r.variant_index("zfp"), InvalidArgument);
+  EXPECT_THROW((void)r.variant_index("zfp"), InvalidArgument);
   EXPECT_EQ(r.variant_index("fpzip-24"), 4u);
 }
 
 TEST(SuiteNegative, UnknownVariableThrows) {
   const SuiteResults r = tiny_results();
-  EXPECT_THROW(r.variable("NOPE"), InvalidArgument);
+  EXPECT_THROW((void)r.variable("NOPE"), InvalidArgument);
   EXPECT_EQ(r.variable("U").variable, "U");
 }
 
@@ -127,17 +127,17 @@ TEST(SuiteTally, CountsExactlyPerVariant) {
 TEST(SuiteTally, EmptyResultsTallyToNothing) {
   SuiteResults r;
   EXPECT_TRUE(r.tally().empty());
-  EXPECT_THROW(r.variant_index("A"), InvalidArgument);
-  EXPECT_THROW(r.variable("X"), InvalidArgument);
+  EXPECT_THROW((void)r.variant_index("A"), InvalidArgument);
+  EXPECT_THROW((void)r.variable("X"), InvalidArgument);
 }
 
 TEST(SuiteTally, VariantIndexAndVariableLookUpHandBuiltEntries) {
   const SuiteResults r = hand_built_results();
   EXPECT_EQ(r.variant_index("A"), 0u);
   EXPECT_EQ(r.variant_index("B"), 1u);
-  EXPECT_THROW(r.variant_index("a"), InvalidArgument);  // lookups are exact
+  EXPECT_THROW((void)r.variant_index("a"), InvalidArgument);  // lookups are exact
   EXPECT_EQ(r.variable("Y").variable, "Y");
-  EXPECT_THROW(r.variable("Z"), InvalidArgument);
+  EXPECT_THROW((void)r.variable("Z"), InvalidArgument);
 }
 
 TEST(SuiteNegative, UnknownVariableInRunSuiteThrows) {

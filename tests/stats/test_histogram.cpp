@@ -95,7 +95,7 @@ TEST(Histogram, NanIsRejectedAndCounted) {
   EXPECT_EQ(h.total(), 2u);  // NaNs never land in a bin or the total
   EXPECT_EQ(h.count(1), 1u);
   EXPECT_EQ(h.count(2), 1u);
-  EXPECT_THROW(h.bin_of(kNan), InvalidArgument);
+  EXPECT_THROW((void)h.bin_of(kNan), InvalidArgument);
 }
 
 TEST(Histogram, RejectsBadConstruction) {
