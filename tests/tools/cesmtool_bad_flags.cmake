@@ -1,6 +1,6 @@
-# Runs cesmtool once per malformed numeric option value and requires exit
-# status 2 (a usage error) every time: a typo must never run with a number
-# other than the one meant. The controls pass well-formed values with an
+# Runs cesmtool once per malformed numeric option value or unknown option
+# and requires exit status 2 (a usage error) every time: a typo must never
+# run with a number other than the one meant, or without the option meant. The controls pass well-formed values with an
 # input file that does not exist, so they must get past option parsing and
 # fail on the file instead (status 1).
 #
@@ -28,6 +28,8 @@ set(bad_cases
   "suite|--jobs="
   "suite|--spill-budget-mb=1e3"
   "suite|--variant-jobs=two"
+  "suite|--help"
+  "suite|--no-such-flag"
 )
 set(control_cases
   "${compress}|--min-rho=0.5"

@@ -16,12 +16,14 @@
 //       chunk-by-chunk under the CESM_MEM_MB budget instead of holding
 //       the ensemble in memory
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <optional>
 #include <string>
@@ -285,7 +287,31 @@ int cmd_diff(int argc, char** argv) {
   return 0;
 }
 
+/// True when every argument after the command is one of `flags` or
+/// starts with one of `prefixed` ("--name="); otherwise names the first
+/// stranger on stderr. A misspelt option must not run the command without it.
+bool known_options(int argc, char** argv, std::initializer_list<const char*> flags,
+                   std::initializer_list<const char*> prefixed) {
+  for (int i = 2; i < argc; ++i) {
+    const auto is = [&](const char* f) { return std::strcmp(argv[i], f) == 0; };
+    const auto starts = [&](const char* p) {
+      return std::strncmp(argv[i], p, std::strlen(p)) == 0;
+    };
+    if (std::none_of(flags.begin(), flags.end(), is) &&
+        std::none_of(prefixed.begin(), prefixed.end(), starts)) {
+      std::fprintf(stderr, "cesmtool: unknown option \"%s\"\n", argv[i]);
+      return false;
+    }
+  }
+  return true;
+}
+
 int cmd_suite(int argc, char** argv) {
+  if (!known_options(argc, argv, {"--full-grid", "--reuse-spill", "--no-bias"},
+                     {"--scale=", "--spill-dir=", "--out=", "--members=", "--vars=",
+                      "--chunk=", "--jobs=", "--spill-budget-mb=", "--variant-jobs="})) {
+    return usage();
+  }
   const bool full_grid = has_flag(argc, argv, "--full-grid");
   const bool paper = opt_value(argc, argv, "--scale=") == "paper";
   const std::string spill_dir = opt_value(argc, argv, "--spill-dir=");
