@@ -3,8 +3,9 @@
 //
 // A second leg codes the suite's own fields (reduced-grid ensemble members
 // of the incore_bias variables) and reports, per residual symbol, encode
-// and decode time and the range coder's work: adaptive class decisions and
-// raw bits, from the codec.residual_* counter deltas of one encode pass.
+// and decode time and the residual coder's work: range-coded class
+// decisions and side-buffer raw bits, from the codec.residual_* counter
+// deltas of one encode pass.
 //
 // Output: tables on stdout and BENCH_codecs.json (override with
 // --out=PATH); --quick shrinks the fields and repeat count for CI smoke

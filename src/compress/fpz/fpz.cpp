@@ -13,7 +13,7 @@ namespace cesm::comp {
 
 namespace {
 
-constexpr std::uint32_t kFpzMagic = 0x315a5046;  // "FPZ1"
+constexpr std::uint32_t kFpzMagic = 0x325a5046;  // "FPZ2"
 
 struct Dims3 {
   std::size_t planes = 1, rows = 1, cols = 1;

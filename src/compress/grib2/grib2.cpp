@@ -16,7 +16,7 @@ namespace cesm::comp {
 
 namespace {
 
-constexpr std::uint32_t kGribMagic = 0x32425247;  // "GRB2"
+constexpr std::uint32_t kGribMagic = 0x33425247;  // "GRB3"
 constexpr std::int64_t kMaxQuantized = 1ll << 28;  // before wavelet growth
 
 struct Dims2 {

@@ -19,7 +19,7 @@ namespace cesm::comp {
 
 namespace {
 
-constexpr std::uint32_t kIsaMagic = 0x31415349;  // "ISA1"
+constexpr std::uint32_t kIsaMagic = 0x32415349;  // "ISA2"
 
 unsigned bits_for(std::size_t count) {
   return count <= 1 ? 1 : static_cast<unsigned>(std::bit_width(count - 1));

@@ -1,32 +1,36 @@
 #pragma once
 // Adaptive binary range coder (arithmetic-coding workhorse for the fpz
-// residual stage and the GRIB2 bit-plane stage).
+// residual stage and the GRIB2 bit-plane stage), plus the bit-packed side
+// buffer that carries the stream's equiprobable raw bits.
 //
 // Classic carry-propagating 32-bit range coder with 64-bit low register and
-// 12-bit adaptive bit probabilities (LZMA-style shift-update models).
-//
-// The coder is the single hottest loop of every predictive codec (the
-// BENCH_codecs breakdown puts >90% of fpzip/GRIB2 encode time here), so the
+// 12-bit adaptive bit probabilities (LZMA-style shift-update models). The
 // inner operations are written branch-free where the branch would be
-// data-dependent (the bit decision, the model update) and the equiprobable
-// bypass path processes multi-bit batches between renormalizations instead
-// of one bit per normalize() round trip. Every transformation below is
-// byte-stream-preserving: the emitted/consumed streams are bit-identical to
-// the straightforward one-bit-at-a-time formulation (pinned by
-// tests/compress/test_rangecoder.cpp and the codec conformance digests in
-// tests/compress/test_codec_pin.cpp).
+// data-dependent (the bit decision, the model update).
+//
+// Raw bits need no model, so they do not pass through the serial range
+// coder: encode_raw() packs them LSB-first into 64-bit words, and finish()
+// stores those words after the range-coded bytes. One stream is
+//
+//   range-coded bytes | raw bytes (little-endian words, last one cut to
+//   the bytes it uses) | u32 raw byte count
+//
+// so a decoder finds the split from the stream's last four bytes. The
+// encoder owns the side buffer, so several model sets (GRIB2's bitmap and
+// coefficients) still share one stream.
 //
 // This header holds the encoder only. The decoder is not a separate
-// object here: its state (code, range, read position) lives together with
+// object here: its state (code, range, read positions) lives together with
 // the adaptive class models in ResidualDecoder (compress/residual.h), which
 // every codec builds as a local so that the whole serial bit chain stays in
 // registers. residual.h explains why the two must not be split again.
 
-#include <bit>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "util/bytes.h"
+#include "util/error.h"
 
 namespace cesm::comp {
 
@@ -52,9 +56,12 @@ class BitModel {
   std::uint32_t p0_ = kOne / 2;
 };
 
-/// Range encoder producing a byte stream.
+/// Range encoder producing a byte stream, with its raw-bit side buffer.
 class RangeEncoder {
  public:
+  /// Bytes of the raw-byte-count trailer at the end of every stream.
+  static constexpr std::size_t kTrailerBytes = 4;
+
   explicit RangeEncoder(Bytes& out) : out_(out) {}
 
   /// Encode one bit under an adaptive model (model is updated).
@@ -68,37 +75,32 @@ class RangeEncoder {
     normalize();
   }
 
-  /// Encode `nbits` raw (equiprobable) bits, MSB first.
-  ///
-  /// Batched renormalization: each bit halves the range, so while the range
-  /// register has `m` bits of width above the 2^24 floor the next `m` bits
-  /// cannot trigger a normalize. Run those through a tight branch-free loop
-  /// (the data-dependent add compiles to a conditional move) and only fall
-  /// back to the classic step-plus-normalize when the spare width is gone.
-  void encode_raw(std::uint32_t value, unsigned nbits) {
-    while (nbits > 0) {
-      // range_ >= 2^24 between symbols, so the spare width is in [0, 7].
-      unsigned m = static_cast<unsigned>(std::bit_width(range_)) - 25;
-      if (m == 0) {
-        --nbits;
-        range_ >>= 1;
-        low_ += ((value >> nbits) & 1u) ? range_ : 0u;
-        normalize();
-        continue;
-      }
-      if (m > nbits) m = nbits;
-      for (unsigned j = 0; j < m; ++j) {
-        --nbits;
-        range_ >>= 1;
-        low_ += ((value >> nbits) & 1u) ? range_ : 0u;
-      }
-      // range_ >= 2^24 still holds: no normalize needed inside the window.
+  /// Append the low `nbits` (<= 64) bits of `value` to the side buffer,
+  /// LSB first. Bits of `value` at or above `nbits` must be zero.
+  void encode_raw(std::uint64_t value, unsigned nbits) {
+    raw_acc_ |= value << raw_fill_;
+    raw_fill_ += nbits;
+    if (raw_fill_ >= 64) {
+      raw_words_.push_back(raw_acc_);
+      raw_fill_ -= 64;
+      // The bits of `value` the full word had no room for.
+      raw_acc_ = raw_fill_ == 0 ? 0 : value >> (nbits - raw_fill_);
     }
   }
 
-  /// Flush the final state; must be called exactly once.
+  /// Flush the range coder, then append the side buffer and its byte
+  /// count; must be called exactly once.
   void finish() {
     for (int i = 0; i < 5; ++i) shift_low();
+    const std::size_t raw_bytes = raw_words_.size() * 8 + (raw_fill_ + 7) / 8;
+    CESM_REQUIRE(raw_bytes <= std::numeric_limits<std::uint32_t>::max());
+    ByteWriter w(out_);
+    w.u64_array(raw_words_);
+    for (unsigned bit = 0; bit < raw_fill_; bit += 8) {
+      w.u8(static_cast<std::uint8_t>(raw_acc_ >> bit));
+    }
+    w.u32(static_cast<std::uint32_t>(raw_bytes));
+    raw_words_ = {};
   }
 
  private:
@@ -130,6 +132,9 @@ class RangeEncoder {
   std::uint32_t range_ = 0xffffffffu;
   std::uint8_t cache_ = 0;
   std::uint64_t cache_size_ = 1;
+  std::vector<std::uint64_t> raw_words_;  ///< full side-buffer words
+  std::uint64_t raw_acc_ = 0;             ///< the word being filled
+  unsigned raw_fill_ = 0;                 ///< bits in raw_acc_, < 64
 };
 
 }  // namespace cesm::comp

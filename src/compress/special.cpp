@@ -10,7 +10,7 @@
 namespace cesm::comp {
 
 namespace {
-constexpr std::uint32_t kSpcMagic = 0x31435053;  // "SPC1"
+constexpr std::uint32_t kSpcMagic = 0x32435053;  // "SPC2"
 
 // The wrapper's variant-invariant stage: the patched field, the complete
 // stream prefix (magic + fill + RLE bitmap — none of it depends on the

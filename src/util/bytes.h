@@ -62,6 +62,7 @@ class ByteWriter {
   void f32_array(std::span<const float> v) { scalar_array(v); }
   void f64_array(std::span<const double> v) { scalar_array(v); }
   void u32_array(std::span<const std::uint32_t> v) { scalar_array(v); }
+  void u64_array(std::span<const std::uint64_t> v) { scalar_array(v); }
 
   [[nodiscard]] std::size_t size() const { return out_.size(); }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "compress/residual.h"
@@ -47,24 +50,34 @@ TEST(RangeCoder, SkewedBitsCompressBelowOneBitPerSymbol) {
 }
 
 TEST(RangeCoder, RawBitsRoundTrip) {
+  // Raw bits bypass the range coder: they fill the side buffer LSB first,
+  // 64-bit words, fields crossing word boundaries at every width 1..64.
   Pcg32 rng(3);
-  std::vector<std::pair<std::uint32_t, unsigned>> vals;
+  std::vector<std::pair<std::uint64_t, unsigned>> vals;
+  std::size_t total_bits = 0;
   Bytes buf;
   {
     RangeEncoder enc(buf);
     for (int i = 0; i < 5000; ++i) {
-      const unsigned nbits = 1 + rng.bounded(32);
-      const std::uint32_t v =
-          static_cast<std::uint32_t>(rng.next_u64() & ((nbits == 32) ? 0xffffffffull
-                                                                     : ((1ull << nbits) - 1)));
+      const unsigned nbits = 1 + rng.bounded(64);
+      const std::uint64_t v = rng.next_u64() & (~0ull >> (64 - nbits));
       vals.emplace_back(v, nbits);
+      total_bits += nbits;
       enc.encode_raw(v, nbits);
     }
     enc.finish();
   }
+  // 5 range-coded bytes (no decisions), the packed bits, the trailer.
+  const std::size_t raw_bytes = (total_bits + 7) / 8;
+  ASSERT_EQ(buf.size(), 5 + raw_bytes + RangeEncoder::kTrailerBytes);
+  EXPECT_EQ(ByteReader(std::span(buf).last(4)).u32(), raw_bytes);
   {
     oracle::RangeDecoder dec(buf);
     for (const auto& [v, nbits] : vals) ASSERT_EQ(dec.decode_raw(nbits), v);
+    // The last byte's unused high bits are zero, and past them is the end.
+    const unsigned pad = static_cast<unsigned>(raw_bytes * 8 - total_bits);
+    if (pad > 0) EXPECT_EQ(dec.decode_raw(pad), 0u);
+    EXPECT_THROW(dec.decode_raw(1), FormatError);
   }
 }
 
@@ -72,20 +85,28 @@ TEST(RangeCoder, MixedModelAndRawStreams) {
   Pcg32 rng(4);
   std::vector<bool> bits;
   std::vector<std::uint32_t> raws;
-  Bytes buf;
+  Bytes buf, bits_only;
   {
-    RangeEncoder enc(buf);
-    BitModel model;
+    RangeEncoder enc(buf), enc_bits(bits_only);
+    BitModel model, model_bits;
     for (int i = 0; i < 3000; ++i) {
       const bool b = rng.bounded(4) == 0;
       bits.push_back(b);
       enc.encode(model, b);
+      enc_bits.encode(model_bits, b);
       const std::uint32_t v = rng.next_u32() & 0xfff;
       raws.push_back(v);
       enc.encode_raw(v, 12);
     }
     enc.finish();
+    enc_bits.finish();
   }
+  // The raw bits leave the range-coded bytes as they are: the stream is
+  // the bits-only stream's range part, 4500 packed raw bytes, the trailer.
+  const std::size_t range_bytes = bits_only.size() - RangeEncoder::kTrailerBytes;
+  ASSERT_EQ(buf.size(), range_bytes + 4500 + RangeEncoder::kTrailerBytes);
+  EXPECT_TRUE(std::equal(bits_only.begin(), bits_only.begin() + range_bytes, buf.begin()));
+  EXPECT_EQ(ByteReader(std::span(buf).last(4)).u32(), 4500u);
   {
     oracle::RangeDecoder dec(buf);
     BitModel model;
@@ -161,14 +182,39 @@ TEST(ResidualCoder, CodecEncodeAddsTallyToCounters) {
   }
 }
 
+// Only the first run of a validity bitmap may be empty (a bitmap that
+// starts invalid); a later empty run would never advance the decode.
+TEST(ResidualCoder, ValidityRunsRejectAnEmptyRunAfterTheFirst) {
+  const auto runs_stream = [](std::initializer_list<std::uint64_t> runs) {
+    Bytes buf;
+    RangeEncoder enc(buf);
+    ResidualEncoder coder;
+    for (const std::uint64_t run : runs) coder.encode(enc, run);
+    enc.finish();
+    return buf;
+  };
+  const Bytes leading_invalid = runs_stream({0, 3, 5});
+  ResidualDecoder<> ok(leading_invalid);
+  EXPECT_EQ(decode_validity_runs(ok, 0, 8, "overflow"),
+            (std::vector<std::uint8_t>{0, 0, 0, 1, 1, 1, 1, 1}));
+  for (const Bytes& bad : {runs_stream({5, 0, 3}), runs_stream({0, 0, 8}), Bytes(9, 0)}) {
+    ResidualDecoder<> dec(bad);
+    EXPECT_THROW((void)decode_validity_runs(dec, 0, 8, "overflow"), FormatError);
+  }
+}
+
 TEST(RangeCoder, EmptyStreamDecodesNothing) {
   Bytes buf;
   {
     RangeEncoder enc(buf);
     enc.finish();
   }
+  // The range coder's 5-byte flush, no raw bytes, a zero trailer.
+  ASSERT_EQ(buf, (Bytes{0, 0, 0, 0, 0, 0, 0, 0, 0}));
   ResidualDecoder<> dec(buf);  // priming on a tiny stream must not crash
-  SUCCEED();
+  oracle::RangeDecoder oracle_dec(buf);
+  EXPECT_THROW(oracle_dec.decode_raw(1), FormatError);
+  EXPECT_THROW(ResidualDecoder<>(std::span(buf).first(3)), FormatError);
 }
 
 }  // namespace
